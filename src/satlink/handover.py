@@ -66,6 +66,7 @@ class HoState:
     last_switch_time: Optional[datetime] = None
     degraded_run: int = 0
     event_log: tuple[HoEvent, ...] = ()
+    last_step_time: Optional[datetime] = None
 
 
 def step(
@@ -82,8 +83,10 @@ def step(
     """
     if state.serving_satellite not in categories:
         raise ValueError(f"no prediction for serving satellite {state.serving_satellite!r}")
-    if state.event_log and t <= state.event_log[-1].time:
-        raise ValueError(f"step time {t.isoformat()} not after last event")
+    if state.last_step_time is not None and t <= state.last_step_time:
+        raise ValueError(
+            f"step time {t.isoformat()} not after last step {state.last_step_time.isoformat()}"
+        )
 
     serving_cat = categories[state.serving_satellite]
     degraded = serving_cat < policy.degrade_threshold
@@ -112,10 +115,11 @@ def step(
                 last_switch_time=t,
                 degraded_run=0,
                 event_log=state.event_log + (event,),
+                last_step_time=t,
             )
             return new_state, HoDecision(switch=True, target=target, reason=reason)
 
-    return replace(state, degraded_run=run), HoDecision(switch=False)
+    return replace(state, degraded_run=run, last_step_time=t), HoDecision(switch=False)
 
 
 def forecast_route(

@@ -1,16 +1,26 @@
 """Multi-class gradient-boosted decision trees over binned features.
 
-One regression tree per class per round is fitted to the softmax gradients
-and hessians of the current scores.  Split search is histogram-based:
-feature values are mapped once to bin codes, candidate splits are the bin
-upper edges, and the chosen split maximizes
+One boosting loop fits, each round, one regression tree per output to the
+gradients and hessians of the current scores: softmax over the four
+categories for the classifier, squared error (one output) for the
+regressor.  Split search is histogram-based: feature values are mapped
+once to bin codes, candidate splits are the bin upper edges, and the
+chosen split maximizes
 
     gain = 1/2 * (GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda))
 
 with leaf weight -G/(H+lambda) scaled by the learning rate.  With enough
 bins for every distinct value this reduces to exact greedy splitting.
-Training is fully deterministic: histogram accumulation order is fixed, so
-identical data and hyperparameters give byte-identical serialized models.
+
+Bin codes are stored feature-major and offset by ``f * width`` (the
+largest bin count), so each (feature, bin) pair owns one slot of a flat
+histogram: a node's gradient and hessian histograms over all features are
+two ``bincount`` calls, its gains one (features, width - 1) array whose
+row-major argmax keeps the tie rule (lowest feature, then lowest bin).
+Each slot sums its rows in ascending row order, exactly as a per-feature
+histogram does, so histograms, gains, splits and leaves are bit-identical
+to a per-feature search, and identical data and hyperparameters give
+byte-identical serialized models.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -93,6 +103,12 @@ class Tree:
         return walk(0)
 
 
+_TREE_DTYPES = {
+    "feature": np.int32, "threshold": np.float64, "left": np.int32, "right": np.int32,
+    "value": np.float64,
+}
+
+
 @dataclass
 class GbmModel:
     """A trained boosted ensemble plus everything needed to reuse it."""
@@ -123,11 +139,26 @@ def _bin_edges(col: np.ndarray, n_bins: int) -> np.ndarray:
     return np.unique(quantiles)
 
 
-def _bin_codes(X: np.ndarray, edges_per_feature: list[np.ndarray]) -> np.ndarray:
-    codes = np.empty(X.shape, dtype=np.uint8)
-    for f, edges in enumerate(edges_per_feature):
-        codes[:, f] = np.searchsorted(edges, X[:, f], side="left")
-    return codes
+@dataclass(frozen=True)
+class _Bins:
+    """Bin codes of one training matrix, stored feature-major."""
+
+    edges: list[np.ndarray]  # split candidates per feature
+    codes: np.ndarray  # (features, rows) uint8
+    flat: np.ndarray  # (features, rows) intp: codes[f] + f * width
+    candidate: np.ndarray  # (features, width - 1) bool: a real split after bin b
+
+
+def _bin_features(X: np.ndarray, n_bins: int) -> _Bins:
+    edges = [_bin_edges(X[:, f], n_bins) for f in range(X.shape[1])]
+    codes = np.empty((X.shape[1], X.shape[0]), dtype=np.uint8)
+    for f, feature_edges in enumerate(edges):
+        codes[f] = np.searchsorted(feature_edges, X[:, f], side="left")
+    n_edges = np.array([e.size for e in edges])
+    # At least one split slot, so all-constant columns still give gains (all -inf).
+    width = max(int(n_edges.max(initial=0)), 1) + 1
+    offsets = np.arange(X.shape[1], dtype=np.intp)[:, None] * width
+    return _Bins(edges, codes, codes + offsets, np.arange(width - 1) < n_edges[:, None])
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -142,99 +173,66 @@ def _log_loss(scores: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(lse - shifted[np.arange(len(y)), y]))
 
 
-def _find_split(
-    codes: np.ndarray,
-    rows: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    g_sum: float,
-    h_sum: float,
-    edges_per_feature: list[np.ndarray],
-    hp: GbmHyperParams,
-) -> Optional[tuple[int, int, float]]:
-    """Best (feature, bin, gain) over all histogram splits, or None.
+def _find_split(bins: _Bins, rows: np.ndarray, g_rows: np.ndarray, h_rows: np.ndarray,
+                g_sum: float, h_sum: float, hp: GbmHyperParams) -> Optional[tuple[int, int]]:
+    """Best (feature, bin) over all histogram splits of the node ``rows``, or None.
 
     Ties resolve to the lowest feature id, then the lowest bin, so the
     search is order-deterministic.
     """
+    n_features, n_slots = bins.candidate.shape
+    size = n_features * (n_slots + 1)
+    slots = np.take(bins.flat, rows, axis=1).ravel()
+    hist_g = np.bincount(slots, weights=np.tile(g_rows, n_features), minlength=size)
+    hist_h = np.bincount(slots, weights=np.tile(h_rows, n_features), minlength=size)
+    gl = np.cumsum(hist_g.reshape(n_features, -1), axis=1)[:, :-1]
+    hl = np.cumsum(hist_h.reshape(n_features, -1), axis=1)[:, :-1]
     lam = hp.l2_lambda
     parent = g_sum * g_sum / (h_sum + lam) if h_sum + lam > 0 else 0.0
-    best: Optional[tuple[int, int, float]] = None
-    best_gain = 0.0
-    g_rows = g[rows]
-    h_rows = h[rows]
-    for f, edges in enumerate(edges_per_feature):
-        n_bins_f = edges.size + 1
-        if n_bins_f < 2:
-            continue
-        c = codes[rows, f]
-        hist_g = np.bincount(c, weights=g_rows, minlength=n_bins_f)
-        hist_h = np.bincount(c, weights=h_rows, minlength=n_bins_f)
-        gl = np.cumsum(hist_g)[:-1]
-        hl = np.cumsum(hist_h)[:-1]
-        gr = g_sum - gl
-        hr = h_sum - hl
-        left_term = np.divide(gl * gl, hl + lam, out=np.zeros_like(gl), where=(hl + lam) > 0)
-        right_term = np.divide(gr * gr, hr + lam, out=np.zeros_like(gr), where=(hr + lam) > 0)
-        gains = 0.5 * (left_term + right_term - parent)
-        gains[(hl < hp.min_child_weight) | (hr < hp.min_child_weight)] = -np.inf
-        b = int(np.argmax(gains))
-        if gains[b] > best_gain:
-            best_gain = float(gains[b])
-            best = (f, b, best_gain)
-    return best
+    gr = g_sum - gl
+    hr = h_sum - hl
+    left_term = np.divide(gl * gl, hl + lam, out=np.zeros_like(gl), where=(hl + lam) > 0)
+    right_term = np.divide(gr * gr, hr + lam, out=np.zeros_like(gr), where=(hr + lam) > 0)
+    gains = 0.5 * (left_term + right_term - parent)
+    gains[~bins.candidate | (hl < hp.min_child_weight) | (hr < hp.min_child_weight)] = -np.inf
+    # A NaN gain rules out its whole feature, as in a per-feature search
+    # whose argmax lands on the NaN and then fails the `> 0` test.
+    gains[np.isnan(gains).any(axis=1)] = -np.inf
+    best = int(np.argmax(gains))
+    if not gains.flat[best] > 0.0:
+        return None
+    return divmod(best, n_slots)
 
 
 def _build_tree(
-    codes: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
-    edges_per_feature: list[np.ndarray],
-    hp: GbmHyperParams,
+    bins: _Bins, g: np.ndarray, h: np.ndarray, hp: GbmHyperParams
 ) -> tuple[Tree, np.ndarray]:
     """Grow one tree on (g, h); returns it plus the score update per row."""
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-    update = np.zeros(codes.shape[0])
+    nodes: list[list] = []  # preorder [feature, threshold, left, right, value]
+    update = np.zeros(g.size)
 
-    def grow(rows: np.ndarray, depth: int) -> int:
-        node = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-
-        g_sum = float(g[rows].sum())
-        h_sum = float(h[rows].sum())
+    def grow(rows: np.ndarray, g_rows: np.ndarray, h_rows: np.ndarray, depth: int) -> int:
+        node = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, 0.0])
+        g_sum = float(g_rows.sum())
+        h_sum = float(h_rows.sum())
         split = None
         if depth < hp.max_depth and rows.size >= 2:
-            split = _find_split(codes, rows, g, h, g_sum, h_sum, edges_per_feature, hp)
+            split = _find_split(bins, rows, g_rows, h_rows, g_sum, h_sum, hp)
         if split is None:
-            leaf = -hp.learning_rate * g_sum / (h_sum + hp.l2_lambda)
-            value[node] = leaf
+            nodes[node][4] = leaf = -hp.learning_rate * g_sum / (h_sum + hp.l2_lambda)
             update[rows] = leaf
             return node
-        f, b, _ = split
-        threshold[node] = float(edges_per_feature[f][b])
-        feature[node] = f
-        mask = codes[rows, f] <= b
-        left[node] = grow(rows[mask], depth + 1)
-        right[node] = grow(rows[~mask], depth + 1)
+        f, b = split
+        nodes[node][:2] = f, float(bins.edges[f][b])
+        mask = bins.codes[f][rows] <= b
+        nodes[node][2] = grow(rows[mask], g_rows[mask], h_rows[mask], depth + 1)
+        nodes[node][3] = grow(rows[~mask], g_rows[~mask], h_rows[~mask], depth + 1)
         return node
 
-    grow(np.arange(codes.shape[0]), 0)
-    tree = Tree(
-        feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int32),
-        right=np.array(right, dtype=np.int32),
-        value=np.array(value, dtype=np.float64),
-    )
-    return tree, update
+    grow(np.arange(g.size), g, h, 0)
+    arrays = {k: np.array(col, dtype=t) for (k, t), col in zip(_TREE_DTYPES.items(), zip(*nodes))}
+    return Tree(**arrays), update
 
 
 def _clipped_log_priors(counts: np.ndarray) -> np.ndarray:
@@ -242,8 +240,40 @@ def _clipped_log_priors(counts: np.ndarray) -> np.ndarray:
     return np.log(np.clip(priors, 1e-12, None))
 
 
+@dataclass(frozen=True)
+class _Loss:
+    """What the boosting loop needs from a loss; scores are (rows, outputs)."""
+
+    kind: str
+    base: np.ndarray  # base score per output; one tree per output per round
+    grad_hess: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]  # each (outputs, rows)
+    value: Callable[[np.ndarray], float]
+
+
+def _boost(train: FeatureMatrix, hp: GbmHyperParams, loss: _Loss) -> GbmModel:
+    """The boosting loop shared by the classifier and the regressor."""
+    bins = _bin_features(train.X, hp.n_bins)
+    scores = np.tile(loss.base, (train.n_rows, 1))
+    losses = [loss.value(scores)]
+    all_trees: list[list[Tree]] = []
+    for _ in range(hp.n_rounds):
+        grad, hess = loss.grad_hess(scores)
+        round_trees = []
+        for k in range(loss.base.size):
+            tree, update = _build_tree(bins, grad[k], hess[k], hp)
+            scores[:, k] += update
+            round_trees.append(tree)
+        all_trees.append(round_trees)
+        losses.append(loss.value(scores))
+    return GbmModel(
+        kind=loss.kind, n_classes=loss.base.size, hyperparams=hp, base_score=loss.base,
+        trees=all_trees, columns=train.columns, schema_hash=train.schema_hash,
+        vocab=train.vocab, train_loss=losses,
+    )
+
+
 def train_gbm(train: FeatureMatrix, hp: GbmHyperParams = GbmHyperParams()) -> GbmModel:
-    """Fit the 4-category classifier.
+    """Fit the 4-category classifier with the softmax loss.
 
     Per-class base scores are the log label priors, so a zero-round model
     predicts the empirical class distribution.  Training log-loss after
@@ -257,39 +287,15 @@ def train_gbm(train: FeatureMatrix, hp: GbmHyperParams = GbmHyperParams()) -> Gb
     counts = np.bincount(y, minlength=N_CATEGORIES).astype(float)
     if (counts > 0).sum() < 2:
         raise ValueError("training labels contain a single class")
-
-    edges_per_feature = [_bin_edges(train.X[:, f], hp.n_bins) for f in range(train.X.shape[1])]
-    codes = _bin_codes(train.X, edges_per_feature)
-    base = _clipped_log_priors(counts)
-    scores = np.tile(base, (train.n_rows, 1))
     one_hot = np.zeros((train.n_rows, N_CATEGORIES))
     one_hot[np.arange(train.n_rows), y] = 1.0
 
-    losses = [_log_loss(scores, y)]
-    all_trees: list[list[Tree]] = []
-    for _ in range(hp.n_rounds):
+    def grad_hess(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         proba = _softmax(scores)
-        grad = proba - one_hot
-        hess = proba * (1.0 - proba)
-        round_trees = []
-        for k in range(N_CATEGORIES):
-            tree, update = _build_tree(codes, grad[:, k], hess[:, k], edges_per_feature, hp)
-            scores[:, k] += update
-            round_trees.append(tree)
-        all_trees.append(round_trees)
-        losses.append(_log_loss(scores, y))
+        return (proba - one_hot).T.copy(), (proba * (1.0 - proba)).T.copy()
 
-    return GbmModel(
-        kind="classifier",
-        n_classes=N_CATEGORIES,
-        hyperparams=hp,
-        base_score=base,
-        trees=all_trees,
-        columns=train.columns,
-        schema_hash=train.schema_hash,
-        vocab=train.vocab,
-        train_loss=losses,
-    )
+    loss = _Loss("classifier", _clipped_log_priors(counts), grad_hess, lambda s: _log_loss(s, y))
+    return _boost(train, hp, loss)
 
 
 def train_regressor(train: FeatureMatrix, hp: GbmHyperParams = GbmHyperParams()) -> GbmModel:
@@ -299,33 +305,14 @@ def train_regressor(train: FeatureMatrix, hp: GbmHyperParams = GbmHyperParams())
     if train.y_cnr_db is None:
         raise ValueError("training matrix carries no regression target")
     y = train.y_cnr_db.astype(np.float64)
-
-    edges_per_feature = [_bin_edges(train.X[:, f], hp.n_bins) for f in range(train.X.shape[1])]
-    codes = _bin_codes(train.X, edges_per_feature)
-    base = np.array([float(y.mean())])
-    scores = np.full(train.n_rows, base[0])
-
-    losses = [float(np.mean((scores - y) ** 2))]
-    all_trees: list[list[Tree]] = []
-    hess = np.ones(train.n_rows)
-    for _ in range(hp.n_rounds):
-        grad = scores - y
-        tree, update = _build_tree(codes, grad, hess, edges_per_feature, hp)
-        scores += update
-        all_trees.append([tree])
-        losses.append(float(np.mean((scores - y) ** 2)))
-
-    return GbmModel(
-        kind="regressor",
-        n_classes=1,
-        hyperparams=hp,
-        base_score=base,
-        trees=all_trees,
-        columns=train.columns,
-        schema_hash=train.schema_hash,
-        vocab=train.vocab,
-        train_loss=losses,
+    hess = np.ones((1, train.n_rows))
+    loss = _Loss(
+        "regressor",
+        np.array([float(y.mean())]),
+        lambda s: ((s[:, 0] - y)[None, :], hess),
+        lambda s: float(np.mean((s[:, 0] - y) ** 2)),
     )
+    return _boost(train, hp, loss)
 
 
 def baseline_majority(train: FeatureMatrix) -> GbmModel:
@@ -393,24 +380,12 @@ def predict_value(model: GbmModel, rows: FeatureMatrix) -> np.ndarray:
 
 
 def _tree_to_jsonable(tree: Tree) -> dict:
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": tree.threshold.tolist(),
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "value": tree.value.tolist(),
-    }
+    return {k: getattr(tree, k).tolist() for k in _TREE_DTYPES}
 
 
 def _tree_from_jsonable(data: dict) -> Tree:
     try:
-        tree = Tree(
-            feature=np.array(data["feature"], dtype=np.int32),
-            threshold=np.array(data["threshold"], dtype=np.float64),
-            left=np.array(data["left"], dtype=np.int32),
-            right=np.array(data["right"], dtype=np.int32),
-            value=np.array(data["value"], dtype=np.float64),
-        )
+        tree = Tree(**{k: np.array(data[k], dtype=t) for k, t in _TREE_DTYPES.items()})
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"bad tree record: {exc}") from exc
     if not np.isfinite(tree.value).all():
@@ -433,6 +408,20 @@ def model_to_jsonable(model: GbmModel) -> dict:
     }
 
 
+def _check_tree(tree: Tree, n_features: int) -> None:
+    """Reject trees that would mis-predict, or never finish, in :meth:`Tree.apply`."""
+    n, split = tree.feature.size, tree.feature >= 0
+    if n == 0 or any(getattr(tree, k).size != n for k in _TREE_DTYPES):
+        raise ModelFormatError("tree node arrays are empty or of unequal length")
+    if ((tree.left != -1) | (tree.right != -1))[~split].any():
+        raise ModelFormatError("a leaf node has children")
+    if (tree.feature >= n_features).any():
+        raise ModelFormatError(f"split feature index out of range for {n_features} columns")
+    lo, hi = np.minimum(tree.left, tree.right), np.maximum(tree.left, tree.right)
+    if ((lo <= np.arange(n)) | (hi >= n))[split].any():
+        raise ModelFormatError("a child index does not point forward within its tree")
+
+
 def model_from_jsonable(data: dict) -> GbmModel:
     version = data.get("format_version")
     if version != MODEL_FORMAT_VERSION:
@@ -440,7 +429,7 @@ def model_from_jsonable(data: dict) -> GbmModel:
             f"unsupported model format_version {version!r}, expected {MODEL_FORMAT_VERSION}"
         )
     try:
-        return GbmModel(
+        model = GbmModel(
             kind=data["kind"],
             n_classes=int(data["n_classes"]),
             hyperparams=GbmHyperParams(**data["hyperparams"]),
@@ -455,6 +444,14 @@ def model_from_jsonable(data: dict) -> GbmModel:
         if isinstance(exc, ModelFormatError):
             raise
         raise ModelFormatError(f"bad model file: {exc}") from exc
+    if model.base_score.shape != (model.n_classes,):
+        raise ModelFormatError(f"{model.base_score.size} base scores for {model.n_classes} classes")
+    for r, round_trees in enumerate(model.trees):
+        if len(round_trees) != model.n_classes:
+            raise ModelFormatError(f"round {r} has {len(round_trees)} trees, not {model.n_classes}")
+        for tree in round_trees:
+            _check_tree(tree, len(model.columns))
+    return model
 
 
 def save_model(model: GbmModel, path: str) -> None:

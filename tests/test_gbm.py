@@ -1,7 +1,18 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from satlink.flightsim import LinkModelParams, demo_config, generate_flight
+from satlink.cli import ExperimentSpec, build_experiment_dataset, load_records
+from satlink.flightsim import (
+    LinkModelParams,
+    WeatherSpec,
+    demo_config,
+    generate_dataset,
+    generate_flight,
+)
 from satlink.ingest import CnrCategory, encode_features, labeled, split_by_flight
 from satlink.model import (
     GbmHyperParams,
@@ -11,10 +22,12 @@ from satlink.model import (
     predict_labels,
     predict_proba,
     predict_value,
+    save_model,
     train_gbm,
     train_regressor,
 )
-from satlink.model.gbm import model_to_jsonable
+from satlink.model import gbm
+from satlink.model.gbm import Tree, model_to_jsonable
 
 from conftest import make_matrix, separable_toy
 
@@ -41,6 +54,197 @@ def exact_greedy_split(X, g, h, lam, min_child_weight):
             if gain > best_gain:
                 best_gain, best = gain, (f, thr)
     return best
+
+
+def reference_find_split(codes, rows, g, h, g_sum, h_sum, edges_per_feature, hp):
+    """Per-feature histogram split search over row-major ``codes``.
+
+    Two ``bincount`` calls per feature; the reference for the flat search
+    over all features in ``gbm._find_split``.  Returns (feature, bin, gain).
+    """
+    lam = hp.l2_lambda
+    parent = g_sum * g_sum / (h_sum + lam) if h_sum + lam > 0 else 0.0
+    best = None
+    best_gain = 0.0
+    g_rows = g[rows]
+    h_rows = h[rows]
+    for f, edges in enumerate(edges_per_feature):
+        n_bins_f = edges.size + 1
+        if n_bins_f < 2:
+            continue
+        c = codes[rows, f]
+        hist_g = np.bincount(c, weights=g_rows, minlength=n_bins_f)
+        hist_h = np.bincount(c, weights=h_rows, minlength=n_bins_f)
+        gl = np.cumsum(hist_g)[:-1]
+        hl = np.cumsum(hist_h)[:-1]
+        gr = g_sum - gl
+        hr = h_sum - hl
+        left_term = np.divide(gl * gl, hl + lam, out=np.zeros_like(gl), where=(hl + lam) > 0)
+        right_term = np.divide(gr * gr, hr + lam, out=np.zeros_like(gr), where=(hr + lam) > 0)
+        gains = 0.5 * (left_term + right_term - parent)
+        gains[(hl < hp.min_child_weight) | (hr < hp.min_child_weight)] = -np.inf
+        b = int(np.argmax(gains))
+        if gains[b] > best_gain:
+            best_gain = float(gains[b])
+            best = (f, b, best_gain)
+    return best
+
+
+def reference_build_tree(bins, g, h, hp):
+    """Drop-in for ``gbm._build_tree`` that grows the tree with
+    :func:`reference_find_split` on row-major codes."""
+    codes = bins.codes.T
+    feature, threshold, left, right, value = [], [], [], [], []
+    update = np.zeros(codes.shape[0])
+
+    def grow(rows, depth):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+
+        g_sum = float(g[rows].sum())
+        h_sum = float(h[rows].sum())
+        split = None
+        if depth < hp.max_depth and rows.size >= 2:
+            split = reference_find_split(codes, rows, g, h, g_sum, h_sum, bins.edges, hp)
+        if split is None:
+            leaf = -hp.learning_rate * g_sum / (h_sum + hp.l2_lambda)
+            value[node] = leaf
+            update[rows] = leaf
+            return node
+        f, b, _ = split
+        threshold[node] = float(bins.edges[f][b])
+        feature[node] = f
+        mask = codes[rows, f] <= b
+        left[node] = grow(rows[mask], depth + 1)
+        right[node] = grow(rows[~mask], depth + 1)
+        return node
+
+    grow(np.arange(codes.shape[0]), 0)
+    tree = Tree(
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int32),
+        right=np.array(right, dtype=np.int32),
+        value=np.array(value, dtype=np.float64),
+    )
+    return tree, update
+
+
+@st.composite
+def split_cases(draw):
+    """One node's split problem: few distinct values (heavy ties), constant
+    and duplicate columns, tied gradients and zero or subnormal hessians."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 60))
+    n_features = draw(st.integers(1, 5))
+    levels = draw(st.sampled_from([1, 2, 3, 300]))
+    X = rng.integers(0, levels, size=(n, n_features)).astype(float)
+    for f in range(1, n_features):
+        kind = draw(st.sampled_from(["own", "constant", "duplicate"]))
+        if kind == "constant":
+            X[:, f] = 7.0
+        elif kind == "duplicate":
+            X[:, f] = X[:, 0]
+    if draw(st.booleans()):
+        g = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=n)
+        h = rng.choice([0.0, 0.25, 1.0] + [5e-324] * draw(st.integers(0, 1)), size=n)
+    else:
+        g = rng.normal(size=n)
+        h = rng.uniform(0.0, 1.0, size=n)
+    rows = np.sort(rng.choice(n, size=draw(st.integers(2, n)), replace=False))
+    hp = GbmHyperParams(
+        n_bins=draw(st.sampled_from([2, 256])),
+        min_child_weight=draw(st.sampled_from([0.0, 1.0])),
+        l2_lambda=draw(st.sampled_from([0.0, 1.0])),
+    )
+    return X, g, h, rows, hp
+
+
+def flat_and_reference_split(X, g, h, rows, hp):
+    bins = gbm._bin_features(X, hp.n_bins)
+    g_sum, h_sum = float(g[rows].sum()), float(h[rows].sum())
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = gbm._find_split(bins, rows, g[rows], h[rows], g_sum, h_sum, hp)
+        want = reference_find_split(bins.codes.T, rows, g, h, g_sum, h_sum, bins.edges, hp)
+    return got, None if want is None else want[:2]
+
+
+class TestSplitSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(split_cases())
+    def test_flat_search_matches_per_feature_reference(self, case):
+        got, want = flat_and_reference_split(*case)
+        assert got == want
+
+    def test_nan_gain_never_wins(self):
+        # Overflowing gradients and infinite hessians give feature 0 a NaN
+        # gain (inf / inf), while feature 1 has a real positive split.
+        X = np.array([[2.0, 1.0], [2.0, 2.0], [1.0, 2.0]])
+        g = np.array([-1.0, -1e200, 1e200])
+        h = np.array([1.0, np.inf, np.inf])
+        hp = GbmHyperParams(min_child_weight=0.0)
+        assert flat_and_reference_split(X, g, h, np.arange(3), hp) == ((1, 0), (1, 0))
+
+    def test_all_constant_columns_never_split(self):
+        X = np.full((10, 3), 4.0)
+        bins = gbm._bin_features(X, 64)
+        g = np.linspace(-1.0, 1.0, 10)
+        assert gbm._find_split(bins, np.arange(10), g, np.ones(10), 0.0, 10.0, GbmHyperParams()) is None
+
+
+# SHA-256 of the saved C9 set-up models (one flight per route, seed 55,
+# altitude > 6000 m, 25 rounds).  Float sums depend on the numpy build, so
+# another numpy version may need these refreshed on purpose.
+C9_MODEL_SHA256 = {
+    "train_gbm": "1eba9e30804a7de529494b9347b9f7e2c297fb11ad78b17da5415e7da2afb087",
+    "train_regressor": "340bb400bf7d607e6b9f7d71eb3a4b18e23c2c1ff055ee0bd5e66b07e6735c66",
+}
+
+
+@pytest.fixture(scope="module")
+def c9_train(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("c9_corpus")
+    generate_dataset(demo_config(flights_per_route=1, seed=55, weather=WeatherSpec(5.0, 3)), str(out_dir))
+    spec = ExperimentSpec(name="det", min_altitude_m=6000, hyperparams=GbmHyperParams(n_rounds=25), seed=3)
+    matrix, _ = build_experiment_dataset(load_records(str(out_dir)), spec)
+    return split_by_flight(matrix, spec.test_fraction, spec.seed)[0], spec.hyperparams
+
+
+@pytest.fixture(scope="module")
+def corpus_sample(small_corpus):
+    """5000 labeled rows of a demo-config corpus, in corpus order."""
+    matrix, _ = encode_features(labeled(load_records(small_corpus["dir"])))
+    rng = np.random.default_rng(17)
+    return matrix.take(np.sort(rng.choice(matrix.n_rows, 5000, replace=False)))
+
+
+def model_bytes(train_fn, matrix, hp, path):
+    save_model(train_fn(matrix, hp), path)
+    return path.read_bytes()
+
+
+class TestModelBytes:
+    @pytest.mark.parametrize("train_fn", [train_gbm, train_regressor])
+    def test_pinned_c9_model_hashes(self, c9_train, train_fn, tmp_path):
+        data = model_bytes(train_fn, *c9_train, tmp_path / "model.json")
+        assert hashlib.sha256(data).hexdigest() == C9_MODEL_SHA256[train_fn.__name__]
+
+    @pytest.mark.parametrize("train_fn", [train_gbm, train_regressor])
+    @pytest.mark.parametrize("data", ["toy", "corpus"])
+    def test_same_bytes_as_reference_builder(self, data, train_fn, corpus_sample, monkeypatch, tmp_path):
+        if data == "toy":
+            toy = separable_toy()
+            matrix = make_matrix(toy.X, y=toy.y, y_cnr=5.0 * toy.y + toy.X[:, 0])
+            hp = GbmHyperParams(n_rounds=10, max_depth=4)
+        else:
+            matrix, hp = corpus_sample, GbmHyperParams(n_rounds=4, learning_rate=0.15)
+        fast = model_bytes(train_fn, matrix, hp, tmp_path / "fast.json")
+        monkeypatch.setattr(gbm, "_build_tree", reference_build_tree)
+        assert model_bytes(train_fn, matrix, hp, tmp_path / "reference.json") == fast
 
 
 class TestTraining:

@@ -100,6 +100,14 @@ class TestStep:
         with pytest.raises(ValueError, match="not after"):
             step(state, minute(0), {"B": GOOD}, policy)
 
+    def test_time_must_advance_before_any_switch(self):
+        policy = HoPolicy()
+        state, _ = step(HoState("A"), minute(5), {"A": GOOD}, policy)
+        assert state.event_log == () and state.last_step_time == minute(5)
+        for earlier in (minute(0), minute(5)):
+            with pytest.raises(ValueError, match="not after last step"):
+                step(state, earlier, {"A": GOOD}, policy)
+
     def test_step_is_pure_and_replayable(self):
         policy = HoPolicy(consecutive_k=2, min_dwell_s=0.0)
         grid = [

@@ -67,6 +67,20 @@ class TestRoundTrip:
         assert load_model(path).vocab == vocab
 
 
+def corrupt(model, tmp_path, edit):
+    """Save ``model``, apply ``edit`` to its JSON data, and return the path."""
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return path
+
+
+def first_node(tree, leaf):
+    return next(i for i, f in enumerate(tree["feature"]) if (f < 0) == leaf)
+
+
 class TestFormatErrors:
     def test_truncated_file_rejected(self, trained, tmp_path):
         _, model = trained
@@ -105,6 +119,53 @@ class TestFormatErrors:
         path.write_text(json.dumps(data))
         with pytest.raises(ModelFormatError, match="finite"):
             load_model(path)
+
+    def test_child_pointing_back_rejected(self, trained, tmp_path):
+        def edit(data):
+            tree = data["trees"][0][0]
+            node = first_node(tree, leaf=False)
+            tree["left"][node] = node
+
+        with pytest.raises(ModelFormatError, match="forward"):
+            load_model(corrupt(trained[1], tmp_path, edit))
+
+    def test_child_out_of_range_rejected(self, trained, tmp_path):
+        def edit(data):
+            tree = data["trees"][0][0]
+            tree["right"][first_node(tree, leaf=False)] = len(tree["feature"])
+
+        with pytest.raises(ModelFormatError, match="forward"):
+            load_model(corrupt(trained[1], tmp_path, edit))
+
+    def test_leaf_with_children_rejected(self, trained, tmp_path):
+        def edit(data):
+            tree = data["trees"][0][0]
+            tree["left"][first_node(tree, leaf=True)] = len(tree["feature"]) - 1
+
+        with pytest.raises(ModelFormatError, match="leaf"):
+            load_model(corrupt(trained[1], tmp_path, edit))
+
+    def test_feature_out_of_range_rejected(self, trained, tmp_path):
+        def edit(data):
+            tree = data["trees"][0][0]
+            tree["feature"][first_node(tree, leaf=False)] = 99
+
+        with pytest.raises(ModelFormatError, match="feature"):
+            load_model(corrupt(trained[1], tmp_path, edit))
+
+    def test_round_missing_trees_rejected(self, trained, tmp_path):
+        def edit(data):
+            data["trees"][0] = data["trees"][0][:2]
+
+        with pytest.raises(ModelFormatError, match="round 0 has 2 trees"):
+            load_model(corrupt(trained[1], tmp_path, edit))
+
+    def test_base_score_count_rejected(self, trained, tmp_path):
+        def edit(data):
+            data["base_scores"] = data["base_scores"][:1]
+
+        with pytest.raises(ModelFormatError, match="base scores"):
+            load_model(corrupt(trained[1], tmp_path, edit))
 
 
 class TestSchemaGuard:
