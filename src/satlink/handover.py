@@ -11,13 +11,20 @@ between beams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from typing import Mapping, Optional, Sequence
 
-from .ingest import CnrCategory, FlightLogRecord, bin_cnr, encode_features
+from .ingest import (
+    CnrCategory,
+    FeatureMatrix,
+    FlightLogRecord,
+    Vocabulary,
+    bin_cnr,
+    encode_features,
+)
 from .model.gbm import GbmModel, predict_labels
-from .weather import CoverageGapError, WeatherProvider
+from .weather import CoverageGapError, WeatherCell, WeatherProvider
 
 
 @dataclass(frozen=True)
@@ -51,14 +58,18 @@ class HoEvent:
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HoDecision:
     switch: bool
     target: Optional[str] = None
     reason: str = ""
 
 
-@dataclass(frozen=True)
+#: The decision of every step that does not switch; decisions are immutable.
+_STAY = HoDecision(switch=False)
+
+
+@dataclass(frozen=True, slots=True)
 class HoState:
     """Immutable handover state; :func:`step` returns an updated copy."""
 
@@ -119,7 +130,14 @@ def step(
             )
             return new_state, HoDecision(switch=True, target=target, reason=reason)
 
-    return replace(state, degraded_run=run, last_step_time=t), HoDecision(switch=False)
+    kept = HoState(
+        serving_satellite=state.serving_satellite,
+        last_switch_time=state.last_switch_time,
+        degraded_run=run,
+        event_log=state.event_log,
+        last_step_time=t,
+    )
+    return kept, _STAY
 
 
 def forecast_route(
@@ -144,41 +162,56 @@ def forecast_route(
     if not waypoints:
         return grid
 
+    wx_models = {
+        sat: m for sat, m in (weather_model_by_sat or {}).items()
+        if weather is not None and sat in model_by_sat and m is not None
+    }
+    parts: dict[str, tuple[list[int], Optional[list[WeatherCell]]]] = {
+        "all": (list(range(len(waypoints))), None)
+    }
+    if wx_models:
+        cells = [_cell_or_none(weather, r) for r in waypoints]
+        covered = [i for i, c in enumerate(cells) if c is not None]
+        parts["covered"] = (covered, [cells[i] for i in covered])
+        parts["uncovered"] = ([i for i, c in enumerate(cells) if c is None], None)
+
+    # One encoding per part of the route and distinct vocabulary; only the
+    # satellite column differs between satellites.
+    encoded: dict[str, list[tuple[Optional[Vocabulary], FeatureMatrix]]] = {}
+
+    def encode(part: str, vocab: Optional[Vocabulary]) -> FeatureMatrix:
+        for seen, matrix in encoded.setdefault(part, []):
+            if seen == vocab:
+                return matrix
+        rows, cells = parts[part]
+        matrix, _ = encode_features(
+            [waypoints[i] for i in rows], vocab=vocab, cells=cells, for_prediction=True
+        )
+        encoded[part].append((vocab, matrix))
+        return matrix
+
+    categories = list(CnrCategory)
     for sat in sorted(model_by_sat):
-        rows = [replace(r, satellite_id=sat, cnr_db=None) for r in waypoints]
-        wx_model = (weather_model_by_sat or {}).get(sat)
-        if weather is not None and wx_model is not None:
-            cells = []
-            for r in rows:
-                try:
-                    cells.append(weather.cell_at(r.log_date, r.position))
-                except CoverageGapError:
-                    cells.append(None)
-            covered = [i for i, c in enumerate(cells) if c is not None]
-            uncovered = [i for i, c in enumerate(cells) if c is None]
-            if covered:
-                matrix, _ = encode_features(
-                    [rows[i] for i in covered],
-                    vocab=wx_model.vocab,
-                    cells=[cells[i] for i in covered],
-                    for_prediction=True,
-                )
-                for i, label in zip(covered, predict_labels(wx_model, matrix)):
-                    grid[i][sat] = CnrCategory(int(label))
-            if uncovered:
-                base = model_by_sat[sat]
-                matrix, _ = encode_features(
-                    [rows[i] for i in uncovered], vocab=base.vocab, for_prediction=True
-                )
-                for i, label in zip(uncovered, predict_labels(base, matrix)):
-                    grid[i][sat] = CnrCategory(int(label))
+        if sat in wx_models:
+            plan = [("covered", wx_models[sat]), ("uncovered", model_by_sat[sat])]
         else:
-            matrix, _ = encode_features(
-                rows, vocab=model_by_sat[sat].vocab, for_prediction=True
-            )
-            for i, label in enumerate(predict_labels(model_by_sat[sat], matrix)):
-                grid[i][sat] = CnrCategory(int(label))
+            plan = [("all", model_by_sat[sat])]
+        for part, model in plan:
+            rows = parts[part][0]
+            if not rows:
+                continue
+            matrix = encode(part, model.vocab)
+            matrix.X[:, matrix.columns.index("satellite_id")] = model.vocab.encode("satellite_id", sat)
+            for i, label in zip(rows, predict_labels(model, matrix).tolist()):
+                grid[i][sat] = categories[label]
     return grid
+
+
+def _cell_or_none(weather: WeatherProvider, r: FlightLogRecord) -> Optional[WeatherCell]:
+    try:
+        return weather.cell_at(r.log_date, r.position)
+    except CoverageGapError:
+        return None
 
 
 @dataclass

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import IntEnum
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -312,6 +313,8 @@ NUMERIC_COLUMNS = [
     "flight_fraction",
 ]
 WEATHER_COLUMNS = ["precip_mmh", "cloud_pct", "temp_c", "wind_mps"]
+_WEATHER_ATTRS = ["precipitation_mmh", "cloud_cover_pct", "temperature_c", "wind_speed_mps"]
+#: Named after the :class:`FlightLogRecord` fields they encode.
 CATEGORICAL_COLUMNS = [
     "airline_code",
     "departure_airport",
@@ -334,7 +337,7 @@ class Vocabulary:
     def build(cls, records: Sequence[FlightLogRecord]) -> "Vocabulary":
         mappings = {}
         for column in CATEGORICAL_COLUMNS:
-            tokens = sorted({_categorical_token(r, column) for r in records})
+            tokens = sorted(set(map(attrgetter(column), records)))
             mappings[column] = {tok: i for i, tok in enumerate(tokens, start=1)}
         return cls(mappings)
 
@@ -347,16 +350,6 @@ class Vocabulary:
     @classmethod
     def from_jsonable(cls, data: dict) -> "Vocabulary":
         return cls({c: {str(t): int(i) for t, i in m.items()} for c, m in data.items()})
-
-
-def _categorical_token(r: FlightLogRecord, column: str) -> str:
-    return {
-        "airline_code": r.airline_code,
-        "departure_airport": r.departure_airport,
-        "arrival_airport": r.arrival_airport,
-        "satellite_id": r.satellite_id,
-        "tail_number": r.tail_number,
-    }[column]
 
 
 @dataclass
@@ -427,35 +420,35 @@ def encode_features(
     if cells is not None:
         columns += WEATHER_COLUMNS
     columns += CATEGORICAL_COLUMNS
-
-    n = len(records)
-    X = np.empty((n, len(columns)), dtype=np.float64)
-    for i, r in enumerate(records):
-        duration_s = (r.flight_end_time - r.flight_start_time).total_seconds()
-        fraction = (
-            (r.log_date - r.flight_start_time).total_seconds() / duration_s
-            if duration_s > 0
-            else 0.0
-        )
-        row = [
-            r.latitude_deg,
-            r.longitude_deg,
-            r.altitude_m,
-            float(r.log_date.hour * 60 + r.log_date.minute),
-            float(r.log_date.timetuple().tm_yday),
-            fraction,
-        ]
-        if cells is not None:
-            c = cells[i]
-            row += [c.precipitation_mmh, c.cloud_cover_pct, c.temperature_c, c.wind_speed_mps]
-        row += [float(vocab.encode(col, _categorical_token(r, col))) for col in CATEGORICAL_COLUMNS]
-        X[i] = row
+    X = np.empty((len(records), len(columns)), dtype=np.float64)
+    # One column at a time, so only one column's temporaries are alive.
+    out = dict(zip(columns, X.T))
+    out["latitude"][:] = [r.latitude_deg for r in records]
+    out["longitude"][:] = [r.longitude_deg for r in records]
+    out["altitude_m"][:] = [r.altitude_m for r in records]
+    # Log dates are whole minutes, so their epoch seconds are exact.
+    epoch_s = np.array([r.log_date.timestamp() for r in records], dtype=np.int64)
+    out["minute_of_day"][:] = epoch_s % 86400 // 60
+    day = epoch_s.astype("datetime64[s]").astype("datetime64[D]")
+    out["day_of_year"][:] = (day - day.astype("datetime64[Y]")).astype(np.int64) + 1
+    # Timedelta seconds, as exact as before for sub-second flight times.
+    elapsed_s = np.array([(r.log_date - r.flight_start_time).total_seconds() for r in records])
+    duration_s = np.array([(r.flight_end_time - r.flight_start_time).total_seconds() for r in records])
+    out["flight_fraction"][:] = 0.0
+    np.divide(elapsed_s, duration_s, out=out["flight_fraction"], where=duration_s > 0)
+    if cells is not None:
+        for column, attr in zip(WEATHER_COLUMNS, _WEATHER_ATTRS):
+            out[column][:] = [getattr(c, attr) for c in cells]
+    for column in CATEGORICAL_COLUMNS:
+        ids = vocab.mappings[column]
+        out[column][:] = [ids.get(token, UNKNOWN_ID) for token in map(attrgetter(column), records)]
 
     if for_prediction:
         y = y_cnr = None
     else:
-        y = np.array([int(bin_cnr(r.cnr_db)) for r in records], dtype=np.int8)
         y_cnr = np.array([r.cnr_db for r in records], dtype=np.float64)
+        # Edges are lower-inclusive, as in bin_cnr.
+        y = np.searchsorted(CATEGORY_EDGES_DB, y_cnr, side="right").astype(np.int8)
     flight_ids = np.array([r.flight_id for r in records], dtype=object)
     matrix = FeatureMatrix(tuple(columns), X, y, y_cnr, flight_ids, vocab)
     return matrix, vocab

@@ -21,11 +21,16 @@ Each slot sums its rows in ascending row order, exactly as a per-feature
 histogram does, so histograms, gains, splits and leaves are bit-identical
 to a per-feature search, and identical data and hyperparameters give
 byte-identical serialized models.
+
+Prediction walks every tree at once over flat node arrays (see
+:class:`_FlatEnsemble`) and adds leaf values round by round, so scores
+are bit-identical to walking one tree at a time.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -82,17 +87,6 @@ class Tree:
     right: np.ndarray
     value: np.ndarray
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf value for every row; rows go left when x <= threshold."""
-        node = np.zeros(X.shape[0], dtype=np.int32)
-        while True:
-            active = np.nonzero(self.feature[node] >= 0)[0]
-            if active.size == 0:
-                return self.value[node]
-            cur = node[active]
-            go_left = X[active, self.feature[cur]] <= self.threshold[cur]
-            node[active] = np.where(go_left, self.left[cur], self.right[cur])
-
     @property
     def depth(self) -> int:
         def walk(i: int) -> int:
@@ -126,6 +120,63 @@ class GbmModel:
     @property
     def n_rounds_trained(self) -> int:
         return len(self.trees)
+
+    @functools.cached_property
+    def _flat(self) -> "_FlatEnsemble":
+        """All trees as flat arrays, built on first prediction; trees are
+        not changed after training or loading."""
+        return _FlatEnsemble.build([tree for round_trees in self.trees for tree in round_trees])
+
+
+@dataclass(frozen=True)
+class _FlatEnsemble:
+    """Every tree of a model in one set of node arrays.
+
+    Trees are concatenated round by round and class by class, each node
+    ``i`` of the concatenation owning the slots ``2i`` and ``2i + 1``.
+    Walking rows hold doubled ids, so that ``child[2i + went_left]`` is the
+    next node: slot ``2i`` holds the right child, ``2i + 1`` the left one.
+    A leaf is its own child on both sides, so after ``levels`` steps (the
+    depth of the deepest tree) every row sits at its leaf in every tree.
+    """
+
+    feature: np.ndarray  # (2 * nodes,) intp; 0 at leaves
+    threshold: np.ndarray  # (2 * nodes,) float64
+    child: np.ndarray  # (2 * nodes,) intp doubled ids: right child, then left child
+    value: np.ndarray  # (2 * nodes,) float64
+    roots: np.ndarray  # (trees,) intp doubled id of each tree's root
+    levels: int
+
+    @classmethod
+    def build(cls, trees: list[Tree]) -> "_FlatEnsemble":
+        sizes = np.array([tree.feature.size for tree in trees], dtype=np.intp)
+        offsets = np.cumsum(sizes) - sizes
+        feature = np.concatenate([tree.feature for tree in trees]).astype(np.intp)
+        left = np.concatenate([tree.left + o for tree, o in zip(trees, offsets)]).astype(np.intp)
+        right = np.concatenate([tree.right + o for tree, o in zip(trees, offsets)]).astype(np.intp)
+        leaf = feature < 0
+        left[leaf] = right[leaf] = np.flatnonzero(leaf)
+        feature[leaf] = 0
+        return cls(
+            feature=np.repeat(feature, 2),
+            threshold=np.repeat(np.concatenate([tree.threshold for tree in trees]), 2),
+            child=np.column_stack([2 * right, 2 * left]).ravel(),
+            value=np.repeat(np.concatenate([tree.value for tree in trees]), 2),
+            roots=2 * offsets,
+            levels=max(tree.depth for tree in trees),
+        )
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """(rows, trees) leaf value of every row of C-contiguous ``X`` in
+        every tree; rows go left when x <= threshold, so NaN goes right."""
+        n_rows, n_features = X.shape
+        flat_x = X.ravel()
+        row_start = np.arange(n_rows, dtype=np.intp)[:, None] * n_features
+        node = np.broadcast_to(self.roots, (n_rows, self.roots.size))
+        for _ in range(self.levels):
+            went_left = flat_x[row_start + self.feature[node]] <= self.threshold[node]
+            node = self.child[node + went_left]
+        return self.value[node]
 
 
 def _bin_edges(col: np.ndarray, n_bins: int) -> np.ndarray:
@@ -345,13 +396,30 @@ def _check_schema(model: GbmModel, matrix: FeatureMatrix) -> None:
         )
 
 
+#: Rows walked at once; bounds the (rows, trees) temporaries of a walk.
+_BLOCK_ROWS = 512
+
+
 def raw_scores(model: GbmModel, matrix: FeatureMatrix) -> np.ndarray:
-    """Base scores plus summed leaf values, shape (n_rows, n_classes)."""
+    """Base scores plus summed leaf values, shape (n_rows, n_classes).
+
+    Rows walk every tree at once in blocks of ``_BLOCK_ROWS``; leaf values
+    are added round by round, in training order.
+    """
     _check_schema(model, matrix)
+    if matrix.X.shape[1] != len(model.columns):
+        raise SchemaMismatchError(
+            f"{matrix.X.shape[1]} feature columns for a model of {len(model.columns)}"
+        )
     scores = np.tile(model.base_score, (matrix.n_rows, 1))
-    for round_trees in model.trees:
-        for k, tree in enumerate(round_trees):
-            scores[:, k] += tree.apply(matrix.X)
+    if not model.trees:
+        return scores
+    X = np.ascontiguousarray(matrix.X, dtype=np.float64)
+    for start in range(0, matrix.n_rows, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        leaves = model._flat.leaf_values(X[block]).reshape(-1, len(model.trees), model.n_classes)
+        for r in range(len(model.trees)):
+            scores[block] += leaves[:, r]
     return scores
 
 
@@ -409,7 +477,7 @@ def model_to_jsonable(model: GbmModel) -> dict:
 
 
 def _check_tree(tree: Tree, n_features: int) -> None:
-    """Reject trees that would mis-predict, or never finish, in :meth:`Tree.apply`."""
+    """Reject trees that would mis-predict, or never finish, in :func:`raw_scores`."""
     n, split = tree.feature.size, tree.feature >= 0
     if n == 0 or any(getattr(tree, k).size != n for k in _TREE_DTYPES):
         raise ModelFormatError("tree node arrays are empty or of unequal length")

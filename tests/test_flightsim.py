@@ -269,6 +269,21 @@ def digest_tree(root: Path) -> str:
     return h.hexdigest()
 
 
+# SHA-256 of every file that generate_dataset writes for the C9 set-up
+# config (one flight per route, seed 55, WeatherSpec(5.0, 3)), recorded
+# with Python 3.11.7 and numpy 2.4.6 on x86-64.  A change to any of them
+# changes the dataset; refresh them only on purpose.
+DATASET_SHA256 = {
+    "manifest.json": "d17c39c8625e158fef0a0fdb4561382c3d705973661a726be8efb3ea69805c4c",
+    "flights/F00000.csv": "99b8d1eac9116ed941625ad63f13497788c32801399fd31be313895eaf0fe3e2",
+    "flights/F00001.csv": "510084e23905f1f00229f2996c8583d7a1ecb75a6409bcfa7f294628d1214d0c",
+    "flights/F00002.csv": "30d1ecdf191de9e2d898a0a8b2b3fc17569f970ab40bc1e8bb804d672a58f27b",
+    "flights/F00003.csv": "4e10ec21f1290389b2cadcde4de24cc98985418c75cc3d0ec62c959b2366a5fc",
+    "flights/F00004.csv": "2b98d33976988002ce773673c0ec5a2fc64bc2290e4d071f1e994d6fe701d308",
+    "flights/F00005.csv": "cac8b976510cc823c2994141d39b0f682cb1cba84bb15b4c2c7a3aec2e853276",
+}
+
+
 class TestGenerateDataset:
     def test_manifest_counts_match_files(self, small_corpus):
         manifest = small_corpus["manifest"]
@@ -300,6 +315,15 @@ class TestGenerateDataset:
         mb = generate_dataset(config, str(b))
         assert ma == mb
         assert digest_tree(a) == digest_tree(b)
+
+    def test_pinned_dataset_hashes(self, tmp_path):
+        generate_dataset(demo_config(flights_per_route=1, seed=55, weather=WeatherSpec(5.0, 3)), str(tmp_path))
+        written = {
+            p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.rglob("*")
+            if p.is_file()
+        }
+        assert written == DATASET_SHA256
 
     def test_unwritable_out_dir_raises(self, tmp_path):
         blocker = tmp_path / "blocker"

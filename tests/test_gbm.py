@@ -27,7 +27,7 @@ from satlink.model import (
     train_regressor,
 )
 from satlink.model import gbm
-from satlink.model.gbm import Tree, model_to_jsonable
+from satlink.model.gbm import GbmModel, Tree, model_to_jsonable
 
 from conftest import make_matrix, separable_toy
 
@@ -194,6 +194,129 @@ class TestSplitSearch:
         bins = gbm._bin_features(X, 64)
         g = np.linspace(-1.0, 1.0, 10)
         assert gbm._find_split(bins, np.arange(10), g, np.ones(10), 0.0, 10.0, GbmHyperParams()) is None
+
+
+def reference_apply(tree, X):
+    """Leaf value of one tree for every row; rows go left when x <= threshold.
+
+    Walks one tree at a time; the reference for the flat walk over every
+    tree in ``gbm.raw_scores``.
+    """
+    node = np.zeros(X.shape[0], dtype=np.int32)
+    while True:
+        active = np.nonzero(tree.feature[node] >= 0)[0]
+        if active.size == 0:
+            return tree.value[node]
+        cur = node[active]
+        go_left = X[active, tree.feature[cur]] <= tree.threshold[cur]
+        node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
+
+
+def reference_raw_scores(model, X):
+    scores = np.tile(model.base_score, (X.shape[0], 1))
+    for round_trees in model.trees:
+        for k, tree in enumerate(round_trees):
+            scores[:, k] += reference_apply(tree, X)
+    return scores
+
+
+def random_tree(rng, n_features, max_depth, thresholds):
+    """A preorder tree of at most ``max_depth`` levels (0 gives a single
+    leaf) that splits on thresholds drawn from ``thresholds``."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def grow(depth):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        if depth < max_depth and rng.random() < 0.75:
+            feature[node] = int(rng.integers(n_features))
+            threshold[node] = float(rng.choice(thresholds))
+            left[node] = grow(depth + 1)
+            right[node] = grow(depth + 1)
+        else:
+            value[node] = float(rng.normal())
+        return node
+
+    grow(0)
+    return Tree(
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int32),
+        right=np.array(right, dtype=np.int32),
+        value=np.array(value, dtype=np.float64),
+    )
+
+
+@st.composite
+def ensemble_cases(draw):
+    """A model of random trees of mixed depth, and rows to score with it.
+
+    Feature values come from a few levels that double as thresholds, so
+    many values equal a threshold; some values are NaN.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows = draw(st.sampled_from([0, 1, 2, gbm._BLOCK_ROWS, gbm._BLOCK_ROWS + 1, 2 * gbm._BLOCK_ROWS + 3]))
+    n_features = draw(st.integers(1, 4))
+    levels = np.round(rng.normal(size=draw(st.integers(1, 6))), 2)
+    X = rng.choice(levels, size=(n_rows, n_features))
+    X[rng.random(X.shape) < draw(st.sampled_from([0.0, 0.2]))] = np.nan
+    kind, n_classes = draw(st.sampled_from([("classifier", 4), ("regressor", 1)]))
+    trees = [
+        [random_tree(rng, n_features, draw(st.integers(0, 5)), levels) for _ in range(n_classes)]
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    matrix = make_matrix(X)
+    model = GbmModel(
+        kind=kind, n_classes=n_classes, hyperparams=GbmHyperParams(), base_score=rng.normal(size=n_classes),
+        trees=trees, columns=matrix.columns, schema_hash=matrix.schema_hash, vocab=None,
+    )
+    return model, matrix
+
+
+class TestRawScores:
+    @settings(max_examples=150, deadline=None)
+    @given(ensemble_cases())
+    def test_flat_walk_matches_per_tree_reference_bit_for_bit(self, case):
+        model, matrix = case
+        got = gbm.raw_scores(model, matrix)
+        assert got.shape == (matrix.n_rows, model.n_classes)
+        assert got.tobytes() == reference_raw_scores(model, matrix.X).tobytes()
+
+    def test_threshold_goes_left_and_nan_goes_right(self):
+        stump = Tree(
+            feature=np.array([0, -1, -1], dtype=np.int32),
+            threshold=np.array([1.5, 0.0, 0.0]),
+            left=np.array([1, -1, -1], dtype=np.int32),
+            right=np.array([2, -1, -1], dtype=np.int32),
+            value=np.array([0.0, -1.0, 1.0]),
+        )
+        matrix = make_matrix([[1.5], [np.nextafter(1.5, 2.0)], [np.nan], [-np.inf]])
+        model = GbmModel(
+            kind="regressor", n_classes=1, hyperparams=GbmHyperParams(), base_score=np.zeros(1),
+            trees=[[stump]], columns=matrix.columns, schema_hash=matrix.schema_hash, vocab=None,
+        )
+        assert predict_value(model, matrix).tolist() == [-1.0, 1.0, 1.0, -1.0]
+
+    def test_zero_round_model_scores_its_base(self):
+        matrix = make_matrix(np.zeros((gbm._BLOCK_ROWS + 1, 2)), y=[0, 1, 2] * 171)
+        model = baseline_majority(matrix)
+        assert np.array_equal(gbm.raw_scores(model, matrix), np.tile(model.base_score, (matrix.n_rows, 1)))
+
+    def test_trained_models_match_reference(self, c9_train):
+        matrix, hp = c9_train[0], GbmHyperParams(n_rounds=5)
+        for model in (train_gbm(matrix, hp), train_regressor(matrix, hp)):
+            assert gbm.raw_scores(model, matrix).tobytes() == reference_raw_scores(model, matrix.X).tobytes()
+
+    def test_column_count_must_match_model(self):
+        model = train_gbm(separable_toy(), GbmHyperParams(n_rounds=1))
+        narrow = separable_toy()
+        narrow.X = narrow.X[:, :1]
+        with pytest.raises(gbm.SchemaMismatchError, match="columns"):
+            gbm.raw_scores(model, narrow)
 
 
 # SHA-256 of the saved C9 set-up models (one flight per route, seed 55,

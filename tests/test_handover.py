@@ -3,7 +3,10 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from satlink.cli import load_records
 from satlink.handover import (
     HoPolicy,
     HoState,
@@ -11,8 +14,9 @@ from satlink.handover import (
     simulate_handover,
     step,
 )
-from satlink.ingest import CnrCategory, encode_features
-from satlink.model import GbmHyperParams, predict_category, train_gbm
+from satlink.ingest import CnrCategory, encode_features, filter_altitude, labeled
+from satlink.model import GbmHyperParams, predict_category, predict_labels, train_gbm
+from satlink.weather import CoverageGapError, SyntheticWeather
 
 from test_ingest import record
 
@@ -128,6 +132,65 @@ class TestStep:
             HoPolicy(consecutive_k=5, horizon_min=3)
 
 
+@st.composite
+def step_cases(draw):
+    """A policy and per-minute categories for 1-3 satellites, with steps
+    one to three minutes apart."""
+    sats = ["A", "B", "C"][: draw(st.integers(1, 3))]
+    k = draw(st.integers(1, 4))
+    policy = HoPolicy(
+        degrade_threshold=draw(st.sampled_from(list(CnrCategory))),
+        consecutive_k=k,
+        min_dwell_s=draw(st.sampled_from([0.0, 60.0, 150.0, 600.0, float("inf")])),
+        horizon_min=max(k, 10),
+    )
+    n = draw(st.integers(0, 80))
+    offsets = np.cumsum(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))).tolist()
+    cats = st.sampled_from(list(CnrCategory))
+    grid = [{sat: draw(cats) for sat in sats} for _ in range(n)]
+    return policy, [minute(m) for m in offsets], grid
+
+
+def replay(policy, times, grid):
+    state = HoState(serving_satellite="A")
+    serving, decisions = [], []
+    for t, cats in zip(times, grid):
+        serving.append(state.serving_satellite)
+        state, decision = step(state, t, cats, policy)
+        decisions.append(decision)
+    return state, serving, decisions
+
+
+class TestStepProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(step_cases())
+    def test_switches_exactly_when_earned(self, case):
+        policy, times, grid = case
+        state, serving, decisions = replay(policy, times, grid)
+        events = iter(state.event_log)
+        previous = None  # step of the last switch
+        for i, decision in enumerate(decisions):
+            sat = serving[i]
+            run = 0
+            while i - run > (-1 if previous is None else previous) and grid[i - run][sat] < policy.degrade_threshold:
+                run += 1
+            dwell = None if previous is None else (times[i] - times[previous]).total_seconds()
+            better = {s: c for s, c in grid[i].items() if s != sat and c > grid[i][sat]}
+            earned = run >= policy.consecutive_k and (dwell is None or dwell >= policy.min_dwell_s) and better
+            assert decision.switch == bool(earned), i
+            if decision.switch:
+                # Degraded for consecutive_k minutes, past the dwell time,
+                # to the best strictly better satellite (lowest id on ties).
+                event = next(events)
+                assert (event.time, event.from_satellite, event.to_satellite) == (times[i], sat, decision.target)
+                assert grid[i][event.to_satellite] > grid[i][sat]
+                best = max(better.values())
+                assert event.to_satellite == min(s for s, c in better.items() if c == best)
+                previous = i
+        assert next(events, None) is None
+        assert replay(policy, times, grid) == (state, serving, decisions)
+
+
 def two_satellite_flight(n_minutes=40):
     """Satellite A healthy then hard down mid-route; B Medium throughout."""
     records = [record(minute=i, flight_id="HO1", sat="A", duration_min=n_minutes) for i in range(n_minutes)]
@@ -216,6 +279,75 @@ def sat_models():
     return {"A": model, "B": model}
 
 
+def reference_forecast_route(model_by_sat, waypoints, weather=None, weather_model_by_sat=None):
+    """Copy-per-satellite forecast: every satellite re-labels a copy of
+    every waypoint, looks up its weather and encodes it; the reference
+    for ``forecast_route``."""
+    grid = [{} for _ in waypoints]
+    for sat in sorted(model_by_sat):
+        rows = [replace(r, satellite_id=sat, cnr_db=None) for r in waypoints]
+        wx_model = (weather_model_by_sat or {}).get(sat)
+        parts = [(range(len(rows)), model_by_sat[sat], None)]
+        if weather is not None and wx_model is not None:
+            cells = []
+            for r in rows:
+                try:
+                    cells.append(weather.cell_at(r.log_date, r.position))
+                except CoverageGapError:
+                    cells.append(None)
+            covered = [i for i, c in enumerate(cells) if c is not None]
+            uncovered = [i for i, c in enumerate(cells) if c is None]
+            parts = [(covered, wx_model, [cells[i] for i in covered]), (uncovered, model_by_sat[sat], None)]
+        for index, model, part_cells in parts:
+            if not index:
+                continue
+            matrix, _ = encode_features(
+                [rows[i] for i in index], vocab=model.vocab, cells=part_cells, for_prediction=True
+            )
+            for i, label in zip(index, predict_labels(model, matrix)):
+                grid[i][sat] = CnrCategory(int(label))
+    return grid
+
+
+class PartialCoverage:
+    """Synthetic weather with a coverage gap every third minute."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def cell_at(self, t, p):
+        if t.minute % 3 == 0:
+            raise CoverageGapError(f"no cell at {t.isoformat()}")
+        return self.inner.cell_at(t, p)
+
+
+@pytest.fixture(scope="module")
+def demo_forecast_setup(small_corpus):
+    """Per-satellite models of the demo corpus with different vocabularies
+    (two satellites share one), weather twins for two of them, and one
+    held-out demo flight as waypoints."""
+    records = load_records(small_corpus["dir"])
+    flights = sorted({r.flight_id for r in records})
+    held_out = [r for r in records if r.flight_id == flights[0]]
+    hp = GbmHyperParams(n_rounds=10, max_depth=4, learning_rate=0.5)
+
+    def fit(flight_ids, weather=None):
+        rows = labeled([r for r in records if r.flight_id in flight_ids])
+        cells = None
+        if weather is not None:
+            rows = filter_altitude(rows, max_m=3000.0)
+            cells = [weather.cell_at(r.log_date, r.position) for r in rows]
+        return train_gbm(encode_features(rows, cells=cells)[0], hp)
+
+    provider = SyntheticWeather(6.0, 13)
+    odd, even = set(flights[1::2]), set(flights[2::2])
+    shared = fit(odd)
+    models = {"I5F1": shared, "I5F2": fit(even), "I5F3": shared}
+    assert models["I5F1"].vocab != models["I5F2"].vocab
+    wx_models = {"I5F1": fit(odd, provider), "I5F2": fit(even, provider)}
+    return models, wx_models, PartialCoverage(provider), held_out
+
+
 class TestForecastRoute:
     def test_empty_waypoints_give_empty_grid(self, sat_models):
         assert forecast_route(sat_models, []) == []
@@ -283,3 +415,17 @@ class TestForecastRoute:
             [replace(outside, satellite_id="A")], vocab=sat_models["A"].vocab, for_prediction=True
         )
         assert grid[1]["A"] == predict_category(sat_models["A"], m_out)[0]
+
+    def test_matches_copy_per_satellite_reference(self, demo_forecast_setup):
+        models, _, _, waypoints = demo_forecast_setup
+        grid = forecast_route(models, waypoints)
+        assert grid == reference_forecast_route(models, waypoints)
+        assert any(len(set(g.values())) > 1 for g in grid)
+
+    def test_weather_path_matches_copy_per_satellite_reference(self, demo_forecast_setup):
+        models, wx_models, weather, waypoints = demo_forecast_setup
+        covered = [wp.log_date.minute % 3 != 0 for wp in waypoints]
+        assert any(covered) and not all(covered)
+        grid = forecast_route(models, waypoints, weather, wx_models)
+        assert grid == reference_forecast_route(models, waypoints, weather, wx_models)
+        assert grid != forecast_route(models, waypoints)

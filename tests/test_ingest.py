@@ -4,11 +4,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from satlink.cli import load_records
 from satlink.flightsim import DEFAULT_LINK_PARAMS, demo_route_plans, demo_satellites, generate_flight
 from satlink.geometry import GeoPosition, haversine_m
 from satlink.ingest import (
+    CATEGORICAL_COLUMNS,
+    CATEGORY_EDGES_DB,
+    NUMERIC_COLUMNS,
+    WEATHER_COLUMNS,
     CnrCategory,
+    FeatureMatrix,
     FlightLogRecord,
     JoinCoverageError,
     LOG_CSV_COLUMNS,
@@ -24,7 +32,7 @@ from satlink.ingest import (
     split_by_flight,
     top_routes,
 )
-from satlink.weather import SyntheticWeather, synth_weather_field
+from satlink.weather import SyntheticWeather, WeatherCell, synth_weather_field
 
 from conftest import make_matrix
 
@@ -329,6 +337,131 @@ class TestEncodeFeatures:
         assert with_wx.schema_hash != without.schema_hash
         with pytest.raises(ValueError, match="cells"):
             encode_features([rec, rec], cells=[cell])
+
+
+def reference_encode_features(records, vocab=None, cells=None, for_prediction=False):
+    """Row-at-a-time feature encoding; the reference for the column-wise
+    ``encode_features``."""
+    if vocab is None:
+        vocab = Vocabulary.build(records)
+    columns = list(NUMERIC_COLUMNS) + (WEATHER_COLUMNS if cells is not None else []) + CATEGORICAL_COLUMNS
+    X = np.empty((len(records), len(columns)), dtype=np.float64)
+    for i, r in enumerate(records):
+        duration_s = (r.flight_end_time - r.flight_start_time).total_seconds()
+        fraction = (
+            (r.log_date - r.flight_start_time).total_seconds() / duration_s if duration_s > 0 else 0.0
+        )
+        row = [
+            r.latitude_deg,
+            r.longitude_deg,
+            r.altitude_m,
+            float(r.log_date.hour * 60 + r.log_date.minute),
+            float(r.log_date.timetuple().tm_yday),
+            fraction,
+        ]
+        if cells is not None:
+            c = cells[i]
+            row += [c.precipitation_mmh, c.cloud_cover_pct, c.temperature_c, c.wind_speed_mps]
+        row += [float(vocab.encode(col, getattr(r, col))) for col in CATEGORICAL_COLUMNS]
+        X[i] = row
+    if for_prediction:
+        y = y_cnr = None
+    else:
+        y = np.array([int(bin_cnr(r.cnr_db)) for r in records], dtype=np.int8)
+        y_cnr = np.array([r.cnr_db for r in records], dtype=np.float64)
+    flight_ids = np.array([r.flight_id for r in records], dtype=object)
+    return FeatureMatrix(tuple(columns), X, y, y_cnr, flight_ids, vocab)
+
+
+#: Log dates around a leap day, a year boundary, midnight and the epoch.
+ENCODE_DATES = [
+    datetime(2024, 2, 28, 23, 58, tzinfo=timezone.utc),
+    datetime(2023, 12, 31, 23, 59, tzinfo=timezone.utc),
+    datetime(2024, 12, 31, 23, 59, tzinfo=timezone.utc),
+    datetime(1969, 12, 31, 23, 58, tzinfo=timezone.utc),
+    datetime(2023, 3, 5, 8, 0, tzinfo=timezone.utc),
+]
+EDGE_CNR = [e for edge in CATEGORY_EDGES_DB for e in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 20.0))]
+
+
+@st.composite
+def encode_cases(draw):
+    """Records (some of zero-duration or sub-second flights), optional
+    weather cells, and whether to encode with a vocabulary built from only
+    part of them, so that unseen tokens occur."""
+    n = draw(st.integers(0, 12))
+    tokens = st.sampled_from(["AAA", "BBB", "CCC"])
+    records, cells = [], []
+    for i in range(n):
+        log_date = draw(st.sampled_from(ENCODE_DATES)) + timedelta(minutes=draw(st.integers(0, 3)))
+        before, after = draw(st.sampled_from([
+            (timedelta(0), timedelta(0)),
+            (timedelta(minutes=draw(st.integers(0, 900))), timedelta(minutes=draw(st.integers(0, 900)))),
+            (timedelta(seconds=draw(st.floats(0.0, 1e5))), timedelta(seconds=draw(st.floats(0.0, 1e5)))),
+        ]))
+        records.append(FlightLogRecord(
+            log_date=log_date,
+            flight_id=f"F{draw(st.integers(0, 3))}",
+            tail_number=draw(tokens),
+            airline_code=draw(tokens),
+            departure_airport=draw(tokens),
+            arrival_airport=draw(tokens),
+            flight_start_time=log_date - before,
+            flight_end_time=log_date + after,
+            latitude_deg=draw(st.floats(-90.0, 90.0)),
+            longitude_deg=draw(st.floats(-180.0, 180.0)),
+            altitude_m=draw(st.floats(0.0, 13000.0)),
+            satellite_id=draw(tokens),
+            cnr_db=draw(st.one_of(st.sampled_from(EDGE_CNR + [0.0, 20.0]), st.floats(0.0, 20.0))),
+        ))
+        cells.append(WeatherCell(
+            hour_utc=log_date.replace(minute=0),
+            grid_lat_deg=0.1 * draw(st.integers(-900, 900)),
+            grid_lon_deg=0.1 * draw(st.integers(-1799, 1800)),
+            precipitation_mmh=draw(st.floats(0.0, 50.0)),
+            cloud_cover_pct=draw(st.floats(0.0, 100.0)),
+            temperature_c=draw(st.floats(-60.0, 45.0)),
+            wind_speed_mps=draw(st.floats(0.0, 60.0)),
+        ))
+    vocab = Vocabulary.build(records[: draw(st.integers(0, n))]) if draw(st.booleans()) else None
+    return records, vocab, cells if draw(st.booleans()) else None, draw(st.booleans())
+
+
+def assert_same_matrix(got, want):
+    assert got.columns == want.columns
+    assert got.X.tobytes() == want.X.tobytes()
+    for name in ("y", "y_cnr_db"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None and b is None) or (a.dtype == b.dtype and a.tobytes() == b.tobytes())
+    assert got.flight_ids.tolist() == want.flight_ids.tolist()
+    assert got.vocab == want.vocab
+
+
+class TestEncodeMatchesRowReference:
+    @settings(max_examples=200, deadline=None)
+    @given(encode_cases())
+    def test_column_wise_encoder_is_bit_equal(self, case):
+        records, vocab, cells, for_prediction = case
+        if for_prediction and vocab is None:
+            vocab = Vocabulary.build(records)
+        got, _ = encode_features(records, vocab=vocab, cells=cells, for_prediction=for_prediction)
+        assert_same_matrix(got, reference_encode_features(records, vocab, cells, for_prediction))
+
+    def test_corpus_rows_are_bit_equal(self, small_corpus):
+        records = labeled(load_records(small_corpus["dir"]))
+        got, vocab = encode_features(records)
+        assert_same_matrix(got, reference_encode_features(records))
+        low = [r for r in records if r.altitude_m < 3000.0][:500]
+        provider = SyntheticWeather(6.0, 13)
+        cells = [provider.cell_at(r.log_date, r.position) for r in low]
+        got, _ = encode_features(low, vocab=vocab, cells=cells, for_prediction=True)
+        assert_same_matrix(got, reference_encode_features(low, vocab, cells, True))
+
+    def test_labels_match_bin_cnr_at_and_next_to_every_edge(self):
+        records = [record(minute=i, cnr=float(v)) for i, v in enumerate(EDGE_CNR)]
+        matrix, _ = encode_features(records)
+        assert matrix.y.tolist() == [int(bin_cnr(float(v))) for v in EDGE_CNR]
+        assert matrix.y.tolist() == [0, 1, 1, 1, 2, 2, 2, 3, 3]
 
 
 class TestSplitByFlight:
