@@ -11,6 +11,7 @@ to the 0-20 dB range of the receiver.  Everything is a pure function of
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -29,8 +30,10 @@ from .geometry import (
     haversine_m,
     slerp_track,
 )
-from .ingest import CnrCategory, FlightLogRecord, bin_cnr, save_logs
-from .weather import SyntheticWeather, WeatherCell, WeatherProvider
+# save_logs is re-exported: it writes generate_flight's records in the
+# formats generate_dataset writes its columns in.
+from .ingest import CATEGORY_EDGES_DB, LOG_CSV_COLUMNS, CnrCategory, FlightLogRecord, save_logs
+from .weather import _TIME_FMT, CoverageGapError, SyntheticWeather, WeatherCell, WeatherProvider
 
 __all__ = [
     "AntipodalRouteError",
@@ -48,6 +51,7 @@ __all__ = [
     "ConfigError",
     "generate_dataset",
     "sample_cnr_population",
+    "save_logs",
     "demo_satellites",
     "demo_route_plans",
     "demo_config",
@@ -123,6 +127,47 @@ DEFAULT_DESCENT_RATE_MPS = 8.0
 DEFAULT_MIN_LOG_ALTITUDE_M = 1000.0
 
 
+def _path(
+    route: RouteSpec,
+    step_s: float,
+    climb_rate_mps: float,
+    descent_rate_mps: float,
+    fractions: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The route as arrays: seconds since takeoff, latitude, longitude and
+    altitude.
+
+    The flight time is rounded up to a whole number of ``step_s`` steps.
+    Without ``fractions`` the samples are every step from takeoff to
+    landing; with them, at those fractions of the flight time.  Longitudes
+    are as :func:`slerp_track` gives them, in [-180, 180].  Altitude climbs
+    linearly to cruise, holds, and descends linearly to the arrival
+    elevation.
+    """
+    if step_s <= 0.0:
+        raise ValueError(f"step_s must be > 0: {step_s}")
+    if climb_rate_mps <= 0.0 or descent_rate_mps <= 0.0:
+        raise ValueError("climb and descent rates must be > 0")
+    dep, arr = route.departure_pos, route.arrival_pos
+    duration_s = haversine_m(dep, arr) / route.ground_speed_mps
+    n_steps = max(1, math.ceil(duration_s / step_s - 1e-9))
+    total_s = n_steps * step_s
+    if fractions is None:
+        fractions = np.arange(n_steps + 1, dtype=float) / n_steps
+        times = np.arange(n_steps + 1, dtype=float) * step_s
+    else:
+        times = fractions * total_s
+    lats, lons = slerp_track(dep, arr, fractions)
+    alts = np.minimum.reduce(
+        [
+            dep.altitude_m + climb_rate_mps * times,
+            np.full_like(times, route.cruise_altitude_m),
+            arr.altitude_m + descent_rate_mps * (total_s - times),
+        ]
+    )
+    return times, lats, lons, alts
+
+
 def great_circle_path(
     route: RouteSpec,
     step_s: float = 60.0,
@@ -141,30 +186,26 @@ def great_circle_path(
     ``ValueError`` for coincident endpoints and
     :class:`AntipodalRouteError` for antipodal ones.
     """
-    if step_s <= 0.0:
-        raise ValueError(f"step_s must be > 0: {step_s}")
-    if climb_rate_mps <= 0.0 or descent_rate_mps <= 0.0:
-        raise ValueError("climb and descent rates must be > 0")
-    dep, arr = route.departure_pos, route.arrival_pos
-    distance_m = haversine_m(dep, arr)
-    duration_s = distance_m / route.ground_speed_mps
-    n_steps = max(1, math.ceil(duration_s / step_s - 1e-9))
-    fractions = np.arange(n_steps + 1, dtype=float) / n_steps
-    lats, lons = slerp_track(dep, arr, fractions)
-
-    total_s = n_steps * step_s
-    times = np.arange(n_steps + 1, dtype=float) * step_s
-    alts = np.minimum.reduce(
-        [
-            dep.altitude_m + climb_rate_mps * times,
-            np.full_like(times, route.cruise_altitude_m),
-            arr.altitude_m + descent_rate_mps * (total_s - times),
-        ]
-    )
+    times, lats, lons, alts = _path(route, step_s, climb_rate_mps, descent_rate_mps)
     return [
-        (float(t), GeoPosition(float(lat), float(lon), float(alt)))
-        for t, lat, lon, alt in zip(times, lats, lons, alts)
+        (t, GeoPosition(lat, lon, alt))
+        for t, lat, lon, alt in zip(times.tolist(), lats.tolist(), lons.tolist(), alts.tolist())
     ]
+
+
+def _link_cnr(params: LinkModelParams, sin_elevation, rain_mmh, noise_db):
+    """The downlink model before clamping, on floats or arrays alike:
+    zenith - rolloff * (1 - sin(elevation)) - attenuation * rain - noise.
+
+    Subtracting a zero rain or noise term leaves the value unchanged bit
+    for bit, so a minute without rain or noise needs no branch.
+    """
+    return (
+        params.cnr_at_zenith_db
+        - params.elevation_rolloff_db * (1.0 - sin_elevation)
+        - params.rain_atten_db_per_mmh * rain_mmh
+        - noise_db
+    )
 
 
 def synth_cnr(
@@ -184,16 +225,188 @@ def synth_cnr(
     elevation = geo_look_angles(p, sat).elevation_deg
     if elevation < params.horizon_cut_elevation_deg:
         return None
-    cnr = params.cnr_at_zenith_db - params.elevation_rolloff_db * (
-        1.0 - math.sin(math.radians(elevation))
-    )
-    if wx is not None and p.altitude_m < params.troposphere_ceiling_m:
-        cnr -= params.rain_atten_db_per_mmh * wx.precipitation_mmh
+    rain = wx.precipitation_mmh if wx is not None and p.altitude_m < params.troposphere_ceiling_m else 0.0
+    noise = 0.0
     if params.noise_sigma_db > 0.0:
         if rng is None:
             raise ValueError("rng required when noise_sigma_db > 0")
-        cnr -= rng.normal(0.0, params.noise_sigma_db)
+        noise = rng.normal(0.0, params.noise_sigma_db)
+    cnr = _link_cnr(params, math.sin(math.radians(elevation)), rain, noise)
     return min(CNR_MAX_DB, max(CNR_MIN_DB, cnr))
+
+
+@dataclass(frozen=True)
+class _FlightLog:
+    """One flight's log as columns, one entry per logged minute."""
+
+    route: RouteSpec
+    flight_id: str
+    flight_start: datetime
+    flight_end: datetime
+    epoch_s: np.ndarray  # int64 log times
+    latitude_deg: np.ndarray
+    longitude_deg: np.ndarray
+    altitude_m: np.ndarray
+    satellite_id: np.ndarray  # object
+    cnr_db: np.ndarray  # NaN where no measurement exists
+
+
+def _simulate_flight(
+    route: RouteSpec,
+    sats: Sequence[GeoSatellite],
+    weather: Optional[WeatherProvider],
+    params: LinkModelParams,
+    seed: int,
+    departure_time: datetime,
+    flight_id: Optional[str],
+    min_log_altitude_m: float,
+    climb_rate_mps: float,
+    descent_rate_mps: float,
+) -> _FlightLog:
+    """:func:`generate_flight` as columns, in one array pass over the path."""
+    if not sats:
+        raise ValueError("at least one satellite is required")
+    ids = [s.satellite_id for s in sats]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate satellite ids: {ids}")
+    departure_time = departure_time.astimezone(timezone.utc)
+    if departure_time.second or departure_time.microsecond:
+        raise ValueError("departure_time must be minute-aligned")
+    if flight_id is None:
+        flight_id = f"{route.departure_airport}{route.arrival_airport}-{departure_time:%Y%m%d%H%M}"
+
+    sats = sorted(sats, key=lambda s: s.satellite_id)
+    times, lats, lons, alts = _path(route, 60.0, climb_rate_mps, descent_rate_mps)
+    # GeoPosition's wrap: slerp_track may return exactly 180.0, which is -180.0.
+    lons = np.where(lons == 180.0, -180.0, lons)
+    elevation_by_sat = np.stack([elevations_deg(lats, lons, alts, s) for s in sats])
+    serving_idx = np.argmax(elevation_by_sat, axis=0)
+    serving_elevation = np.max(elevation_by_sat, axis=0)
+
+    above_gate = np.flatnonzero(alts >= min_log_altitude_m)
+    first = int(above_gate[0]) if above_gate.size else len(times)
+    epoch_s = int(departure_time.timestamp()) + times[first:].astype(np.int64)
+    lats, lons, alts = lats[first:], lons[first:], alts[first:]
+
+    rain = np.zeros(len(epoch_s))
+    if weather is not None:
+        low = np.flatnonzero(alts < params.troposphere_ceiling_m)
+        for i, cell in zip(low.tolist(), weather.cells_at(epoch_s[low], lats[low], lons[low])):
+            if cell is None:
+                when = datetime.fromtimestamp(int(epoch_s[i]), timezone.utc)
+                raise CoverageGapError(f"flight {flight_id}: no weather at ({lats[i]}, {lons[i]}) on {when.isoformat()}")
+            rain[i] = cell.precipitation_mmh
+
+    elevation = serving_elevation[first:]
+    visible = elevation >= params.horizon_cut_elevation_deg
+    noise = 0.0
+    if params.noise_sigma_db > 0.0:
+        # One draw per measured minute, in minute order: the same stream as
+        # one draw per synth_cnr call.
+        noise = np.random.default_rng(seed).normal(0.0, params.noise_sigma_db, int(visible.sum()))
+    cnr = np.full(len(epoch_s), np.nan)
+    cnr[visible] = np.clip(
+        _link_cnr(params, np.sin(np.radians(elevation[visible])), rain[visible], noise),
+        CNR_MIN_DB,
+        CNR_MAX_DB,
+    )
+    return _FlightLog(
+        route=route,
+        flight_id=flight_id,
+        flight_start=departure_time,
+        flight_end=departure_time + timedelta(seconds=float(times[-1])),
+        epoch_s=epoch_s,
+        latitude_deg=lats,
+        longitude_deg=lons,
+        altitude_m=alts,
+        satellite_id=np.array([s.satellite_id for s in sats], dtype=object)[serving_idx[first:]],
+        cnr_db=cnr,
+    )
+
+
+def _check_log(log: _FlightLog) -> None:
+    """The checks :class:`FlightLogRecord` makes per row, on whole columns.
+    The first failing row raises ``ValueError``."""
+    n = len(log.epoch_s)
+    columns = (log.latitude_deg, log.longitude_deg, log.altitude_m, log.satellite_id, log.cnr_db)
+    if any(len(column) != n for column in columns):
+        raise ValueError(f"flight {log.flight_id}: log columns of unequal length")
+    lat, lon, cnr = log.latitude_deg, log.longitude_deg, log.cnr_db
+    checks = (
+        (log.epoch_s % 60 != 0, "log_date not minute-aligned"),
+        (
+            (log.epoch_s < log.flight_start.timestamp()) | (log.epoch_s > log.flight_end.timestamp()),
+            "log_date outside the flight interval",
+        ),
+        (~((lat >= -90.0) & (lat <= 90.0)), "latitude out of range"),
+        (~((lon >= -180.0) & (lon < 180.0)), "longitude out of [-180, 180)"),
+        (~(log.altitude_m >= 0.0), "altitude must be >= 0"),
+        ((cnr < 0.0) | (cnr > 20.0), "cnr_db out of [0, 20]"),
+    )
+    for bad, message in checks:
+        if bad.any():
+            raise ValueError(f"flight {log.flight_id} row {int(np.argmax(bad))}: {message}")
+
+
+def _records(log: _FlightLog) -> list[FlightLogRecord]:
+    route = log.route
+    return [
+        FlightLogRecord(
+            log_date=datetime.fromtimestamp(t, timezone.utc),
+            flight_id=log.flight_id,
+            tail_number=route.tail_number,
+            airline_code=route.airline_code,
+            departure_airport=route.departure_airport,
+            arrival_airport=route.arrival_airport,
+            flight_start_time=log.flight_start,
+            flight_end_time=log.flight_end,
+            latitude_deg=lat,
+            longitude_deg=lon,
+            altitude_m=alt,
+            satellite_id=sat,
+            cnr_db=None if math.isnan(cnr) else cnr,
+        )
+        for t, lat, lon, alt, sat, cnr in zip(
+            log.epoch_s.tolist(),
+            log.latitude_deg.tolist(),
+            log.longitude_deg.tolist(),
+            log.altitude_m.tolist(),
+            log.satellite_id.tolist(),
+            log.cnr_db.tolist(),
+        )
+    ]
+
+
+def _write_log(log: _FlightLog, path: str) -> list[str]:
+    """Check one flight's columns and write its CSV with the formats of
+    :func:`save_logs`.  Returns the ``cnr_db`` cells as written."""
+    _check_log(log)
+    route = log.route
+    per_flight = (
+        log.flight_id,
+        route.tail_number,
+        route.airline_code,
+        route.departure_airport,
+        route.arrival_airport,
+        log.flight_start.strftime(_TIME_FMT),
+        log.flight_end.strftime(_TIME_FMT),
+    )
+    # Whole UTC seconds print as strftime prints them, for years 1000-9999.
+    log_dates = np.datetime_as_string(log.epoch_s.astype("datetime64[s]")).tolist()
+    cnr_cells = ["" if math.isnan(v) else f"{v:.3f}" for v in log.cnr_db.tolist()]
+    columns = zip(
+        log_dates,
+        [f"{v:.6f}" for v in log.latitude_deg.tolist()],
+        [f"{v:.6f}" for v in log.longitude_deg.tolist()],
+        [f"{v:.1f}" for v in log.altitude_m.tolist()],
+        log.satellite_id.tolist(),
+        cnr_cells,
+    )
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LOG_CSV_COLUMNS)
+        writer.writerows((date + "Z", *per_flight, lat, lon, alt, sat, cnr) for date, lat, lon, alt, sat, cnr in columns)
+    return cnr_cells
 
 
 def generate_flight(
@@ -213,64 +426,24 @@ def generate_flight(
     Logging starts once the climb first reaches ``min_log_altitude_m`` and
     runs through landing.  Each record's serving satellite is the one with
     the highest elevation at that position (ties resolved by satellite id).
-    The same seed always reproduces the same records.
+    Minutes below the troposphere ceiling take their rain from one batch
+    weather lookup, which raises :class:`CoverageGapError` on a gap.  The
+    same seed always reproduces the same records.
     """
-    if not sats:
-        raise ValueError("at least one satellite is required")
-    ids = [s.satellite_id for s in sats]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate satellite ids: {ids}")
-    departure_time = departure_time.astimezone(timezone.utc)
-    if departure_time.second or departure_time.microsecond:
-        raise ValueError("departure_time must be minute-aligned")
-
-    sats = sorted(sats, key=lambda s: s.satellite_id)
-    path = great_circle_path(route, 60.0, climb_rate_mps, descent_rate_mps)
-    lats = np.array([p.latitude_deg for _, p in path])
-    lons = np.array([p.longitude_deg for _, p in path])
-    alts = np.array([p.altitude_m for _, p in path])
-    elevation_by_sat = np.stack([elevations_deg(lats, lons, alts, s) for s in sats])
-    serving_idx = np.argmax(elevation_by_sat, axis=0)
-
-    above_gate = np.nonzero(alts >= min_log_altitude_m)[0]
-    if above_gate.size == 0:
-        return []
-    first = int(above_gate[0])
-
-    if flight_id is None:
-        flight_id = (
-            f"{route.departure_airport}{route.arrival_airport}-{departure_time:%Y%m%d%H%M}"
+    return _records(
+        _simulate_flight(
+            route,
+            sats,
+            weather,
+            params,
+            seed,
+            departure_time,
+            flight_id,
+            min_log_altitude_m,
+            climb_rate_mps,
+            descent_rate_mps,
         )
-    flight_start = departure_time
-    flight_end = departure_time + timedelta(seconds=path[-1][0])
-    rng = np.random.default_rng(seed)
-    records = []
-    for i in range(first, len(path)):
-        t_offset, pos = path[i]
-        sat = sats[int(serving_idx[i])]
-        log_date = departure_time + timedelta(seconds=t_offset)
-        cell = None
-        if weather is not None and pos.altitude_m < params.troposphere_ceiling_m:
-            cell = weather.cell_at(log_date, pos)
-        cnr = synth_cnr(pos, sat, cell, params, rng)
-        records.append(
-            FlightLogRecord(
-                log_date=log_date,
-                flight_id=flight_id,
-                tail_number=route.tail_number,
-                airline_code=route.airline_code,
-                departure_airport=route.departure_airport,
-                arrival_airport=route.arrival_airport,
-                flight_start_time=flight_start,
-                flight_end_time=flight_end,
-                latitude_deg=pos.latitude_deg,
-                longitude_deg=pos.longitude_deg,
-                altitude_m=pos.altitude_m,
-                satellite_id=sat.satellite_id,
-                cnr_db=cnr,
-            )
-        )
-    return records
+    )
 
 
 class ConfigError(ValueError):
@@ -445,8 +618,7 @@ def generate_dataset(config: GenerationConfig, out_dir: str) -> dict:
 
     files = []
     total_rows = 0
-    labeled_rows = 0
-    category_counts = {c.label: 0 for c in CnrCategory}
+    category_counts = np.zeros(len(CnrCategory), dtype=np.int64)
     flight_index = 0
     span_minutes = max(1, round(config.span_days * 24 * 60))
     for plan in config.routes:
@@ -459,9 +631,9 @@ def generate_dataset(config: GenerationConfig, out_dir: str) -> dict:
             )
             route = replace(plan.route, tail_number=plan.tail_numbers[j % len(plan.tail_numbers)])
             flight_id = f"F{flight_index:05d}"
-            records = generate_flight(
+            log = _simulate_flight(
                 route,
-                list(config.satellites),
+                config.satellites,
                 provider,
                 config.link_params,
                 _flight_seed(config.seed, flight_index),
@@ -472,20 +644,21 @@ def generate_dataset(config: GenerationConfig, out_dir: str) -> dict:
                 config.descent_rate_mps,
             )
             rel_path = f"flights/{flight_id}.csv"
-            save_logs(records, os.path.join(out_dir, rel_path))
-            files.append({"file": rel_path, "flight_id": flight_id, "rows": len(records)})
-            total_rows += len(records)
-            for r in records:
-                if r.cnr_db is not None:
-                    labeled_rows += 1
-                    category_counts[bin_cnr(r.cnr_db).label] += 1
+            cnr_cells = _write_log(log, os.path.join(out_dir, rel_path))
+            files.append({"file": rel_path, "flight_id": flight_id, "rows": len(cnr_cells)})
+            total_rows += len(cnr_cells)
+            # Labels of the values as written, which is what a parse reads.
+            written = np.array([float(cell) for cell in cnr_cells if cell])
+            category_counts += np.bincount(
+                np.searchsorted(CATEGORY_EDGES_DB, written, side="right"), minlength=len(CnrCategory)
+            )
             flight_index += 1
 
     manifest = {
         "flights": flight_index,
         "rows": total_rows,
-        "labeled_rows": labeled_rows,
-        "category_counts": category_counts,
+        "labeled_rows": int(category_counts.sum()),
+        "category_counts": {c.label: int(category_counts[c]) for c in CnrCategory},
         "files": files,
         "seed": config.seed,
         "weather": (
@@ -509,9 +682,9 @@ def sample_cnr_population(
 ) -> np.ndarray:
     """Draw CNR observations at random points along the given routes.
 
-    Vectorized companion of :func:`synth_cnr` (without weather) used to
-    calibrate and verify the default link parameters: sample a route and a
-    position along it uniformly, aim at the best satellite, and keep the
+    The link model of :func:`synth_cnr` without weather, used to calibrate
+    and verify the default link parameters: sample a route and a position
+    along it uniformly, aim at the best satellite, and keep the
     observations above the horizon cut.
     """
     if not routes or not sats:
@@ -530,28 +703,14 @@ def sample_cnr_population(
     alts = np.empty(n)
     for i, route in enumerate(routes):
         mask = route_idx == i
-        if not mask.any():
-            continue
-        dep, arr = route.departure_pos, route.arrival_pos
-        duration_s = haversine_m(dep, arr) / route.ground_speed_mps
-        total_s = max(1, math.ceil(duration_s / 60.0 - 1e-9)) * 60.0
-        t = u[mask] * total_s
-        lats[mask], lons[mask] = slerp_track(dep, arr, u[mask])
-        alts[mask] = np.minimum.reduce(
-            [
-                dep.altitude_m + DEFAULT_CLIMB_RATE_MPS * t,
-                np.full(t.shape, route.cruise_altitude_m),
-                arr.altitude_m + DEFAULT_DESCENT_RATE_MPS * (total_s - t),
-            ]
-        )
+        if mask.any():
+            _, lats[mask], lons[mask], alts[mask] = _path(
+                route, 60.0, DEFAULT_CLIMB_RATE_MPS, DEFAULT_DESCENT_RATE_MPS, u[mask]
+            )
 
     best_elevation = np.maximum.reduce([elevations_deg(lats, lons, alts, s) for s in sats])
     visible = best_elevation >= params.horizon_cut_elevation_deg
-    cnr = (
-        params.cnr_at_zenith_db
-        - params.elevation_rolloff_db * (1.0 - np.sin(np.radians(best_elevation[visible])))
-        - noise[visible]
-    )
+    cnr = _link_cnr(params, np.sin(np.radians(best_elevation[visible])), 0.0, noise[visible])
     return np.clip(cnr, CNR_MIN_DB, CNR_MAX_DB)
 
 

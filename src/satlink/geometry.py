@@ -131,7 +131,8 @@ def geo_look_angles(p: GeoPosition, sat: GeoSatellite) -> LookAngles:
 
     elevation = math.degrees(math.atan2(up, math.hypot(east, north)))
     azimuth = math.degrees(math.atan2(east, north)) % 360.0
-    return LookAngles(elevation, azimuth)
+    # A tiny negative angle wraps to exactly 360.0, which is north: 0.
+    return LookAngles(elevation, 0.0 if azimuth == 360.0 else azimuth)
 
 
 def elevations_deg(

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .geometry import GeoPosition, normalize_lon
-from .weather import CoverageGapError, WeatherCell, WeatherProvider
+from .weather import _TIME_FMT, WeatherCell, WeatherProvider, _parse_utc
 
 
 class CnrCategory(IntEnum):
@@ -75,13 +75,6 @@ LOG_CSV_COLUMNS = [
     "satellite_id",
     "cnr_db",
 ]
-
-_TIME_FMT = "%Y-%m-%dT%H:%M:%SZ"
-
-
-def _parse_utc(text: str) -> datetime:
-    return datetime.fromisoformat(text.replace("Z", "+00:00")).astimezone(timezone.utc)
-
 
 @dataclass(frozen=True)
 class FlightLogRecord:
@@ -279,24 +272,20 @@ class JoinCoverageError(ValueError):
 def join_weather(
     records: Sequence[FlightLogRecord], provider: WeatherProvider
 ) -> JoinResult:
-    """Attach the nearest weather cell to every record.
+    """Attach the nearest weather cell to every record, in one batch lookup.
 
     Records hitting a coverage gap are dropped and counted; losing more
     than 10% of the input raises :class:`JoinCoverageError`, which usually
     means the weather field does not belong to this dataset.
     """
-    kept: list[FlightLogRecord] = []
-    cells: list[WeatherCell] = []
-    dropped = 0
-    for r in records:
-        try:
-            cell = provider.cell_at(r.log_date, r.position)
-        except CoverageGapError:
-            dropped += 1
-            continue
-        kept.append(r)
-        cells.append(cell)
-    report = JoinReport(total=len(records), attached=len(kept), dropped=dropped)
+    found = provider.cells_at(
+        np.array([r.log_date.timestamp() for r in records], dtype=float),
+        np.array([r.latitude_deg for r in records], dtype=float),
+        np.array([r.longitude_deg for r in records], dtype=float),
+    )
+    kept = [r for r, cell in zip(records, found) if cell is not None]
+    cells = [cell for cell in found if cell is not None]
+    report = JoinReport(total=len(records), attached=len(kept), dropped=len(records) - len(kept))
     if report.total and report.dropped / report.total > 0.10:
         raise JoinCoverageError(
             f"{report.dropped}/{report.total} records outside weather coverage"

@@ -24,7 +24,8 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Protocol
+from itertools import groupby, product
+from typing import Iterable, Optional, Protocol
 
 import numpy as np
 
@@ -48,17 +49,6 @@ class WeatherCsvError(ValueError):
         detail = "; ".join(f"line {ln}: {msg}" for ln, msg in errors[:10])
         more = "" if len(errors) <= 10 else f" (+{len(errors) - 10} more)"
         super().__init__(f"{path}: {detail}{more}")
-
-
-def _snap_decideg(value_deg: float) -> int:
-    # Nearest multiple of 0.1 degrees; exact midpoints round toward the
-    # smaller coordinate, matching the lexicographic tie rule of lookups.
-    return int(math.ceil(value_deg * 10.0 - 0.5))
-
-
-def _snap_hour(t: datetime) -> int:
-    ts = t.timestamp()
-    return int(math.ceil(ts / _HOUR_S - 0.5))
 
 
 def _require_utc(t: datetime) -> datetime:
@@ -118,6 +108,13 @@ class WeatherProvider(Protocol):
 
     def cell_at(self, t: datetime, p: GeoPosition) -> WeatherCell: ...
 
+    def cells_at(
+        self, epoch_s: np.ndarray, lat_deg: np.ndarray, lon_deg: np.ndarray
+    ) -> list[Optional[WeatherCell]]:
+        """``cell_at`` for many points given as epoch seconds and degrees;
+        ``None`` marks a point in a coverage gap."""
+        ...
+
 
 def _haversine_vec(p: GeoPosition, lats_deg: np.ndarray, lons_deg: np.ndarray) -> np.ndarray:
     lat1 = math.radians(p.latitude_deg)
@@ -143,16 +140,14 @@ class WeatherField:
             if key in self._cells:
                 raise ValueError(f"duplicate weather cell key {key}")
             self._cells[key] = cell
-        self._hours = np.array(sorted({k[0] for k in self._cells}), dtype=np.int64)
+        # One sort by (hour, lat, lon) key; each hour's run keeps (lat, lon) order.
         self._by_hour: dict[int, tuple[np.ndarray, np.ndarray, list[WeatherCell]]] = {}
-        for hour in self._hours.tolist():
-            group = sorted(
-                (c for c in self._cells.values() if c.key[0] == hour),
-                key=lambda c: (c.grid_lat_deg, c.grid_lon_deg),
-            )
+        for hour, items in groupby(sorted(self._cells.items()), key=lambda item: item[0][0]):
+            group = [c for _, c in items]
             lats = np.array([c.grid_lat_deg for c in group])
             lons = np.array([c.grid_lon_deg for c in group])
             self._by_hour[hour] = (lats, lons, group)
+        self._hours = np.array(list(self._by_hour), dtype=np.int64)
         if self._cells:
             all_lats = [c.grid_lat_deg for c in self._cells.values()]
             all_lons = [c.grid_lon_deg for c in self._cells.values()]
@@ -204,6 +199,29 @@ class WeatherField:
     # Provider interface.
     cell_at = lookup_nearest
 
+    def cells_at(
+        self, epoch_s: np.ndarray, lat_deg: np.ndarray, lon_deg: np.ndarray
+    ) -> list[Optional[WeatherCell]]:
+        """:meth:`lookup_nearest` per point, with ``None`` for a coverage gap."""
+        out: list[Optional[WeatherCell]] = []
+        for ts, lat, lon in zip(
+            np.asarray(epoch_s, dtype=float).tolist(),
+            np.asarray(lat_deg, dtype=float).tolist(),
+            np.asarray(lon_deg, dtype=float).tolist(),
+        ):
+            try:
+                out.append(self.lookup_nearest(datetime.fromtimestamp(ts, timezone.utc), GeoPosition(lat, lon)))
+            except CoverageGapError:
+                out.append(None)
+        return out
+
+
+#: Most (point, storm) pairs evaluated at once, to bound memory on big grids.
+_STORM_PAIRS = 1 << 18
+#: Hour-and-tile storm views a provider keeps: consecutive lookups along a
+#: flight reuse the last few, and older ones only cost memory.
+_VIEWS_KEPT = 32
+
 
 class SyntheticWeather:
     """Deterministic analytic weather: smooth background plus moving storms.
@@ -221,85 +239,155 @@ class SyntheticWeather:
             raise ValueError(f"seed must be >= 0: {seed}")
         self.storm_density = storm_density
         self.seed = seed
-        self._storm_cache: dict[tuple[int, int, int], list[tuple]] = {}
+        # (tile lat, tile lon, day) -> (n, 9) array, one storm per row:
+        # lat0, lon0, birth hour, life hours, vlat, vlon, radius, peak and
+        # the squared reach (3 radius) ** 2.  Python's float ** is kept for
+        # the reach: it differs from numpy's x * x in the last bit at times.
+        self._storm_cache: dict[tuple[int, int, int], np.ndarray] = {}
+        # (hour, tile lat, tile lon) -> _storm_view, for the last _VIEWS_KEPT.
+        self._view_cache: dict[tuple[int, int, int], tuple[np.ndarray, ...]] = {}
 
-    def _storms(self, tile_lat: int, tile_lon: int, day: int) -> list[tuple]:
+    def _storms(self, tile_lat: int, tile_lon: int, day: int) -> np.ndarray:
         key = (tile_lat, tile_lon, day)
         cached = self._storm_cache.get(key)
         if cached is not None:
             return cached
-        if self.storm_density == 0.0 or day < 0:
-            self._storm_cache[key] = []
-            return []
-        rng = np.random.default_rng(
-            np.random.SeedSequence((self.seed, 0x57, tile_lat + 90, tile_lon + 180, day))
-        )
-        storms = []
-        for _ in range(int(rng.poisson(self.storm_density))):
-            lat0 = tile_lat * 10.0 + 10.0 * rng.random()
-            lon0 = tile_lon * 10.0 + 10.0 * rng.random()
-            birth_h = day * 24.0 + 24.0 * rng.random()
-            life_h = 3.0 + 7.0 * rng.random()
-            vlat = rng.uniform(-0.25, 0.25)
-            vlon = rng.uniform(-0.25, 0.25)
-            radius = 0.3 + 0.9 * rng.random()
-            peak = 4.0 + 16.0 * rng.random()
-            storms.append((lat0, lon0, birth_h, life_h, vlat, vlon, radius, peak))
+        storms = np.empty((0, 9))
+        if self.storm_density > 0.0 and day >= 0:
+            rng = np.random.default_rng(
+                np.random.SeedSequence((self.seed, 0x57, tile_lat + 90, tile_lon + 180, day))
+            )
+            # Eight draws per storm, in storm order: rng.uniform(-0.25, 0.25)
+            # is -0.25 + 0.5 * rng.random().
+            u = rng.random((int(rng.poisson(self.storm_density)), 8))
+            radius = 0.3 + 0.9 * u[:, 6]
+            storms = np.column_stack(
+                [
+                    tile_lat * 10.0 + 10.0 * u[:, 0],
+                    tile_lon * 10.0 + 10.0 * u[:, 1],
+                    day * 24.0 + 24.0 * u[:, 2],
+                    3.0 + 7.0 * u[:, 3],
+                    -0.25 + 0.5 * u[:, 4],
+                    -0.25 + 0.5 * u[:, 5],
+                    radius,
+                    4.0 + 16.0 * u[:, 7],
+                    [(3.0 * r) ** 2 for r in radius.tolist()],
+                ]
+            )
         self._storm_cache[key] = storms
         return storms
 
-    def _storm_precip(self, hour_idx: int, lat: float, lon: float) -> float:
+    def _storm_view(self, hour_idx: int, tile_lat: int, tile_lon: int) -> tuple[np.ndarray, ...]:
+        """The storms a point in a 10 degree tile sees at an epoch hour:
+        those alive then, spawned in its own tile or the 8 around it on its
+        UTC day or the day before.  Returns their centers at that hour,
+        reach, radius and peak, in ascending (day, tile lat, tile lon,
+        storm) order."""
+        key = (hour_idx, tile_lat, tile_lon)
+        cached = self._view_cache.get(key)
+        if cached is None:
+            day = hour_idx // 24
+            storms = np.concatenate(
+                [
+                    self._storms(ty, tx, d)
+                    for d in (day - 1, day)
+                    for ty in (tile_lat - 1, tile_lat, tile_lat + 1)
+                    for tx in (tile_lon - 1, tile_lon, tile_lon + 1)
+                ]
+            )
+            age = hour_idx - storms[:, 2]
+            alive = (0.0 <= age) & (age < storms[:, 3])
+            lat0, lon0, _, _, vlat, vlon, radius, peak, reach2 = storms[alive].T
+            age = age[alive]
+            if len(self._view_cache) == _VIEWS_KEPT:
+                del self._view_cache[next(iter(self._view_cache))]
+            cached = self._view_cache[key] = (lat0 + vlat * age, lon0 + vlon * age, reach2, radius, peak)
+        return cached
+
+    def _storm_precip(self, hours: list[int], lats: list[float], lons: list[float]) -> list[float]:
+        """Storm precipitation at many (epoch hour, cell center) points.
+
+        The points of one hour and tile are evaluated together against its
+        :meth:`_storm_view`.  Each point adds its storms' terms one storm at
+        a time in that order, with ``exp`` from libm, so every sum is the
+        same float as a per-point scalar loop gives.
+        """
+        total = [0.0] * len(hours)
         if self.storm_density == 0.0:
-            return 0.0
-        day = hour_idx // 24
-        tlat, tlon = math.floor(lat / 10.0), math.floor(lon / 10.0)
-        cos_lat = math.cos(math.radians(lat))
-        total = 0.0
-        for d in (day - 1, day):
-            for ty in (tlat - 1, tlat, tlat + 1):
-                for tx in (tlon - 1, tlon, tlon + 1):
-                    for (lat0, lon0, birth, life, vlat, vlon, radius, peak) in self._storms(ty, tx, d):
-                        age = hour_idx - birth
-                        if not 0.0 <= age < life:
-                            continue
-                        dlat = lat - (lat0 + vlat * age)
-                        dlon = (lon - (lon0 + vlon * age)) * cos_lat
-                        d2 = dlat * dlat + dlon * dlon
-                        if d2 < (3.0 * radius) ** 2:
-                            total += peak * math.exp(-d2 / (2.0 * radius * radius))
+            return total
+        groups: dict[tuple[int, int, int], list[int]] = {}
+        for i, (hour_idx, lat, lon) in enumerate(zip(hours, lats, lons)):
+            groups.setdefault((hour_idx, math.floor(lat / 10.0), math.floor(lon / 10.0)), []).append(i)
+        for key, points in groups.items():
+            center_lat, center_lon, reach2, radius, peak = self._storm_view(*key)
+            if not len(peak):
+                continue
+            step = max(1, _STORM_PAIRS // len(peak))
+            for start in range(0, len(points), step):
+                idx = points[start : start + step]
+                columns = [(lats[i], lons[i], math.cos(math.radians(lats[i]))) for i in idx]
+                lat, lon, cos_lat = np.array(columns).T[:, :, None]
+                dlat = lat - center_lat
+                dlon = (lon - center_lon) * cos_lat
+                d2 = dlat * dlat + dlon * dlon
+                rows, cols = np.nonzero(d2 < reach2)
+                # Row-major, so each point meets its storms in ascending order.
+                for row, d2_, r, pk in zip(
+                    rows.tolist(), d2[rows, cols].tolist(), radius[cols].tolist(), peak[cols].tolist()
+                ):
+                    total[idx[row]] += pk * math.exp(-d2_ / (2.0 * r * r))
         return total
 
-    def _values(self, hour_idx: int, lat: float, lon: float) -> tuple[float, float, float, float]:
-        hod = hour_idx % 24
-        temp = (
-            24.0
-            - 0.5 * abs(lat)
-            + 6.0 * math.sin(2.0 * math.pi * (hod - 9.0) / 24.0)
-            + 2.0 * math.sin(0.37 * lat + 0.23 * lon)
-        )
-        wind = max(
-            0.0,
-            5.0 + 3.0 * math.sin(0.21 * lat + 0.17 * lon + 0.13 * hour_idx) + 2.0 * math.sin(0.05 * hour_idx),
-        )
-        precip = self._storm_precip(hour_idx, lat, lon)
-        cloud = min(100.0, max(0.0, 42.0 + 30.0 * math.sin(0.11 * lat - 0.19 * lon + 0.07 * hour_idx) + 6.0 * precip))
-        return (round(precip, 6), round(cloud, 6), round(temp, 6), round(wind, 6))
+    def _values(
+        self, hours: list[int], lats: list[float], lons: list[float]
+    ) -> list[tuple[float, float, float, float]]:
+        """(precipitation, cloud, temperature, wind) at many (epoch hour,
+        cell center) points, each rounded to 6 decimals."""
+        out = []
+        for hour_idx, lat, lon, precip in zip(hours, lats, lons, self._storm_precip(hours, lats, lons)):
+            hod = hour_idx % 24
+            temp = (
+                24.0
+                - 0.5 * abs(lat)
+                + 6.0 * math.sin(2.0 * math.pi * (hod - 9.0) / 24.0)
+                + 2.0 * math.sin(0.37 * lat + 0.23 * lon)
+            )
+            wind = max(
+                0.0,
+                5.0 + 3.0 * math.sin(0.21 * lat + 0.17 * lon + 0.13 * hour_idx) + 2.0 * math.sin(0.05 * hour_idx),
+            )
+            cloud = min(100.0, max(0.0, 42.0 + 30.0 * math.sin(0.11 * lat - 0.19 * lon + 0.07 * hour_idx) + 6.0 * precip))
+            out.append((round(precip, 6), round(cloud, 6), round(temp, 6), round(wind, 6)))
+        return out
+
+    def _cells(self, hours: list[int], ilats: list[int], ilons: list[int]) -> list[WeatherCell]:
+        """Cells at epoch hours and decidegree grid indices."""
+        lats = [i / 10.0 for i in ilats]
+        lons = [i / 10.0 for i in ilons]
+        when = {h: _hour_to_datetime(h) for h in set(hours)}
+        return [
+            WeatherCell(when[h], lat, lon, *values)
+            for h, lat, lon, values in zip(hours, lats, lons, self._values(hours, lats, lons))
+        ]
 
     def cell_at(self, t: datetime, p: GeoPosition) -> WeatherCell:
-        hour_idx = _snap_hour(_require_utc(t))
-        ilat = _snap_decideg(p.latitude_deg)
-        ilon = _snap_decideg(normalize_lon(p.longitude_deg))
-        lat, lon = ilat / 10.0, ilon / 10.0
-        precip, cloud, temp, wind = self._values(hour_idx, lat, lon)
-        return WeatherCell(
-            hour_utc=_hour_to_datetime(hour_idx),
-            grid_lat_deg=lat,
-            grid_lon_deg=lon,
-            precipitation_mmh=precip,
-            cloud_cover_pct=cloud,
-            temperature_c=temp,
-            wind_speed_mps=wind,
-        )
+        return self.cells_at([_require_utc(t).timestamp()], [p.latitude_deg], [p.longitude_deg])[0]
+
+    def cells_at(
+        self, epoch_s: np.ndarray, lat_deg: np.ndarray, lon_deg: np.ndarray
+    ) -> list[Optional[WeatherCell]]:
+        """The cell at the nearest hour and the nearest 0.1 degree center of
+        each point; exact halves go to the earlier hour and the smaller
+        coordinate, as in a field lookup.  Coverage is unbounded, so no
+        entry is ``None``."""
+        hours, ilats, ilons = [], [], []
+        for ts, lat, lon in zip(*(np.asarray(v, dtype=float).tolist() for v in (epoch_s, lat_deg, lon_deg))):
+            if not (math.isfinite(ts) and -90.0 <= lat <= 90.0 and math.isfinite(lon)):
+                raise ValueError(f"no weather at time {ts}, latitude {lat}, longitude {lon}")
+            hours.append(math.ceil(ts / _HOUR_S - 0.5))
+            ilats.append(math.ceil(lat * 10.0 - 0.5))
+            ilons.append(math.ceil(normalize_lon(lon) * 10.0 - 0.5))
+        return self._cells(hours, ilats, ilons)
 
 
 def synth_weather_field(
@@ -323,22 +411,13 @@ def synth_weather_field(
     if last_hour < first_hour:
         raise ValueError(f"time span contains no whole hour: {time_span}")
 
-    provider = SyntheticWeather(storm_density, seed)
     ilat_lo = math.ceil(lat_min * 10.0 - 1e-9)
     ilat_hi = math.ceil(lat_max * 10.0 - 1e-9) - 1
     ilon_lo = math.ceil(lon_min * 10.0 - 1e-9)
     ilon_hi = math.ceil(lon_max * 10.0 - 1e-9) - 1
-    cells = []
-    for hour_idx in range(first_hour, last_hour + 1):
-        when = _hour_to_datetime(hour_idx)
-        for ilat in range(ilat_lo, ilat_hi + 1):
-            for ilon in range(ilon_lo, ilon_hi + 1):
-                lat, lon = ilat / 10.0, ilon / 10.0
-                precip, cloud, temp, wind = provider._values(hour_idx, lat, lon)
-                cells.append(
-                    WeatherCell(when, lat, lon, precip, cloud, temp, wind)
-                )
-    return WeatherField(cells)
+    grid = list(product(range(first_hour, last_hour + 1), range(ilat_lo, ilat_hi + 1), range(ilon_lo, ilon_hi + 1)))
+    hours, ilats, ilons = ([point[axis] for point in grid] for axis in range(3))
+    return WeatherField(SyntheticWeather(storm_density, seed)._cells(hours, ilats, ilons))
 
 
 WEATHER_CSV_COLUMNS = [

@@ -1,12 +1,19 @@
+import collections
 import hashlib
 import json
 import math
+import tempfile
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from satlink import flightsim, geometry
+from satlink.cli import load_records
 from satlink.flightsim import (
     AntipodalRouteError,
     ConfigError,
@@ -24,8 +31,11 @@ from satlink.flightsim import (
     sample_cnr_population,
     synth_cnr,
 )
-from satlink.geometry import GeoPosition, GeoSatellite, geo_look_angles
-from satlink.weather import SyntheticWeather, WeatherCell
+from satlink.geometry import GeoPosition, GeoSatellite, elevations_deg, geo_look_angles, haversine_m
+from satlink.ingest import FlightLogRecord, bin_cnr, save_logs
+from satlink.weather import CoverageGapError, SyntheticWeather, WeatherCell, synth_weather_field
+
+from test_weather import ReferenceWeather
 
 T0 = datetime(2023, 3, 5, 8, 0, tzinfo=timezone.utc)
 
@@ -45,6 +55,305 @@ def route(dep, arr, dep_iata="AAA", arr_iata="BBB", cruise=11000.0, speed=250.0)
 
 def storm_cell(precip, lat=0.0, lon=0.0):
     return WeatherCell(T0.replace(minute=0), lat, lon, precip, 80.0, 20.0, 5.0)
+
+
+# --- the per-minute generator the columnar one replaced -------------------
+
+
+def reference_great_circle_path(route, step_s=60.0, climb_rate_mps=10.0, descent_rate_mps=8.0):
+    dep, arr = route.departure_pos, route.arrival_pos
+    distance_m = haversine_m(dep, arr)
+    duration_s = distance_m / route.ground_speed_mps
+    n_steps = max(1, math.ceil(duration_s / step_s - 1e-9))
+    fractions = np.arange(n_steps + 1, dtype=float) / n_steps
+    # Looked up at call time, so a test may substitute the track.
+    lats, lons = geometry.slerp_track(dep, arr, fractions)
+    total_s = n_steps * step_s
+    times = np.arange(n_steps + 1, dtype=float) * step_s
+    alts = np.minimum.reduce(
+        [
+            dep.altitude_m + climb_rate_mps * times,
+            np.full_like(times, route.cruise_altitude_m),
+            arr.altitude_m + descent_rate_mps * (total_s - times),
+        ]
+    )
+    return [
+        (float(t), GeoPosition(float(lat), float(lon), float(alt)))
+        for t, lat, lon, alt in zip(times, lats, lons, alts)
+    ]
+
+
+def reference_synth_cnr(p, sat, wx, params, rng=None):
+    elevation = geo_look_angles(p, sat).elevation_deg
+    if elevation < params.horizon_cut_elevation_deg:
+        return None
+    cnr = params.cnr_at_zenith_db - params.elevation_rolloff_db * (1.0 - math.sin(math.radians(elevation)))
+    if wx is not None and p.altitude_m < params.troposphere_ceiling_m:
+        cnr -= params.rain_atten_db_per_mmh * wx.precipitation_mmh
+    if params.noise_sigma_db > 0.0:
+        cnr -= rng.normal(0.0, params.noise_sigma_db)
+    return min(20.0, max(0.0, cnr))
+
+
+def reference_generate_flight(
+    route, sats, weather, params, seed, departure_time, flight_id=None,
+    min_log_altitude_m=1000.0, climb_rate_mps=10.0, descent_rate_mps=8.0,
+):
+    departure_time = departure_time.astimezone(timezone.utc)
+    sats = sorted(sats, key=lambda s: s.satellite_id)
+    path = reference_great_circle_path(route, 60.0, climb_rate_mps, descent_rate_mps)
+    lats = np.array([p.latitude_deg for _, p in path])
+    lons = np.array([p.longitude_deg for _, p in path])
+    alts = np.array([p.altitude_m for _, p in path])
+    serving_idx = np.argmax(np.stack([elevations_deg(lats, lons, alts, s) for s in sats]), axis=0)
+    above_gate = np.nonzero(alts >= min_log_altitude_m)[0]
+    if above_gate.size == 0:
+        return []
+    if flight_id is None:
+        flight_id = f"{route.departure_airport}{route.arrival_airport}-{departure_time:%Y%m%d%H%M}"
+    flight_end = departure_time + timedelta(seconds=path[-1][0])
+    rng = np.random.default_rng(seed)
+    records = []
+    for i in range(int(above_gate[0]), len(path)):
+        t_offset, pos = path[i]
+        sat = sats[int(serving_idx[i])]
+        log_date = departure_time + timedelta(seconds=t_offset)
+        cell = None
+        if weather is not None and pos.altitude_m < params.troposphere_ceiling_m:
+            cell = weather.cell_at(log_date, pos)
+        records.append(
+            FlightLogRecord(
+                log_date=log_date,
+                flight_id=flight_id,
+                tail_number=route.tail_number,
+                airline_code=route.airline_code,
+                departure_airport=route.departure_airport,
+                arrival_airport=route.arrival_airport,
+                flight_start_time=departure_time,
+                flight_end_time=flight_end,
+                latitude_deg=pos.latitude_deg,
+                longitude_deg=pos.longitude_deg,
+                altitude_m=pos.altitude_m,
+                satellite_id=sat.satellite_id,
+                cnr_db=reference_synth_cnr(pos, sat, cell, params, rng),
+            )
+        )
+    return records
+
+
+def assert_same_flight(got, want):
+    """Every field bit for bit, except that ``cnr_db`` may differ in its last
+    bits: the columnar path takes the serving elevation from the vectorized
+    elevation stack, which differs from ``geo_look_angles`` by an ulp on
+    some minutes.  The value as logged, to 3 decimals, is the same."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert replace(g, cnr_db=None) == replace(w, cnr_db=None)
+        assert (g.cnr_db is None) == (w.cnr_db is None)
+        if w.cnr_db is not None:
+            assert abs(g.cnr_db - w.cnr_db) <= 1e-12
+            assert f"{g.cnr_db:.3f}" == f"{w.cnr_db:.3f}"
+
+
+def write_both(log, records) -> tuple[bytes, bytes]:
+    """The columnar writer's bytes and save_logs's, for the same flight."""
+    with tempfile.TemporaryDirectory() as tmp:
+        columnar, per_row = Path(tmp, "columnar.csv"), Path(tmp, "per_row.csv")
+        flightsim._write_log(log, str(columnar))
+        save_logs(records, per_row)
+        return columnar.read_bytes(), per_row.read_bytes()
+
+
+ZERO_NOISE = replace(DEFAULT_LINK_PARAMS, noise_sigma_db=0.0)
+SATELLITE_POOL = [GeoSatellite("I5F1", 62.6), GeoSatellite("I5F2", -55.0), GeoSatellite("I5F3", 179.6), GeoSatellite("X", 0.0)]
+
+
+@st.composite
+def flights(draw):
+    """A route of up to ~3000 km anywhere, including across the
+    antimeridian, with its satellites, weather, link params and schedule."""
+    dep_lat = draw(st.floats(-60.0, 60.0))
+    dep_lon = draw(st.one_of(st.floats(-180.0, 179.99), st.sampled_from([-180.0, 179.5, -179.5, 0.0, 10.0])))
+    dlat = draw(st.floats(-15.0, 15.0))
+    dlon = draw(st.floats(-25.0, 25.0))
+    if abs(dlat) + abs(dlon) < 0.5:
+        dlon = 1.0
+    dep = GeoPosition(dep_lat, dep_lon, draw(st.floats(0.0, 800.0)))
+    arr = GeoPosition(dep_lat + dlat, dep_lon + dlon, draw(st.floats(0.0, 800.0)))
+    route = RouteSpec(
+        "AAA", "BBB", dep, arr,
+        cruise_altitude_m=draw(st.floats(8000.0, 13000.0)),
+        ground_speed_mps=draw(st.floats(150.0, 300.0)),
+        airline_code="ZZ",
+        tail_number="Z-1",
+    )
+    sats = draw(st.lists(st.sampled_from(SATELLITE_POOL), min_size=1, max_size=3, unique=True))
+    day = draw(st.sampled_from([datetime(1969, 12, 31, tzinfo=timezone.utc), datetime(2023, 3, 5, tzinfo=timezone.utc)]))
+    departure = day + timedelta(minutes=draw(st.integers(0, 24 * 60 - 1)))
+    weather = draw(st.sampled_from([None, (0.0, 1), (8.0, 77), (40.0, 6)]))
+    return dict(
+        route=route,
+        sats=sats,
+        weather=weather,
+        params=draw(st.sampled_from([DEFAULT_LINK_PARAMS, ZERO_NOISE])),
+        seed=draw(st.integers(0, 2**32)),
+        departure_time=departure,
+        flight_id=draw(st.sampled_from([None, "FX"])),
+        min_log_altitude_m=draw(st.sampled_from([0.0, 1000.0, 20000.0])),
+        climb_rate_mps=draw(st.sampled_from([3.0, 10.0])),
+        descent_rate_mps=draw(st.sampled_from([2.5, 8.0])),
+    )
+
+
+def run_both(case):
+    """(columnar log, its records, the per-minute reference's records)."""
+    weather = case["weather"]
+    new_args = dict(case, weather=None if weather is None else SyntheticWeather(*weather))
+    ref_args = dict(case, weather=None if weather is None else ReferenceWeather(*weather))
+    log = flightsim._simulate_flight(**new_args)
+    return log, generate_flight(**new_args), reference_generate_flight(**ref_args)
+
+
+class TestColumnarGeneration:
+    """The columnar generator against the per-minute one it replaced."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=flights())
+    def test_matches_per_minute_reference(self, case):
+        log, records, want = run_both(case)
+        assert_same_flight(records, want)
+        assert len(log.epoch_s) == len(want)
+        columnar, per_row = write_both(log, want)
+        assert columnar == per_row
+
+    @pytest.mark.parametrize(
+        "name, sats, dep, arr, weather, params",
+        [
+            ("out of view", [GeoSatellite("I5F3", 179.6)], (51.47, -0.454, 25.0), (49.01, 2.548, 119.0), None, DEFAULT_LINK_PARAMS),
+            ("comes into view", [GeoSatellite("X", 0.0)], (10.0, 95.0, 5.0), (10.0, 70.0, 5.0), None, DEFAULT_LINK_PARAMS),
+            ("zero noise", demo_satellites(), (25.253, 55.365, 19.0), (22.308, 113.915, 9.0), (8.0, 77), ZERO_NOISE),
+            ("no storms", demo_satellites(), (1.359, 103.989, 7.0), (22.308, 113.915, 9.0), (0.0, 4), DEFAULT_LINK_PARAMS),
+            ("antimeridian", demo_satellites(), (-17.0, 178.0, 10.0), (-9.4, -171.8, 5.0), (40.0, 6), DEFAULT_LINK_PARAMS),
+            ("tile corner", demo_satellites(), (40.0, 10.0, 100.0), (30.0, 20.0, 100.0), (40.0, 6), DEFAULT_LINK_PARAMS),
+        ],
+    )
+    def test_named_cases(self, name, sats, dep, arr, weather, params):
+        case = dict(
+            route=route(GeoPosition(*dep), GeoPosition(*arr), cruise=10000.0, speed=230.0),
+            sats=sats,
+            weather=weather,
+            params=params,
+            seed=11,
+            departure_time=datetime(2023, 3, 5, 23, 10, tzinfo=timezone.utc),
+            flight_id="FX",
+            min_log_altitude_m=1000.0,
+            climb_rate_mps=3.0,
+            descent_rate_mps=2.5,
+        )
+        log, records, want = run_both(case)
+        assert want
+        assert_same_flight(records, want)
+        columnar, per_row = write_both(log, want)
+        assert columnar == per_row
+        if name == "out of view":
+            assert all(r.cnr_db is None for r in records)
+        if name == "comes into view":
+            assert records[0].cnr_db is None and records[-1].cnr_db is not None
+        if weather is not None and weather[0] > 0.0:
+            assert any(r.cnr_db is not None and r.altitude_m < 6000.0 for r in records)
+
+    def test_longitude_180_is_logged_as_minus_180(self, monkeypatch):
+        real = geometry.slerp_track
+
+        def through_180(a, b, fractions):
+            lats, lons = real(a, b, fractions)
+            lons = lons.copy()
+            lons[len(lons) // 2] = 180.0
+            return lats, lons
+
+        monkeypatch.setattr(geometry, "slerp_track", through_180)
+        monkeypatch.setattr(flightsim, "slerp_track", through_180)
+        case = dict(
+            route=route(GeoPosition(-17.0, 178.0, 10.0), GeoPosition(-9.4, -171.8, 5.0)),
+            sats=demo_satellites(),
+            weather=None,
+            params=DEFAULT_LINK_PARAMS,
+            seed=3,
+            departure_time=T0,
+            flight_id="FX",
+            min_log_altitude_m=1000.0,
+            climb_rate_mps=10.0,
+            descent_rate_mps=8.0,
+        )
+        log, records, want = run_both(case)
+        assert -180.0 in log.longitude_deg.tolist()
+        assert_same_flight(records, want)
+        columnar, per_row = write_both(log, want)
+        assert columnar == per_row
+
+    def test_great_circle_path_matches_reference(self):
+        for plan in demo_route_plans():
+            for rates in ((10.0, 8.0), (3.0, 2.5)):
+                assert great_circle_path(plan.route, 60.0, *rates) == reference_great_circle_path(plan.route, 60.0, *rates)
+
+    def test_weather_gap_raises_during_generation(self):
+        field = synth_weather_field((0.0, 3.0, 102.0, 106.0), (T0 - timedelta(hours=1), T0 + timedelta(hours=20)), 8.0, 2)
+        r = route(GeoPosition(1.359, 103.989, 7.0), GeoPosition(22.308, 113.915, 9.0))
+        with pytest.raises(CoverageGapError):
+            generate_flight(r, demo_satellites(), field, DEFAULT_LINK_PARAMS, 1, T0)
+        with pytest.raises(CoverageGapError):
+            reference_generate_flight(r, demo_satellites(), field, DEFAULT_LINK_PARAMS, 1, T0)
+
+    def test_covering_field_gives_the_same_flight_as_its_provider(self):
+        r = route(GeoPosition(1.359, 103.989, 7.0), GeoPosition(3.0, 110.0, 9.0), speed=200.0)
+        field = synth_weather_field((0.0, 5.0, 102.0, 112.0), (T0 - timedelta(hours=1), T0 + timedelta(hours=6)), 30.0, 2)
+        provider = SyntheticWeather(30.0, 2)
+        got = generate_flight(r, demo_satellites(), field, ZERO_NOISE, 1, T0, "FX")
+        assert got == generate_flight(r, demo_satellites(), provider, ZERO_NOISE, 1, T0, "FX")
+        assert_same_flight(got, reference_generate_flight(r, demo_satellites(), field, ZERO_NOISE, 1, T0, "FX"))
+
+
+def valid_log():
+    return flightsim._simulate_flight(
+        demo_route_plans()[3].route, demo_satellites(), None, DEFAULT_LINK_PARAMS, 5, T0, "FX", 1000.0, 10.0, 8.0
+    )
+
+
+def with_value(column, index, value):
+    log = valid_log()
+    values = getattr(log, column).copy()
+    values[index] = value
+    return replace(log, **{column: values})
+
+
+class TestLogColumnChecks:
+    """One case per column check the writer makes before it writes."""
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (lambda: replace(valid_log(), cnr_db=valid_log().cnr_db[:-1]), "unequal length"),
+            (lambda: with_value("epoch_s", 4, int(T0.timestamp()) + 4 * 60 + 30), "minute-aligned"),
+            (lambda: with_value("epoch_s", -1, int(valid_log().flight_end.timestamp()) + 60), "outside the flight interval"),
+            (lambda: with_value("epoch_s", 0, int(T0.timestamp()) - 60), "outside the flight interval"),
+            (lambda: with_value("latitude_deg", 7, 90.5), "latitude"),
+            (lambda: with_value("latitude_deg", 7, math.nan), "latitude"),
+            (lambda: with_value("longitude_deg", 3, 180.0), "longitude"),
+            (lambda: with_value("altitude_m", 9, -0.5), "altitude"),
+            (lambda: with_value("cnr_db", 2, 20.001), "cnr_db"),
+            (lambda: with_value("cnr_db", 2, -0.001), "cnr_db"),
+        ],
+    )
+    def test_bad_column_raises_and_writes_nothing(self, bad, message, tmp_path):
+        path = tmp_path / "f.csv"
+        with pytest.raises(ValueError, match=message):
+            flightsim._write_log(bad(), str(path))
+        assert not path.exists()
+
+    def test_valid_log_writes_the_bytes_save_logs_writes(self):
+        log = valid_log()
+        columnar, per_row = write_both(log, flightsim._records(log))
+        assert columnar == per_row
 
 
 class TestGreatCirclePath:
@@ -171,6 +480,26 @@ class TestSynthCnr:
         best = max(sats, key=lambda s: geo_look_angles(mid, s).elevation_deg)
         scalar = synth_cnr(mid, best, None, params)
         assert population.min() - 1e-9 <= scalar <= population.max() + 1e-9
+
+
+class TestSynthCnrMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lat=st.floats(-80.0, 80.0),
+        lon=st.floats(-180.0, 180.0),
+        alt=st.sampled_from([0.0, 2500.0, 5999.0, 6000.0, 11000.0]),
+        sat=st.sampled_from(SATELLITE_POOL),
+        # Most rain above ~18 mm/h clamps the CNR to 0, so keep it lighter.
+        precip=st.one_of(st.none(), st.just(0.0), st.floats(0.01, 15.0)),
+        params=st.sampled_from([DEFAULT_LINK_PARAMS, ZERO_NOISE, replace(DEFAULT_LINK_PARAMS, rain_atten_db_per_mmh=-0.3)]),
+        seed=st.integers(0, 1000),
+    )
+    def test_bit_for_bit(self, lat, lon, alt, sat, precip, params, seed):
+        p = GeoPosition(lat, lon, alt)
+        wx = None if precip is None else storm_cell(precip)
+        got = synth_cnr(p, sat, wx, params, np.random.default_rng(seed))
+        want = reference_synth_cnr(p, sat, wx, params, np.random.default_rng(seed))
+        assert got == want
 
 
 class TestGenerateFlight:
@@ -325,6 +654,15 @@ class TestGenerateDataset:
         }
         assert written == DATASET_SHA256
 
+    def test_manifest_counts_the_labels_as_written(self, tmp_path):
+        # Binning the unrounded CNR here counted Weak 3586 and Medium 48; one
+        # value rounds up to 10.000 dB in the file.
+        manifest = generate_dataset(demo_config(flights_per_route=1, seed=9), str(tmp_path))
+        parsed = collections.Counter(bin_cnr(r.cnr_db).label for r in load_records(str(tmp_path)) if r.cnr_db is not None)
+        assert manifest["category_counts"] == {label: parsed[label] for label in ("Bad", "Weak", "Medium", "Good")}
+        assert manifest["category_counts"]["Medium"] == 49
+        assert manifest["labeled_rows"] == sum(parsed.values())
+
     def test_unwritable_out_dir_raises(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
@@ -363,7 +701,41 @@ class TestGenerateDataset:
         assert len(err.value.errors) == 2
 
 
+def reference_sample_cnr_population(routes, sats, params, n, seed):
+    rng = np.random.default_rng(seed)
+    route_idx = rng.integers(0, len(routes), n)
+    u = rng.random(n)
+    noise = rng.normal(0.0, params.noise_sigma_db, n) if params.noise_sigma_db > 0.0 else np.zeros(n)
+    lats, lons, alts = np.empty(n), np.empty(n), np.empty(n)
+    for i, r in enumerate(routes):
+        mask = route_idx == i
+        if not mask.any():
+            continue
+        dep, arr = r.departure_pos, r.arrival_pos
+        total_s = max(1, math.ceil(haversine_m(dep, arr) / r.ground_speed_mps / 60.0 - 1e-9)) * 60.0
+        t = u[mask] * total_s
+        lats[mask], lons[mask] = geometry.slerp_track(dep, arr, u[mask])
+        alts[mask] = np.minimum.reduce(
+            [dep.altitude_m + 10.0 * t, np.full(t.shape, r.cruise_altitude_m), arr.altitude_m + 8.0 * (total_s - t)]
+        )
+    best = np.maximum.reduce([elevations_deg(lats, lons, alts, s) for s in sats])
+    visible = best >= params.horizon_cut_elevation_deg
+    cnr = (
+        params.cnr_at_zenith_db
+        - params.elevation_rolloff_db * (1.0 - np.sin(np.radians(best[visible])))
+        - noise[visible]
+    )
+    return np.clip(cnr, 0.0, 20.0)
+
+
 class TestCalibration:
+    @pytest.mark.parametrize("params", [DEFAULT_LINK_PARAMS, ZERO_NOISE])
+    def test_population_matches_reference(self, params):
+        routes = [p.route for p in demo_route_plans()]
+        got = sample_cnr_population(routes, demo_satellites(), params, 20_000, 8)
+        want = reference_sample_cnr_population(routes, demo_satellites(), params, 20_000, 8)
+        assert got.tobytes() == want.tobytes()
+
     def test_default_params_center_near_observed_mean(self):
         cnr = sample_cnr_population(
             [p.route for p in demo_route_plans()], demo_satellites(), DEFAULT_LINK_PARAMS, 50_000, 3

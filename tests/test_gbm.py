@@ -1,11 +1,12 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satlink.cli import ExperimentSpec, build_experiment_dataset, load_records
+from satlink.cli import ExperimentSpec, build_experiment_dataset, load_records, run_experiment
 from satlink.flightsim import (
     LinkModelParams,
     WeatherSpec,
@@ -328,13 +329,23 @@ C9_MODEL_SHA256 = {
 }
 
 
+# SHA-256 of json.dumps(report.to_dict(), sort_keys=True) for the C9 run
+# itself, recorded with the model hashes' build.
+C9_REPORT_SHA256 = "3f0bffa53b7426a5b260b5f7a1c4857f196e77e697c693bd38967b649f633177"
+C9_SPEC = ExperimentSpec(name="det", min_altitude_m=6000, hyperparams=GbmHyperParams(n_rounds=25), seed=3)
+
+
 @pytest.fixture(scope="module")
-def c9_train(tmp_path_factory):
+def c9_records(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("c9_corpus")
     generate_dataset(demo_config(flights_per_route=1, seed=55, weather=WeatherSpec(5.0, 3)), str(out_dir))
-    spec = ExperimentSpec(name="det", min_altitude_m=6000, hyperparams=GbmHyperParams(n_rounds=25), seed=3)
-    matrix, _ = build_experiment_dataset(load_records(str(out_dir)), spec)
-    return split_by_flight(matrix, spec.test_fraction, spec.seed)[0], spec.hyperparams
+    return load_records(str(out_dir))
+
+
+@pytest.fixture(scope="module")
+def c9_train(c9_records):
+    matrix, _ = build_experiment_dataset(c9_records, C9_SPEC)
+    return split_by_flight(matrix, C9_SPEC.test_fraction, C9_SPEC.seed)[0], C9_SPEC.hyperparams
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +366,11 @@ class TestModelBytes:
     def test_pinned_c9_model_hashes(self, c9_train, train_fn, tmp_path):
         data = model_bytes(train_fn, *c9_train, tmp_path / "model.json")
         assert hashlib.sha256(data).hexdigest() == C9_MODEL_SHA256[train_fn.__name__]
+
+    def test_pinned_c9_report_hash(self, c9_records):
+        report, _ = run_experiment(c9_records, C9_SPEC)
+        text = json.dumps(report.to_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == C9_REPORT_SHA256
 
     @pytest.mark.parametrize("train_fn", [train_gbm, train_regressor])
     @pytest.mark.parametrize("data", ["toy", "corpus"])

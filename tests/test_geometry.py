@@ -102,6 +102,11 @@ class TestLookAngles:
         angles = geo_look_angles(GeoPosition(45.0, 30.0), GeoSatellite("S", 30.0))
         assert angles.azimuth_deg == 180.0
 
+    def test_tiny_negative_azimuth_is_north_not_360(self):
+        # atan2 gives a tiny negative angle here, which % 360 rounds to 360.0.
+        angles = geo_look_angles(GeoPosition(-1.0, 2.225073858507203e-309), GeoSatellite("X", 0.0))
+        assert angles.azimuth_deg == 0.0
+
     def test_matches_ecef_oracle_on_random_samples(self):
         rng = np.random.default_rng(42)
         for _ in range(1000):

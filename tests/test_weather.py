@@ -1,9 +1,15 @@
+import hashlib
+import math
+import random
 from datetime import datetime, timedelta, timezone
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from satlink.geometry import GeoPosition, haversine_m
+from satlink.geometry import GeoPosition, haversine_m, normalize_lon
 from satlink.weather import (
     CoverageGapError,
     SyntheticWeather,
@@ -16,6 +22,117 @@ from satlink.weather import (
 )
 
 H0 = datetime(2023, 3, 5, 12, 0, tzinfo=timezone.utc)
+
+
+# --- the per-point scalar evaluation SyntheticWeather was built on ---------
+
+
+@lru_cache(maxsize=None)
+def reference_storms(density: float, seed: int, tile_lat: int, tile_lon: int, day: int) -> tuple:
+    if density == 0.0 or day < 0:
+        return ()
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x57, tile_lat + 90, tile_lon + 180, day)))
+    storms = []
+    for _ in range(int(rng.poisson(density))):
+        lat0 = tile_lat * 10.0 + 10.0 * rng.random()
+        lon0 = tile_lon * 10.0 + 10.0 * rng.random()
+        birth_h = day * 24.0 + 24.0 * rng.random()
+        life_h = 3.0 + 7.0 * rng.random()
+        vlat = rng.uniform(-0.25, 0.25)
+        vlon = rng.uniform(-0.25, 0.25)
+        radius = 0.3 + 0.9 * rng.random()
+        peak = 4.0 + 16.0 * rng.random()
+        storms.append((lat0, lon0, birth_h, life_h, vlat, vlon, radius, peak))
+    return tuple(storms)
+
+
+def reference_storm_precip(density: float, seed: int, hour_idx: int, lat: float, lon: float) -> float:
+    if density == 0.0:
+        return 0.0
+    day = hour_idx // 24
+    tlat, tlon = math.floor(lat / 10.0), math.floor(lon / 10.0)
+    cos_lat = math.cos(math.radians(lat))
+    total = 0.0
+    for d in (day - 1, day):
+        for ty in (tlat - 1, tlat, tlat + 1):
+            for tx in (tlon - 1, tlon, tlon + 1):
+                for (lat0, lon0, birth, life, vlat, vlon, radius, peak) in reference_storms(density, seed, ty, tx, d):
+                    age = hour_idx - birth
+                    if not 0.0 <= age < life:
+                        continue
+                    dlat = lat - (lat0 + vlat * age)
+                    dlon = (lon - (lon0 + vlon * age)) * cos_lat
+                    d2 = dlat * dlat + dlon * dlon
+                    if d2 < (3.0 * radius) ** 2:
+                        total += peak * math.exp(-d2 / (2.0 * radius * radius))
+    return total
+
+
+def reference_values(density: float, seed: int, hour_idx: int, lat: float, lon: float) -> tuple:
+    hod = hour_idx % 24
+    temp = (
+        24.0
+        - 0.5 * abs(lat)
+        + 6.0 * math.sin(2.0 * math.pi * (hod - 9.0) / 24.0)
+        + 2.0 * math.sin(0.37 * lat + 0.23 * lon)
+    )
+    wind = max(
+        0.0,
+        5.0 + 3.0 * math.sin(0.21 * lat + 0.17 * lon + 0.13 * hour_idx) + 2.0 * math.sin(0.05 * hour_idx),
+    )
+    precip = reference_storm_precip(density, seed, hour_idx, lat, lon)
+    cloud = min(100.0, max(0.0, 42.0 + 30.0 * math.sin(0.11 * lat - 0.19 * lon + 0.07 * hour_idx) + 6.0 * precip))
+    return (round(precip, 6), round(cloud, 6), round(temp, 6), round(wind, 6))
+
+
+def reference_cell_at(density: float, seed: int, t: datetime, p: GeoPosition) -> WeatherCell:
+    hour_idx = math.ceil(t.timestamp() / 3600 - 0.5)
+    lat = math.ceil(p.latitude_deg * 10.0 - 0.5) / 10.0
+    lon = math.ceil(normalize_lon(p.longitude_deg) * 10.0 - 0.5) / 10.0
+    when = datetime.fromtimestamp(hour_idx * 3600, tz=timezone.utc)
+    return WeatherCell(when, lat, lon, *reference_values(density, seed, hour_idx, lat, lon))
+
+
+class ReferenceWeather:
+    """A provider answering ``cell_at`` with the scalar reference."""
+
+    def __init__(self, density: float, seed: int):
+        self.density, self.seed = density, seed
+
+    def cell_at(self, t: datetime, p: GeoPosition) -> WeatherCell:
+        return reference_cell_at(self.density, self.seed, t, p)
+
+
+def _near_edges(edge_step: float, lo: float, hi: float):
+    """Degrees near multiples of ``edge_step`` (tile edges, 0.1 degree cell
+    halves) or anywhere in [lo, hi]."""
+    offsets = st.sampled_from([0.0, 0.04, 0.05, 0.06, -0.04, -0.05, -0.06, 1e-9, -1e-9])
+    near = st.builds(
+        lambda k, off: min(hi, max(lo, k * edge_step + off)),
+        st.integers(int(lo // edge_step), int(hi // edge_step)),
+        offsets,
+    )
+    return st.one_of(near, st.floats(lo, hi, allow_nan=False))
+
+
+#: Whole days since 1970 around the epoch (storms need day >= 0) and in 2023.
+_DAYS = st.sampled_from([-2, -1, 0, 1, 19420, 19421, 19422])
+weather_points = st.lists(
+    st.tuples(
+        st.builds(
+            lambda day, h, m, s: float(day * 86400 + h * 3600 + m * 60 + s),
+            _DAYS,
+            st.integers(0, 23),
+            st.sampled_from([0, 1, 29, 30, 31, 59]),
+            st.sampled_from([0, 30]),
+        ),
+        _near_edges(10.0, -90.0, 90.0),
+        st.one_of(st.sampled_from([180.0, -180.0, 179.95, -179.95, 179.96]), _near_edges(10.0, -180.0, 180.0)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+densities = st.sampled_from([0.0, 3.0, 8.0, 40.0])
 
 
 def cell(hour, lat, lon, precip=0.0, cloud=50.0, temp=15.0, wind=4.0):
@@ -109,6 +226,52 @@ class TestSyntheticWeather:
             assert field.lookup_nearest(at, p) == provider.cell_at(at, p)
 
 
+class TestMatchesScalarReference:
+    """The batch evaluation against the per-point scalar loop it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(points=weather_points, density=densities, seed=st.integers(0, 3))
+    def test_cells_match_scalar_reference_bit_for_bit(self, points, density, seed):
+        provider = SyntheticWeather(density, seed)
+        ts, lats, lons = (np.array(column) for column in zip(*points))
+        want = [
+            reference_cell_at(density, seed, datetime.fromtimestamp(t, timezone.utc), GeoPosition(lat, lon))
+            for t, lat, lon in points
+        ]
+        assert provider.cells_at(ts, lats, lons) == want
+        # The one-row case, on a fresh provider so no cache is shared.
+        single = SyntheticWeather(density, seed)
+        assert [
+            single.cell_at(datetime.fromtimestamp(t, timezone.utc), GeoPosition(lat, lon)) for t, lat, lon in points
+        ] == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(points=weather_points, density=densities, seed=st.integers(0, 3))
+    def test_unrounded_precipitation_matches_scalar_sums(self, points, density, seed):
+        hours = [math.ceil(t / 3600 - 0.5) for t, _, _ in points]
+        lats = [math.ceil(lat * 10.0 - 0.5) / 10.0 for _, lat, _ in points]
+        lons = [math.ceil(normalize_lon(lon) * 10.0 - 0.5) / 10.0 for _, _, lon in points]
+        got = SyntheticWeather(density, seed)._storm_precip(hours, lats, lons)
+        assert got == [reference_storm_precip(density, seed, *p) for p in zip(hours, lats, lons)]
+
+    def test_storm_heavy_points_match(self):
+        # Cells under a dense storm field, where most points add several terms.
+        provider = SyntheticWeather(40.0, 6)
+        hours = [19421 * 24 + h for h in range(24) for _ in range(20)]
+        rng = np.random.default_rng(3)
+        lats = [round(v, 1) for v in rng.uniform(35.0, 55.0, len(hours))]
+        lons = [round(v, 1) for v in rng.uniform(-5.0, 15.0, len(hours))]
+        got = provider._storm_precip(hours, lats, lons)
+        assert sum(v > 0.0 for v in got) > len(got) // 3
+        assert got == [reference_storm_precip(40.0, 6, *p) for p in zip(hours, lats, lons)]
+
+    def test_rejects_bad_coordinates(self):
+        provider = SyntheticWeather(5.0, 1)
+        for ts, lat, lon in ((0.0, 90.5, 0.0), (0.0, 10.0, math.nan), (math.inf, 10.0, 0.0)):
+            with pytest.raises(ValueError, match="no weather"):
+                provider.cells_at([ts], [lat], [lon])
+
+
 class TestSynthField:
     def test_cell_count_is_grid_arithmetic(self):
         field = synth_weather_field((40.0, 50.0, 0.0, 10.0), (H0, H0 + timedelta(hours=2)), 5.0, 3)
@@ -124,6 +287,24 @@ class TestSynthField:
         a = synth_weather_field((40.0, 41.0, 5.0, 6.0), (H0, H0 + timedelta(hours=2)), 9.0, 3)
         b = synth_weather_field((40.0, 41.0, 5.0, 6.0), (H0, H0 + timedelta(hours=2)), 9.0, 3)
         assert list(a) == list(b)
+
+    def test_cells_match_scalar_reference(self):
+        # Spans a tile corner (40 N, 10 E) and two UTC days.
+        start = datetime(2023, 3, 5, 22, 0, tzinfo=timezone.utc)
+        field = synth_weather_field((39.5, 40.5, 9.5, 10.5), (start, start + timedelta(hours=4)), 20.0, 5)
+        assert len(field) == 4 * 10 * 10
+        for c in field:
+            p = GeoPosition(c.grid_lat_deg, c.grid_lon_deg)
+            assert c == reference_cell_at(20.0, 5, c.hour_utc, p)
+
+    def test_pinned_csv_hash(self, tmp_path):
+        # Recorded before the batch evaluation, with Python 3.11.7 and numpy 2.4.6.
+        start = datetime(2023, 3, 5, 22, 0, tzinfo=timezone.utc)
+        field = synth_weather_field((39.5, 40.5, 9.5, 10.5), (start, start + timedelta(hours=4)), 20.0, 5)
+        path = tmp_path / "wx.csv"
+        save_weather_csv(field, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "387a993993d67b57e00cf2eb7ebb7b32accaa8609835769fb4dbbac82d0dca40"
 
 
 class TestLookupNearest:
@@ -159,6 +340,31 @@ class TestLookupNearest:
             got = field.lookup_nearest(H0, p)
             center = GeoPosition(got.grid_lat_deg, got.grid_lon_deg)
             assert haversine_m(p, center) <= 7_900.0
+
+    def test_index_does_not_depend_on_cell_order(self):
+        field = synth_weather_field((40.0, 41.0, 5.0, 6.0), (H0, H0 + timedelta(hours=3)), 25.0, 11)
+        cells = list(field)
+        random.Random(4).shuffle(cells)
+        shuffled = WeatherField(cells)
+        rng = np.random.default_rng(5)
+        queries = [(H0 + timedelta(minutes=30), GeoPosition(40.05, 5.05)), (H0, GeoPosition(40.5, 5.5))]
+        queries += [
+            (H0 + timedelta(seconds=int(rng.integers(0, 3 * 3600))), GeoPosition(rng.uniform(40.0, 40.95), rng.uniform(5.0, 5.95)))
+            for _ in range(100)
+        ]
+        for at, p in queries:
+            want = brute_force_nearest(field, at, p)
+            assert shuffled.lookup_nearest(at, p) == want
+            assert field.lookup_nearest(at, p) == want
+
+    def test_cells_at_gives_none_for_gaps(self):
+        field = self.field()
+        inside = (H0 + timedelta(minutes=40), GeoPosition(41.23, 6.71))
+        ts = [inside[0].timestamp(), (H0 + timedelta(hours=5)).timestamp(), H0.timestamp(), H0.timestamp()]
+        lats = [41.23, 41.0, 45.0, 41.0]
+        lons = [6.71, 6.0, 6.0, 12.0]
+        got = field.cells_at(np.array(ts), np.array(lats), np.array(lons))
+        assert got == [field.lookup_nearest(*inside), None, None, None]
 
     def test_coverage_gap_errors(self):
         field = self.field()
