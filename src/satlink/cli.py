@@ -48,7 +48,16 @@ from .model import (
     save_model,
     train_gbm,
 )
-from .weather import SyntheticWeather, WeatherProvider, load_weather_csv, save_weather_csv, synth_weather_field
+from .weather import (
+    SyntheticWeather,
+    WeatherCell,
+    WeatherProvider,
+    _format_utc,
+    _utc_seconds,
+    load_weather_csv,
+    save_weather_csv,
+    synth_weather_field,
+)
 
 
 @dataclass(frozen=True)
@@ -115,17 +124,14 @@ class ExperimentReport:
     eval_report: EvalReport
     wall_seconds: float
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "spec": self.spec.to_dict(),
             "rows": self.rows,
             "train_rows": self.train_rows,
             "test_rows": self.test_rows,
             "eval": self.eval_report.to_dict(),
         }
-        if include_timing:
-            out["seconds"] = self.wall_seconds
-        return out
 
 
 def weather_provider_from_spec(weather: Optional[dict]) -> Optional[WeatherProvider]:
@@ -136,8 +142,13 @@ def weather_provider_from_spec(weather: Optional[dict]) -> Optional[WeatherProvi
     return SyntheticWeather(float(weather["storm_density"]), int(weather["seed"]))
 
 
-def build_experiment_dataset(records: Sequence[FlightLogRecord], spec: ExperimentSpec):
-    """Apply the spec's selection pipeline; returns (matrix, vocab)."""
+def select_rows(
+    records: Sequence[FlightLogRecord], spec: ExperimentSpec, provider: Optional[WeatherProvider]
+) -> tuple[list[FlightLogRecord], Optional[list[WeatherCell]]]:
+    """The spec's row selection, shared by training and evaluation: route
+    cut, altitude cut, satellite, labeled rows, then a weather join when
+    ``provider`` is given.  Returns the rows and their cells (``None``
+    without a join); raises ``ValueError`` when no row is left."""
     selected = list(records)
     if spec.top_routes is not None:
         _, selected = top_routes(selected, spec.top_routes)
@@ -146,12 +157,17 @@ def build_experiment_dataset(records: Sequence[FlightLogRecord], spec: Experimen
         selected = [r for r in selected if r.satellite_id == spec.satellite]
     selected = labeled(selected)
     cells = None
-    provider = weather_provider_from_spec(spec.weather)
     if provider is not None:
         joined = join_weather(selected, provider)
         selected, cells = joined.records, joined.cells
     if not selected:
         raise ValueError(f"experiment {spec.name!r} selects no labeled rows")
+    return selected, cells
+
+
+def build_experiment_dataset(records: Sequence[FlightLogRecord], spec: ExperimentSpec):
+    """Apply the spec's selection pipeline; returns (matrix, vocab)."""
+    selected, cells = select_rows(records, spec, weather_provider_from_spec(spec.weather))
     return encode_features(selected, cells=cells)
 
 
@@ -252,28 +268,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     records = load_records(args.data)
-    spec = (
-        ExperimentSpec.from_dict(_load_json(args.config))
-        if args.config
-        else ExperimentSpec()
-    )
-    selected = list(records)
-    if spec.top_routes is not None:
-        _, selected = top_routes(selected, spec.top_routes)
-    selected = filter_altitude(selected, spec.min_altitude_m, spec.max_altitude_m)
-    if spec.satellite is not None:
-        selected = [r for r in selected if r.satellite_id == spec.satellite]
-    selected = labeled(selected)
-    cells = None
-    needs_weather = "precip_mmh" in model.columns
-    provider = weather_provider_from_spec(spec.weather)
-    if needs_weather:
+    spec = ExperimentSpec.from_dict(_load_json(args.config)) if args.config else ExperimentSpec()
+    provider = None
+    if "precip_mmh" in model.columns:
+        provider = weather_provider_from_spec(spec.weather)
         if provider is None:
             raise ValueError("model was trained with weather columns; spec must name a weather source")
-        joined = join_weather(selected, provider)
-        selected, cells = joined.records, joined.cells
-    if not selected:
-        raise ValueError("no labeled rows to evaluate")
+    selected, cells = select_rows(records, spec, provider)
     matrix, _ = encode_features(selected, vocab=model.vocab, cells=cells)
     report = evaluate_classifier(model, matrix)
     _emit(report.to_dict(), args.out)
@@ -308,16 +309,17 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     model_by_sat, weather_model_by_sat, provider = _models_from_config(config)
     waypoints = parse_logs([args.plan])
     grid = forecast_route(model_by_sat, waypoints, provider, weather_model_by_sat or None)
+    times = _format_utc(_utc_seconds(r.log_date for r in waypoints))
     payload = {
         "waypoints": [
             {
-                "t": r.log_date.strftime("%Y-%m-%dT%H:%M:%SZ"),
+                "t": t,
                 "latitude": r.latitude_deg,
                 "longitude": r.longitude_deg,
                 "altitude_m": r.altitude_m,
                 "categories": {sat: cat.label for sat, cat in row.items()},
             }
-            for r, row in zip(waypoints, grid)
+            for t, r, row in zip(times, waypoints, grid)
         ]
     }
     _emit(payload, args.out)

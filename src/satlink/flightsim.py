@@ -11,7 +11,6 @@ to the 0-20 dB range of the receiver.  Everything is a pure function of
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -30,10 +29,10 @@ from .geometry import (
     haversine_m,
     slerp_track,
 )
-# save_logs is re-exported: it writes generate_flight's records in the
-# formats generate_dataset writes its columns in.
-from .ingest import CATEGORY_EDGES_DB, LOG_CSV_COLUMNS, CnrCategory, FlightLogRecord, save_logs
-from .weather import _TIME_FMT, CoverageGapError, SyntheticWeather, WeatherCell, WeatherProvider
+# save_logs is re-exported: it writes generate_flight's records with the
+# writer generate_dataset writes its columns with.
+from .ingest import CATEGORY_EDGES_DB, CnrCategory, FlightLogRecord, LogColumns, save_log_columns, save_logs
+from .weather import CoverageGapError, SyntheticWeather, WeatherCell, WeatherProvider, _format_utc
 
 __all__ = [
     "AntipodalRouteError",
@@ -235,22 +234,6 @@ def synth_cnr(
     return min(CNR_MAX_DB, max(CNR_MIN_DB, cnr))
 
 
-@dataclass(frozen=True)
-class _FlightLog:
-    """One flight's log as columns, one entry per logged minute."""
-
-    route: RouteSpec
-    flight_id: str
-    flight_start: datetime
-    flight_end: datetime
-    epoch_s: np.ndarray  # int64 log times
-    latitude_deg: np.ndarray
-    longitude_deg: np.ndarray
-    altitude_m: np.ndarray
-    satellite_id: np.ndarray  # object
-    cnr_db: np.ndarray  # NaN where no measurement exists
-
-
 def _simulate_flight(
     route: RouteSpec,
     sats: Sequence[GeoSatellite],
@@ -262,7 +245,7 @@ def _simulate_flight(
     min_log_altitude_m: float,
     climb_rate_mps: float,
     descent_rate_mps: float,
-) -> _FlightLog:
+) -> LogColumns:
     """:func:`generate_flight` as columns, in one array pass over the path."""
     if not sats:
         raise ValueError("at least one satellite is required")
@@ -272,8 +255,10 @@ def _simulate_flight(
     departure_time = departure_time.astimezone(timezone.utc)
     if departure_time.second or departure_time.microsecond:
         raise ValueError("departure_time must be minute-aligned")
+    start_s = int(departure_time.timestamp())
     if flight_id is None:
-        flight_id = f"{route.departure_airport}{route.arrival_airport}-{departure_time:%Y%m%d%H%M}"
+        stamp = "".join(filter(str.isdigit, _format_utc([start_s])[0][:16]))
+        flight_id = f"{route.departure_airport}{route.arrival_airport}-{stamp}"
 
     sats = sorted(sats, key=lambda s: s.satellite_id)
     times, lats, lons, alts = _path(route, 60.0, climb_rate_mps, descent_rate_mps)
@@ -285,7 +270,7 @@ def _simulate_flight(
 
     above_gate = np.flatnonzero(alts >= min_log_altitude_m)
     first = int(above_gate[0]) if above_gate.size else len(times)
-    epoch_s = int(departure_time.timestamp()) + times[first:].astype(np.int64)
+    epoch_s = start_s + times[first:].astype(np.int64)
     lats, lons, alts = lats[first:], lons[first:], alts[first:]
 
     rain = np.zeros(len(epoch_s))
@@ -293,8 +278,8 @@ def _simulate_flight(
         low = np.flatnonzero(alts < params.troposphere_ceiling_m)
         for i, cell in zip(low.tolist(), weather.cells_at(epoch_s[low], lats[low], lons[low])):
             if cell is None:
-                when = datetime.fromtimestamp(int(epoch_s[i]), timezone.utc)
-                raise CoverageGapError(f"flight {flight_id}: no weather at ({lats[i]}, {lons[i]}) on {when.isoformat()}")
+                when = _format_utc(epoch_s[i : i + 1])[0]
+                raise CoverageGapError(f"flight {flight_id}: no weather at ({lats[i]}, {lons[i]}) on {when}")
             rain[i] = cell.precipitation_mmh
 
     elevation = serving_elevation[first:]
@@ -310,103 +295,22 @@ def _simulate_flight(
         CNR_MIN_DB,
         CNR_MAX_DB,
     )
-    return _FlightLog(
-        route=route,
-        flight_id=flight_id,
-        flight_start=departure_time,
-        flight_end=departure_time + timedelta(seconds=float(times[-1])),
+    n = len(epoch_s)
+    return LogColumns(
         epoch_s=epoch_s,
+        flight_id=np.full(n, flight_id, dtype=object),
+        tail_number=np.full(n, route.tail_number, dtype=object),
+        airline_code=np.full(n, route.airline_code, dtype=object),
+        departure_airport=np.full(n, route.departure_airport, dtype=object),
+        arrival_airport=np.full(n, route.arrival_airport, dtype=object),
+        flight_start_s=np.full(n, start_s),
+        flight_end_s=np.full(n, start_s + int(times[-1])),
         latitude_deg=lats,
         longitude_deg=lons,
         altitude_m=alts,
         satellite_id=np.array([s.satellite_id for s in sats], dtype=object)[serving_idx[first:]],
         cnr_db=cnr,
     )
-
-
-def _check_log(log: _FlightLog) -> None:
-    """The checks :class:`FlightLogRecord` makes per row, on whole columns.
-    The first failing row raises ``ValueError``."""
-    n = len(log.epoch_s)
-    columns = (log.latitude_deg, log.longitude_deg, log.altitude_m, log.satellite_id, log.cnr_db)
-    if any(len(column) != n for column in columns):
-        raise ValueError(f"flight {log.flight_id}: log columns of unequal length")
-    lat, lon, cnr = log.latitude_deg, log.longitude_deg, log.cnr_db
-    checks = (
-        (log.epoch_s % 60 != 0, "log_date not minute-aligned"),
-        (
-            (log.epoch_s < log.flight_start.timestamp()) | (log.epoch_s > log.flight_end.timestamp()),
-            "log_date outside the flight interval",
-        ),
-        (~((lat >= -90.0) & (lat <= 90.0)), "latitude out of range"),
-        (~((lon >= -180.0) & (lon < 180.0)), "longitude out of [-180, 180)"),
-        (~(log.altitude_m >= 0.0), "altitude must be >= 0"),
-        ((cnr < 0.0) | (cnr > 20.0), "cnr_db out of [0, 20]"),
-    )
-    for bad, message in checks:
-        if bad.any():
-            raise ValueError(f"flight {log.flight_id} row {int(np.argmax(bad))}: {message}")
-
-
-def _records(log: _FlightLog) -> list[FlightLogRecord]:
-    route = log.route
-    return [
-        FlightLogRecord(
-            log_date=datetime.fromtimestamp(t, timezone.utc),
-            flight_id=log.flight_id,
-            tail_number=route.tail_number,
-            airline_code=route.airline_code,
-            departure_airport=route.departure_airport,
-            arrival_airport=route.arrival_airport,
-            flight_start_time=log.flight_start,
-            flight_end_time=log.flight_end,
-            latitude_deg=lat,
-            longitude_deg=lon,
-            altitude_m=alt,
-            satellite_id=sat,
-            cnr_db=None if math.isnan(cnr) else cnr,
-        )
-        for t, lat, lon, alt, sat, cnr in zip(
-            log.epoch_s.tolist(),
-            log.latitude_deg.tolist(),
-            log.longitude_deg.tolist(),
-            log.altitude_m.tolist(),
-            log.satellite_id.tolist(),
-            log.cnr_db.tolist(),
-        )
-    ]
-
-
-def _write_log(log: _FlightLog, path: str) -> list[str]:
-    """Check one flight's columns and write its CSV with the formats of
-    :func:`save_logs`.  Returns the ``cnr_db`` cells as written."""
-    _check_log(log)
-    route = log.route
-    per_flight = (
-        log.flight_id,
-        route.tail_number,
-        route.airline_code,
-        route.departure_airport,
-        route.arrival_airport,
-        log.flight_start.strftime(_TIME_FMT),
-        log.flight_end.strftime(_TIME_FMT),
-    )
-    # Whole UTC seconds print as strftime prints them, for years 1000-9999.
-    log_dates = np.datetime_as_string(log.epoch_s.astype("datetime64[s]")).tolist()
-    cnr_cells = ["" if math.isnan(v) else f"{v:.3f}" for v in log.cnr_db.tolist()]
-    columns = zip(
-        log_dates,
-        [f"{v:.6f}" for v in log.latitude_deg.tolist()],
-        [f"{v:.6f}" for v in log.longitude_deg.tolist()],
-        [f"{v:.1f}" for v in log.altitude_m.tolist()],
-        log.satellite_id.tolist(),
-        cnr_cells,
-    )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOG_CSV_COLUMNS)
-        writer.writerows((date + "Z", *per_flight, lat, lon, alt, sat, cnr) for date, lat, lon, alt, sat, cnr in columns)
-    return cnr_cells
 
 
 def generate_flight(
@@ -430,20 +334,10 @@ def generate_flight(
     weather lookup, which raises :class:`CoverageGapError` on a gap.  The
     same seed always reproduces the same records.
     """
-    return _records(
-        _simulate_flight(
-            route,
-            sats,
-            weather,
-            params,
-            seed,
-            departure_time,
-            flight_id,
-            min_log_altitude_m,
-            climb_rate_mps,
-            descent_rate_mps,
-        )
+    log = _simulate_flight(
+        route, sats, weather, params, seed, departure_time, flight_id, min_log_altitude_m, climb_rate_mps, descent_rate_mps
     )
+    return log.to_records()
 
 
 class ConfigError(ValueError):
@@ -644,7 +538,7 @@ def generate_dataset(config: GenerationConfig, out_dir: str) -> dict:
                 config.descent_rate_mps,
             )
             rel_path = f"flights/{flight_id}.csv"
-            cnr_cells = _write_log(log, os.path.join(out_dir, rel_path))
+            cnr_cells = save_log_columns(log, os.path.join(out_dir, rel_path))
             files.append({"file": rel_path, "flight_id": flight_id, "rows": len(cnr_cells)})
             total_rows += len(cnr_cells)
             # Labels of the values as written, which is what a parse reads.

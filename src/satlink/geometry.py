@@ -96,12 +96,18 @@ def haversine_m(a: GeoPosition, b: GeoPosition) -> float:
 
     Altitude is ignored; the result is the arc length on the Earth sphere.
     """
-    lat1 = math.radians(a.latitude_deg)
-    lat2 = math.radians(b.latitude_deg)
+    return float(_haversine_m(a, b.latitude_deg, b.longitude_deg))
+
+
+def _haversine_m(a: GeoPosition, lat_deg, lon_deg):
+    """:func:`haversine_m` from ``a`` to points given in degrees, as one
+    number or a numpy array of them."""
+    lat1 = np.radians(a.latitude_deg)
+    lat2 = np.radians(lat_deg)
     dlat = lat2 - lat1
-    dlon = math.radians(b.longitude_deg - a.longitude_deg)
-    h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(h)))
+    dlon = np.radians(np.subtract(lon_deg, a.longitude_deg))
+    h = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 
 
 def geo_look_angles(p: GeoPosition, sat: GeoSatellite) -> LookAngles:

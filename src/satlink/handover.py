@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
 from .ingest import (
     CnrCategory,
     FeatureMatrix,
@@ -24,7 +26,7 @@ from .ingest import (
     encode_features,
 )
 from .model.gbm import GbmModel, predict_labels
-from .weather import CoverageGapError, WeatherCell, WeatherProvider
+from .weather import WeatherCell, WeatherProvider, _format_utc, _utc_seconds
 
 
 @dataclass(frozen=True)
@@ -170,7 +172,11 @@ def forecast_route(
         "all": (list(range(len(waypoints))), None)
     }
     if wx_models:
-        cells = [_cell_or_none(weather, r) for r in waypoints]
+        cells = weather.cells_at(
+            np.array([r.log_date.timestamp() for r in waypoints]),
+            np.array([r.latitude_deg for r in waypoints]),
+            np.array([r.longitude_deg for r in waypoints]),
+        )
         covered = [i for i, c in enumerate(cells) if c is not None]
         parts["covered"] = (covered, [cells[i] for i in covered])
         parts["uncovered"] = ([i for i, c in enumerate(cells) if c is None], None)
@@ -207,13 +213,6 @@ def forecast_route(
     return grid
 
 
-def _cell_or_none(weather: WeatherProvider, r: FlightLogRecord) -> Optional[WeatherCell]:
-    try:
-        return weather.cell_at(r.log_date, r.position)
-    except CoverageGapError:
-        return None
-
-
 @dataclass
 class HoReport:
     """Outcome of simulating the policy over one flight."""
@@ -225,15 +224,11 @@ class HoReport:
     final_state: Optional[HoState] = None
 
     def to_dict(self) -> dict:
+        times = _format_utc(_utc_seconds(e.time for e in self.switches))
         return {
             "switches": [
-                {
-                    "t": e.time.strftime("%Y-%m-%dT%H:%M:%SZ"),
-                    "from": e.from_satellite,
-                    "to": e.to_satellite,
-                    "reason": e.reason,
-                }
-                for e in self.switches
+                {"t": t, "from": e.from_satellite, "to": e.to_satellite, "reason": e.reason}
+                for t, e in zip(times, self.switches)
             ],
             "outage_minutes": self.outage_minutes,
             "baseline_outage_minutes": self.baseline_outage_minutes,

@@ -14,8 +14,8 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass
-from datetime import datetime, timezone
+from dataclasses import dataclass, fields
+from datetime import datetime, timedelta, timezone
 from enum import IntEnum
 from operator import attrgetter
 from typing import Iterable, Optional, Sequence
@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .geometry import GeoPosition, normalize_lon
-from .weather import _TIME_FMT, WeatherCell, WeatherProvider, _parse_utc
+from .weather import WeatherCell, WeatherProvider, _format_utc, _parse_utc, _utc_seconds
 
 
 class CnrCategory(IntEnum):
@@ -180,29 +180,114 @@ def parse_logs(paths: Sequence[str]) -> list[FlightLogRecord]:
     return records
 
 
-def save_logs(records: Iterable[FlightLogRecord], path: str) -> None:
-    """Write records using the canonical column formats, one row per record."""
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_TIME_COLUMNS = ("epoch_s", "flight_start_s", "flight_end_s")
+
+
+@dataclass(frozen=True)
+class LogColumns:
+    """Flight-log rows as columns, one entry per row, in CSV column order.
+
+    Times are whole UTC epoch seconds (int64), text columns object arrays,
+    and a missing CNR is NaN.
+    """
+
+    epoch_s: np.ndarray
+    flight_id: np.ndarray
+    tail_number: np.ndarray
+    airline_code: np.ndarray
+    departure_airport: np.ndarray
+    arrival_airport: np.ndarray
+    flight_start_s: np.ndarray
+    flight_end_s: np.ndarray
+    latitude_deg: np.ndarray
+    longitude_deg: np.ndarray
+    altitude_m: np.ndarray
+    satellite_id: np.ndarray
+    cnr_db: np.ndarray
+
+    @classmethod
+    def from_records(cls, records: Iterable[FlightLogRecord]) -> "LogColumns":
+        rows = list(records)
+
+        def column(attr: str, dtype=object) -> np.ndarray:
+            return np.array([getattr(r, attr) for r in rows], dtype=dtype)
+
+        return cls(
+            epoch_s=_utc_seconds(r.log_date for r in rows),
+            flight_id=column("flight_id"),
+            tail_number=column("tail_number"),
+            airline_code=column("airline_code"),
+            departure_airport=column("departure_airport"),
+            arrival_airport=column("arrival_airport"),
+            flight_start_s=_utc_seconds(r.flight_start_time for r in rows),
+            flight_end_s=_utc_seconds(r.flight_end_time for r in rows),
+            latitude_deg=column("latitude_deg", float),
+            longitude_deg=column("longitude_deg", float),
+            altitude_m=column("altitude_m", float),
+            satellite_id=column("satellite_id"),
+            cnr_db=column("cnr_db", float),  # None becomes NaN
+        )
+
+    def to_records(self) -> list[FlightLogRecord]:
+        columns = {f.name: getattr(self, f.name).tolist() for f in fields(self)}
+        for name in _TIME_COLUMNS:
+            columns[name] = [_EPOCH + timedelta(seconds=s) for s in columns[name]]
+        # The fields are in FlightLogRecord's order, cnr_db last.
+        return [FlightLogRecord(*row[:-1], None if math.isnan(row[-1]) else row[-1]) for row in zip(*columns.values())]
+
+
+def _check_log(log: LogColumns) -> None:
+    """The checks :class:`FlightLogRecord` makes per row, on whole columns.
+    The first failing row raises ``ValueError``."""
+    lengths = {len(getattr(log, f.name)) for f in fields(log)}
+    if len(lengths) > 1:
+        raise ValueError(f"log columns of unequal length: {sorted(lengths)}")
+    lat, lon, cnr = log.latitude_deg, log.longitude_deg, log.cnr_db
+    checks = (
+        (log.epoch_s % 60 != 0, "log_date not minute-aligned"),
+        ((log.epoch_s < log.flight_start_s) | (log.epoch_s > log.flight_end_s), "log_date outside the flight interval"),
+        (~((lat >= -90.0) & (lat <= 90.0)), "latitude out of range"),
+        (~((lon >= -180.0) & (lon < 180.0)), "longitude out of [-180, 180)"),
+        (~(log.altitude_m >= 0.0), "altitude must be >= 0"),
+        ((cnr < 0.0) | (cnr > 20.0), "cnr_db out of [0, 20]"),
+    )
+    for bad, message in checks:
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise ValueError(f"flight {log.flight_id[row]} row {row}: {message}")
+
+
+def save_log_columns(log: LogColumns, path: str) -> list[str]:
+    """Check the columns, then write them as a flight-log CSV in the
+    canonical formats.  Returns the ``cnr_db`` cells as written."""
+    _check_log(log)
+    cnr_cells = ["" if math.isnan(v) else f"{v:.3f}" for v in log.cnr_db.tolist()]
+    rows = zip(
+        _format_utc(log.epoch_s),
+        log.flight_id.tolist(),
+        log.tail_number.tolist(),
+        log.airline_code.tolist(),
+        log.departure_airport.tolist(),
+        log.arrival_airport.tolist(),
+        _format_utc(log.flight_start_s),
+        _format_utc(log.flight_end_s),
+        [f"{v:.6f}" for v in log.latitude_deg.tolist()],
+        [f"{v:.6f}" for v in log.longitude_deg.tolist()],
+        [f"{v:.1f}" for v in log.altitude_m.tolist()],
+        log.satellite_id.tolist(),
+        cnr_cells,
+    )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(LOG_CSV_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.log_date.strftime(_TIME_FMT),
-                    r.flight_id,
-                    r.tail_number,
-                    r.airline_code,
-                    r.departure_airport,
-                    r.arrival_airport,
-                    r.flight_start_time.strftime(_TIME_FMT),
-                    r.flight_end_time.strftime(_TIME_FMT),
-                    f"{r.latitude_deg:.6f}",
-                    f"{r.longitude_deg:.6f}",
-                    f"{r.altitude_m:.1f}",
-                    r.satellite_id,
-                    "" if r.cnr_db is None else f"{r.cnr_db:.3f}",
-                ]
-            )
+        writer.writerows(rows)
+    return cnr_cells
+
+
+def save_logs(records: Iterable[FlightLogRecord], path: str) -> None:
+    """Write records with :func:`save_log_columns`."""
+    save_log_columns(LogColumns.from_records(records), path)
 
 
 def labeled(records: Iterable[FlightLogRecord]) -> list[FlightLogRecord]:

@@ -29,7 +29,7 @@ from typing import Iterable, Optional, Protocol
 
 import numpy as np
 
-from .geometry import EARTH_RADIUS_M, GeoPosition, normalize_lon
+from .geometry import GeoPosition, _haversine_m, normalize_lon
 
 GRID_DEG = 0.1
 _HOUR_S = 3600
@@ -116,15 +116,6 @@ class WeatherProvider(Protocol):
         ...
 
 
-def _haversine_vec(p: GeoPosition, lats_deg: np.ndarray, lons_deg: np.ndarray) -> np.ndarray:
-    lat1 = math.radians(p.latitude_deg)
-    lat2 = np.radians(lats_deg)
-    dlat = lat2 - lat1
-    dlon = np.radians(lons_deg - p.longitude_deg)
-    h = np.sin(dlat / 2.0) ** 2 + math.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
-
-
 class WeatherField:
     """An immutable set of weather cells with nearest-cell lookup.
 
@@ -192,7 +183,7 @@ class WeatherField:
         if not (self.lon_bounds[0] - margin <= p.longitude_deg <= self.lon_bounds[1] + margin):
             raise CoverageGapError(f"longitude {p.longitude_deg} outside weather coverage")
         lats, lons, group = self._by_hour[int(self._hours[i])]
-        d = _haversine_vec(p, lats, lons)
+        d = _haversine_m(p, lats, lons)
         # Groups are pre-sorted by (lat, lon); argmin keeps the first of ties.
         return group[int(np.argmin(d))]
 
@@ -430,22 +421,37 @@ WEATHER_CSV_COLUMNS = [
     "wind_mps",
 ]
 
-_TIME_FMT = "%Y-%m-%dT%H:%M:%SZ"
-
-
 def _parse_utc(text: str) -> datetime:
     return datetime.fromisoformat(text.replace("Z", "+00:00")).astimezone(timezone.utc)
 
 
+def _format_utc(epoch_s) -> list[str]:
+    """``YYYY-MM-DDTHH:MM:SSZ`` for whole UTC epoch seconds, the one format
+    every written time uses.  The year is padded to four digits, so
+    :func:`_parse_utc` reads back every year, 1-999 included.  Each
+    distinct time is formatted once."""
+    distinct, index = np.unique(np.asarray(epoch_s, dtype=np.int64), return_inverse=True)
+    texts = [text + "Z" for text in np.datetime_as_string(distinct.astype("datetime64[s]")).tolist()]
+    return [texts[i] for i in index.tolist()]
+
+
+def _utc_seconds(times: Iterable[datetime]) -> np.ndarray:
+    """Timezone-aware datetimes as whole UTC epoch seconds; fractions of a
+    second are dropped."""
+    return np.array([_require_utc(t).replace(tzinfo=None) for t in times], dtype="datetime64[s]").astype(np.int64)
+
+
 def save_weather_csv(field: WeatherField, path: str) -> None:
     """Write a field in key order with fixed decimal formatting."""
+    cells = list(field)
+    hours = _format_utc(_utc_seconds(cell.hour_utc for cell in cells))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(WEATHER_CSV_COLUMNS)
-        for cell in field:
+        for hour, cell in zip(hours, cells):
             writer.writerow(
                 [
-                    cell.hour_utc.strftime(_TIME_FMT),
+                    hour,
                     f"{cell.grid_lat_deg:.1f}",
                     f"{cell.grid_lon_deg:.1f}",
                     f"{cell.precipitation_mmh:.6f}",

@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from satlink.cli import ExperimentSpec, main
+from satlink.cli import ExperimentSpec, _policy_from_dict, main
+from satlink.flightsim import GenerationConfig
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SMALL_HP = {"n_rounds": 10, "max_depth": 3}
 
@@ -143,6 +146,73 @@ class TestTrainEval:
         ])
         assert code == 0
         assert 0.0 <= json.loads(out.read_text())["weighted_f1"] <= 1.0
+
+
+def train_and_eval(spec, data_dir, tmp_path, eval_spec=None):
+    """Train ``spec`` and evaluate the model on the same data with
+    ``eval_spec`` (default: the training spec); returns (train report,
+    eval exit code, eval report or None)."""
+    spec_path, eval_path = tmp_path / "spec.json", tmp_path / "eval_spec.json"
+    spec_path.write_text(json.dumps(spec))
+    eval_path.write_text(json.dumps(spec if eval_spec is None else eval_spec))
+    model, report, out = tmp_path / "m.json", tmp_path / "r.json", tmp_path / "e.json"
+    assert main(["train", "--config", str(spec_path), "--data", data_dir, "--out", str(model), "--report", str(report)]) == 0
+    code = main(["eval", "--model", str(model), "--data", data_dir, "--config", str(eval_path), "--out", str(out)])
+    return json.loads(report.read_text()), code, json.loads(out.read_text()) if code == 0 else None
+
+
+class TestEvalSelection:
+    """``eval`` selects rows as ``train`` does."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"name": "high", "min_altitude_m": 6000, "hyperparams": SMALL_HP, "test_fraction": 0.34, "seed": 5},
+            {"name": "low+wx", "max_altitude_m": 3000, "weather": {"storm_density": 6.0, "seed": 13},
+             "hyperparams": SMALL_HP, "seed": 5},
+        ],
+    )
+    def test_eval_with_the_training_spec_sees_the_training_rows(self, spec, small_corpus, tmp_path, capsys):
+        report, code, evaluated = train_and_eval(spec, small_corpus["dir"], tmp_path)
+        assert code == 0
+        assert evaluated["n_rows"] == report["rows"]
+
+    def test_weather_model_without_weather_source_is_named_error(self, small_corpus, tmp_path, capsys):
+        spec = {"name": "low+wx", "max_altitude_m": 3000, "weather": {"storm_density": 6.0, "seed": 13},
+                "hyperparams": SMALL_HP, "seed": 5}
+        no_weather = {k: v for k, v in spec.items() if k != "weather"}
+        _, code, _ = train_and_eval(spec, small_corpus["dir"], tmp_path, eval_spec=no_weather)
+        assert code == 1
+        assert "model was trained with weather columns; spec must name a weather source" in capsys.readouterr().err
+
+
+class TestShippedConfigs:
+    """Each file under configs/ parses with the parser its subcommand uses."""
+
+    def load(self, name):
+        return json.loads((CONFIGS / name).read_text())
+
+    def test_every_config_is_covered(self):
+        assert sorted(p.name for p in CONFIGS.glob("*.json")) == [
+            "demo_experiment.json", "demo_generation.json", "demo_hosim.json", "demo_matrix.json",
+        ]
+
+    def test_generation_config(self):
+        config = GenerationConfig.from_dict(self.load("demo_generation.json"))
+        assert config.routes and config.satellites and config.weather is not None
+
+    def test_experiment_config(self):
+        assert ExperimentSpec.from_dict(self.load("demo_experiment.json")).name
+
+    def test_matrix_rows(self):
+        rows = self.load("demo_matrix.json")["rows"]
+        assert rows
+        assert all(ExperimentSpec.from_dict(row).name for row in rows)
+
+    def test_hosim_policy(self):
+        config = self.load("demo_hosim.json")
+        assert config["models"]
+        _policy_from_dict(config["policy"])
 
 
 class TestMatrix:

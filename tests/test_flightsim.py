@@ -32,7 +32,7 @@ from satlink.flightsim import (
     synth_cnr,
 )
 from satlink.geometry import GeoPosition, GeoSatellite, elevations_deg, geo_look_angles, haversine_m
-from satlink.ingest import FlightLogRecord, bin_cnr, save_logs
+from satlink.ingest import FlightLogRecord, bin_cnr, save_log_columns, save_logs
 from satlink.weather import CoverageGapError, SyntheticWeather, WeatherCell, synth_weather_field
 
 from test_weather import ReferenceWeather
@@ -159,7 +159,7 @@ def write_both(log, records) -> tuple[bytes, bytes]:
     """The columnar writer's bytes and save_logs's, for the same flight."""
     with tempfile.TemporaryDirectory() as tmp:
         columnar, per_row = Path(tmp, "columnar.csv"), Path(tmp, "per_row.csv")
-        flightsim._write_log(log, str(columnar))
+        save_log_columns(log, str(columnar))
         save_logs(records, per_row)
         return columnar.read_bytes(), per_row.read_bytes()
 
@@ -334,7 +334,7 @@ class TestLogColumnChecks:
         [
             (lambda: replace(valid_log(), cnr_db=valid_log().cnr_db[:-1]), "unequal length"),
             (lambda: with_value("epoch_s", 4, int(T0.timestamp()) + 4 * 60 + 30), "minute-aligned"),
-            (lambda: with_value("epoch_s", -1, int(valid_log().flight_end.timestamp()) + 60), "outside the flight interval"),
+            (lambda: with_value("epoch_s", -1, int(valid_log().flight_end_s[-1]) + 60), "outside the flight interval"),
             (lambda: with_value("epoch_s", 0, int(T0.timestamp()) - 60), "outside the flight interval"),
             (lambda: with_value("latitude_deg", 7, 90.5), "latitude"),
             (lambda: with_value("latitude_deg", 7, math.nan), "latitude"),
@@ -347,12 +347,12 @@ class TestLogColumnChecks:
     def test_bad_column_raises_and_writes_nothing(self, bad, message, tmp_path):
         path = tmp_path / "f.csv"
         with pytest.raises(ValueError, match=message):
-            flightsim._write_log(bad(), str(path))
+            save_log_columns(bad(), str(path))
         assert not path.exists()
 
     def test_valid_log_writes_the_bytes_save_logs_writes(self):
         log = valid_log()
-        columnar, per_row = write_both(log, flightsim._records(log))
+        columnar, per_row = write_both(log, log.to_records())
         assert columnar == per_row
 
 
@@ -628,6 +628,19 @@ class TestGenerateDataset:
         assert manifest["labeled_rows"] == sum(manifest["category_counts"].values())
         on_disk = json.loads((root / "manifest.json").read_text())
         assert on_disk == manifest
+
+    def test_year_999_dataset_reads_back(self, tmp_path):
+        config = replace(
+            demo_config(flights_per_route=1, seed=3, weather=None),
+            start_date=datetime(999, 3, 1, tzinfo=timezone.utc),
+            routes=tuple(demo_route_plans()[3:4]),
+        )
+        manifest = generate_dataset(config, str(tmp_path))
+        records = load_records(str(tmp_path))
+        assert len(records) == manifest["rows"] > 0
+        assert {(r.log_date.year, r.flight_start_time.year, r.flight_end_time.year) for r in records} == {(999, 999, 999)}
+        first_row = (tmp_path / manifest["files"][0]["file"]).read_text().splitlines()[1]
+        assert first_row.startswith("0999-") and ",0999-" in first_row
 
     def test_zero_flights_is_success_with_empty_manifest(self, tmp_path):
         config = demo_config(flights_per_route=0, seed=1)

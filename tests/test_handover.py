@@ -320,6 +320,11 @@ class PartialCoverage:
             raise CoverageGapError(f"no cell at {t.isoformat()}")
         return self.inner.cell_at(t, p)
 
+    def cells_at(self, epoch_s, lat_deg, lon_deg):
+        minutes = (np.asarray(epoch_s) // 60 % 60).tolist()
+        cells = self.inner.cells_at(epoch_s, lat_deg, lon_deg)
+        return [None if minute % 3 == 0 else cell for minute, cell in zip(minutes, cells)]
+
 
 @pytest.fixture(scope="module")
 def demo_forecast_setup(small_corpus):

@@ -153,6 +153,20 @@ class TestParseLogs:
         with pytest.raises(ValueError, match="outside flight interval"):
             record(minute=-5)
 
+    def test_year_999_round_trips(self, tmp_path):
+        start = datetime(999, 12, 31, 23, 0, tzinfo=timezone.utc)
+        rows = [
+            FlightLogRecord(
+                start + timedelta(minutes=m), "F1", "Z-1", "ZZ", "AAA", "BBB",
+                start, start + timedelta(hours=2), 10.0, 20.0, 11000.0, "I5F1", 8.5,
+            )
+            for m in (0, 61, 120)
+        ]
+        path = tmp_path / "old.csv"
+        save_logs(rows, path)
+        assert path.read_text().splitlines()[1].startswith("0999-12-31T23:00:00Z,F1,")
+        assert parse_logs([str(path)]) == rows
+
 
 class TestFilterAltitude:
     def recs(self):

@@ -16,6 +16,9 @@ from satlink.weather import (
     WeatherCell,
     WeatherCsvError,
     WeatherField,
+    _format_utc,
+    _parse_utc,
+    _utc_seconds,
     load_weather_csv,
     save_weather_csv,
     synth_weather_field,
@@ -390,6 +393,22 @@ class TestWeatherCsv:
         second = tmp_path / "wx2.csv"
         save_weather_csv(loaded, second)
         assert path.read_bytes() == second.read_bytes()
+
+    def test_year_999_round_trips(self, tmp_path):
+        start = datetime(999, 12, 31, 22, tzinfo=timezone.utc)
+        field = synth_weather_field((40.0, 40.2, 5.0, 5.2), (start, start + timedelta(hours=3)), 20.0, 5)
+        path = tmp_path / "wx.csv"
+        save_weather_csv(field, path)
+        assert path.read_text().splitlines()[1].startswith("0999-12-31T22:00:00Z,")
+        assert list(load_weather_csv(path)) == list(field)
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59), timezones=st.just(timezone.utc)))
+    def test_time_format_is_strftime_for_years_1000_on_and_reads_back(self, t):
+        text = _format_utc(_utc_seconds([t]))[0]
+        if t.year >= 1000:
+            assert text == t.strftime("%Y-%m-%dT%H:%M:%SZ")
+        assert _parse_utc(text) == t.replace(microsecond=0)
 
     def test_malformed_rows_reported_with_line_numbers(self, tmp_path):
         path = tmp_path / "bad.csv"
