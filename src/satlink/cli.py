@@ -31,6 +31,7 @@ from .handover import HoPolicy, forecast_route, simulate_handover
 from .ingest import (
     CnrCategory,
     FlightLogRecord,
+    LogColumns,
     encode_features,
     filter_altitude,
     join_weather,
@@ -53,7 +54,6 @@ from .weather import (
     WeatherCell,
     WeatherProvider,
     _format_utc,
-    _utc_seconds,
     load_weather_csv,
     save_weather_csv,
     synth_weather_field,
@@ -143,36 +143,36 @@ def weather_provider_from_spec(weather: Optional[dict]) -> Optional[WeatherProvi
 
 
 def select_rows(
-    records: Sequence[FlightLogRecord], spec: ExperimentSpec, provider: Optional[WeatherProvider]
-) -> tuple[list[FlightLogRecord], Optional[list[WeatherCell]]]:
+    records: LogColumns | Sequence[FlightLogRecord], spec: ExperimentSpec, provider: Optional[WeatherProvider]
+) -> tuple[LogColumns, Optional[list[WeatherCell]]]:
     """The spec's row selection, shared by training and evaluation: route
     cut, altitude cut, satellite, labeled rows, then a weather join when
     ``provider`` is given.  Returns the rows and their cells (``None``
     without a join); raises ``ValueError`` when no row is left."""
-    selected = list(records)
+    selected = records
     if spec.top_routes is not None:
         _, selected = top_routes(selected, spec.top_routes)
     selected = filter_altitude(selected, spec.min_altitude_m, spec.max_altitude_m)
     if spec.satellite is not None:
-        selected = [r for r in selected if r.satellite_id == spec.satellite]
+        selected = selected.take(selected.satellite_id == spec.satellite)
     selected = labeled(selected)
     cells = None
     if provider is not None:
         joined = join_weather(selected, provider)
         selected, cells = joined.records, joined.cells
-    if not selected:
+    if not len(selected):
         raise ValueError(f"experiment {spec.name!r} selects no labeled rows")
     return selected, cells
 
 
-def build_experiment_dataset(records: Sequence[FlightLogRecord], spec: ExperimentSpec):
+def build_experiment_dataset(records: LogColumns | Sequence[FlightLogRecord], spec: ExperimentSpec):
     """Apply the spec's selection pipeline; returns (matrix, vocab)."""
     selected, cells = select_rows(records, spec, weather_provider_from_spec(spec.weather))
     return encode_features(selected, cells=cells)
 
 
 def run_experiment(
-    records: Sequence[FlightLogRecord], spec: ExperimentSpec
+    records: LogColumns | Sequence[FlightLogRecord], spec: ExperimentSpec
 ) -> tuple[ExperimentReport, GbmModel]:
     """Filter, split per flight, train, and evaluate one experiment row."""
     started = time.perf_counter()
@@ -193,7 +193,7 @@ def run_experiment(
     )
 
 
-def load_records(data_dir: str) -> list[FlightLogRecord]:
+def load_records(data_dir: str) -> LogColumns:
     """All flight logs under ``data_dir`` (or its ``flights/`` subdir)."""
     flights_dir = os.path.join(data_dir, "flights")
     root = flights_dir if os.path.isdir(flights_dir) else data_dir
@@ -309,17 +309,23 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     model_by_sat, weather_model_by_sat, provider = _models_from_config(config)
     waypoints = parse_logs([args.plan])
     grid = forecast_route(model_by_sat, waypoints, provider, weather_model_by_sat or None)
-    times = _format_utc(_utc_seconds(r.log_date for r in waypoints))
+    columns = zip(
+        _format_utc(waypoints.epoch_s),
+        waypoints.latitude_deg.tolist(),
+        waypoints.longitude_deg.tolist(),
+        waypoints.altitude_m.tolist(),
+        grid,
+    )
     payload = {
         "waypoints": [
             {
                 "t": t,
-                "latitude": r.latitude_deg,
-                "longitude": r.longitude_deg,
-                "altitude_m": r.altitude_m,
+                "latitude": lat,
+                "longitude": lon,
+                "altitude_m": alt,
                 "categories": {sat: cat.label for sat, cat in row.items()},
             }
-            for t, r, row in zip(times, waypoints, grid)
+            for t, lat, lon, alt, row in columns
         ]
     }
     _emit(payload, args.out)

@@ -30,8 +30,8 @@ def normalize_lon(lon_deg: float) -> float:
         return lon_deg
     lon = math.fmod(lon_deg + 180.0, 360.0)
     if lon < 0.0:
-        lon += 360.0
-    return lon - 180.0
+        lon += 360.0  # rounds to 360.0 for a remainder within an ulp below 0
+    return lon - 180.0 if lon < 360.0 else -180.0
 
 
 @dataclass(frozen=True)

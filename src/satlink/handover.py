@@ -18,11 +18,13 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .ingest import (
+    CATEGORY_EDGES_DB,
     CnrCategory,
     FeatureMatrix,
     FlightLogRecord,
+    LogColumns,
     Vocabulary,
-    bin_cnr,
+    _columns,
     encode_features,
 )
 from .model.gbm import GbmModel, predict_labels
@@ -144,7 +146,7 @@ def step(
 
 def forecast_route(
     model_by_sat: Mapping[str, GbmModel],
-    waypoints: Sequence[FlightLogRecord],
+    waypoints: LogColumns | Sequence[FlightLogRecord],
     weather: Optional[WeatherProvider] = None,
     weather_model_by_sat: Optional[Mapping[str, GbmModel]] = None,
 ) -> list[dict[str, CnrCategory]]:
@@ -157,29 +159,26 @@ def forecast_route(
     """
     if not model_by_sat:
         raise ValueError("at least one satellite model is required")
-    for a, b in zip(waypoints, waypoints[1:]):
-        if b.log_date <= a.log_date:
-            raise ValueError("waypoints must be strictly time-ordered")
-    grid: list[dict[str, CnrCategory]] = [{} for _ in waypoints]
-    if not waypoints:
+    waypoints = _columns(waypoints)
+    if (np.diff(waypoints.epoch_s) <= 0).any():
+        raise ValueError("waypoints must be strictly time-ordered")
+    grid: list[dict[str, CnrCategory]] = [{} for _ in range(len(waypoints))]
+    if not grid:
         return grid
 
     wx_models = {
         sat: m for sat, m in (weather_model_by_sat or {}).items()
         if weather is not None and sat in model_by_sat and m is not None
     }
-    parts: dict[str, tuple[list[int], Optional[list[WeatherCell]]]] = {
-        "all": (list(range(len(waypoints))), None)
+    parts: dict[str, tuple[list[int], LogColumns, Optional[list[WeatherCell]]]] = {
+        "all": (list(range(len(waypoints))), waypoints, None)
     }
     if wx_models:
-        cells = weather.cells_at(
-            np.array([r.log_date.timestamp() for r in waypoints]),
-            np.array([r.latitude_deg for r in waypoints]),
-            np.array([r.longitude_deg for r in waypoints]),
-        )
+        cells = weather.cells_at(waypoints.epoch_s.astype(float), waypoints.latitude_deg, waypoints.longitude_deg)
         covered = [i for i, c in enumerate(cells) if c is not None]
-        parts["covered"] = (covered, [cells[i] for i in covered])
-        parts["uncovered"] = ([i for i, c in enumerate(cells) if c is None], None)
+        uncovered = [i for i, c in enumerate(cells) if c is None]
+        parts["covered"] = (covered, waypoints.take(covered), [cells[i] for i in covered])
+        parts["uncovered"] = (uncovered, waypoints.take(uncovered), None)
 
     # One encoding per part of the route and distinct vocabulary; only the
     # satellite column differs between satellites.
@@ -189,10 +188,8 @@ def forecast_route(
         for seen, matrix in encoded.setdefault(part, []):
             if seen == vocab:
                 return matrix
-        rows, cells = parts[part]
-        matrix, _ = encode_features(
-            [waypoints[i] for i in rows], vocab=vocab, cells=cells, for_prediction=True
-        )
+        _, rows, cells = parts[part]
+        matrix, _ = encode_features(rows, vocab=vocab, cells=cells, for_prediction=True)
         encoded[part].append((vocab, matrix))
         return matrix
 
@@ -203,12 +200,12 @@ def forecast_route(
         else:
             plan = [("all", model_by_sat[sat])]
         for part, model in plan:
-            rows = parts[part][0]
-            if not rows:
+            index = parts[part][0]
+            if not index:
                 continue
             matrix = encode(part, model.vocab)
             matrix.X[:, matrix.columns.index("satellite_id")] = model.vocab.encode("satellite_id", sat)
-            for i, label in zip(rows, predict_labels(model, matrix).tolist()):
+            for i, label in zip(index, predict_labels(model, matrix).tolist()):
                 grid[i][sat] = categories[label]
     return grid
 
@@ -235,13 +232,8 @@ class HoReport:
         }
 
 
-def _is_outage(cnr_db: Optional[float]) -> bool:
-    # No measurement means no usable link; count it with the Bad minutes.
-    return cnr_db is None or bin_cnr(cnr_db) == CnrCategory.BAD
-
-
 def simulate_handover(
-    records: Sequence[FlightLogRecord],
+    records: LogColumns | Sequence[FlightLogRecord],
     model_by_sat: Optional[Mapping[str, GbmModel]] = None,
     policy: HoPolicy = HoPolicy(),
     truth: Optional[Mapping[str, Sequence[Optional[float]]]] = None,
@@ -266,19 +258,28 @@ def simulate_handover(
     elif len(predictions) != len(records):
         raise ValueError(f"{len(predictions)} prediction rows for {len(records)} records")
 
-    if not records:
+    if not len(records):
         return HoReport(switches=[], steps=0, outage_minutes=None, baseline_outage_minutes=None)
     initial = initial_satellite or records[0].satellite_id
     state = HoState(serving_satellite=initial)
+    serving = []
+    for record, categories in zip(records, predictions):
+        state, _ = step(state, record.log_date, categories, policy)
+        serving.append(state.serving_satellite)
 
-    outage = baseline_outage = 0 if truth is not None else None
-    for i, record in enumerate(records):
-        state, _ = step(state, record.log_date, predictions[i], policy)
-        if truth is not None:
-            if _is_outage(truth[state.serving_satellite][i]):
-                outage += 1
-            if _is_outage(truth[initial][i]):
-                baseline_outage += 1
+    outage = baseline_outage = None
+    if truth is not None:
+        # No measurement (None, NaN) means no usable link; count it with the Bad minutes.
+        cnr = {sat: np.array(values, dtype=float) for sat, values in truth.items()}
+        for sat, v in cnr.items():
+            if v.shape != (len(serving),) or np.isinf(v).any():
+                raise ValueError(f"truth for {sat} needs one finite CNR or None per minute")
+        down = {
+            sat: (np.isnan(v) | (np.searchsorted(CATEGORY_EDGES_DB, v, side="right") == CnrCategory.BAD)).tolist()
+            for sat, v in cnr.items()
+        }
+        outage = sum(down[sat][i] for i, sat in enumerate(serving))
+        baseline_outage = sum(down[initial])
 
     return HoReport(
         switches=list(state.event_log),

@@ -18,12 +18,12 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from enum import IntEnum
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .geometry import GeoPosition, normalize_lon
-from .weather import WeatherCell, WeatherProvider, _format_utc, _parse_utc, _utc_seconds
+from .weather import _EPOCH, _SECOND, WeatherCell, WeatherProvider, _format_utc, _parse_utc, _utc_seconds
 
 
 class CnrCategory(IntEnum):
@@ -99,8 +99,11 @@ class FlightLogRecord:
             t = getattr(self, name)
             if t.tzinfo is None:
                 raise ValueError(f"{name} must be timezone-aware")
-            object.__setattr__(self, name, t.astimezone(timezone.utc))
-        if self.log_date.second or self.log_date.microsecond:
+            t = t.astimezone(timezone.utc)
+            if t.microsecond:
+                raise ValueError(f"{name} not in whole seconds: {t.isoformat()}")
+            object.__setattr__(self, name, t)
+        if self.log_date.second:
             raise ValueError(f"log_date not minute-aligned: {self.log_date.isoformat()}")
         if not self.flight_start_time <= self.log_date <= self.flight_end_time:
             raise ValueError(
@@ -109,8 +112,10 @@ class FlightLogRecord:
             )
         if not -90.0 <= self.latitude_deg <= 90.0:
             raise ValueError(f"latitude out of range: {self.latitude_deg}")
+        if not math.isfinite(self.longitude_deg):
+            raise ValueError(f"longitude not finite: {self.longitude_deg}")
         object.__setattr__(self, "longitude_deg", normalize_lon(self.longitude_deg))
-        if self.altitude_m < 0.0:
+        if not self.altitude_m >= 0.0:
             raise ValueError(f"altitude must be >= 0: {self.altitude_m}")
         if self.cnr_db is not None and not 0.0 <= self.cnr_db <= 20.0:
             raise ValueError(f"cnr_db out of [0, 20]: {self.cnr_db}")
@@ -134,54 +139,9 @@ class LogParseError(ValueError):
         super().__init__(f"{len(errors)} bad log rows: {detail}{more}")
 
 
-def parse_logs(paths: Sequence[str]) -> list[FlightLogRecord]:
-    """Parse one or more flight-log CSVs.
-
-    Either every row parses, or a :class:`LogParseError` reports all bad
-    lines across all files at once.
-    """
-    records: list[FlightLogRecord] = []
-    errors: list[tuple[str, int, str]] = []
-    for path in paths:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != LOG_CSV_COLUMNS:
-                errors.append((str(path), 1, f"bad header {header!r}"))
-                continue
-            for line_no, row in enumerate(reader, start=2):
-                if len(row) != len(LOG_CSV_COLUMNS):
-                    errors.append(
-                        (str(path), line_no, f"expected {len(LOG_CSV_COLUMNS)} fields, got {len(row)}")
-                    )
-                    continue
-                try:
-                    records.append(
-                        FlightLogRecord(
-                            log_date=_parse_utc(row[0]),
-                            flight_id=row[1],
-                            tail_number=row[2],
-                            airline_code=row[3],
-                            departure_airport=row[4],
-                            arrival_airport=row[5],
-                            flight_start_time=_parse_utc(row[6]),
-                            flight_end_time=_parse_utc(row[7]),
-                            latitude_deg=float(row[8]),
-                            longitude_deg=float(row[9]),
-                            altitude_m=float(row[10]),
-                            satellite_id=row[11],
-                            cnr_db=float(row[12]) if row[12] != "" else None,
-                        )
-                    )
-                except ValueError as exc:
-                    errors.append((str(path), line_no, str(exc)))
-    if errors:
-        raise LogParseError(errors)
-    return records
-
-
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_TIME_COLUMNS = ("epoch_s", "flight_start_s", "flight_end_s")
+#: Positions of the time and number columns, the same in the CSV and both row types.
+_TIME_INDEX = (0, 6, 7)
+_NUMBER_INDEX = (8, 9, 10, 12)
 
 
 @dataclass(frozen=True)
@@ -189,7 +149,8 @@ class LogColumns:
     """Flight-log rows as columns, one entry per row, in CSV column order.
 
     Times are whole UTC epoch seconds (int64), text columns object arrays,
-    and a missing CNR is NaN.
+    and a missing CNR is NaN.  Indexing with an int and iterating yield
+    :class:`FlightLogRecord` rows.
     """
 
     epoch_s: np.ndarray
@@ -209,42 +170,55 @@ class LogColumns:
     @classmethod
     def from_records(cls, records: Iterable[FlightLogRecord]) -> "LogColumns":
         rows = list(records)
-
-        def column(attr: str, dtype=object) -> np.ndarray:
-            return np.array([getattr(r, attr) for r in rows], dtype=dtype)
-
-        return cls(
-            epoch_s=_utc_seconds(r.log_date for r in rows),
-            flight_id=column("flight_id"),
-            tail_number=column("tail_number"),
-            airline_code=column("airline_code"),
-            departure_airport=column("departure_airport"),
-            arrival_airport=column("arrival_airport"),
-            flight_start_s=_utc_seconds(r.flight_start_time for r in rows),
-            flight_end_s=_utc_seconds(r.flight_end_time for r in rows),
-            latitude_deg=column("latitude_deg", float),
-            longitude_deg=column("longitude_deg", float),
-            altitude_m=column("altitude_m", float),
-            satellite_id=column("satellite_id"),
-            cnr_db=column("cnr_db", float),  # None becomes NaN
-        )
+        columns = [list(map(attrgetter(f.name), rows)) for f in fields(FlightLogRecord)]
+        return cls(*(
+            _utc_seconds(values) if i in _TIME_INDEX
+            else np.array(values, dtype=float if i in _NUMBER_INDEX else object)  # None becomes NaN
+            for i, values in enumerate(columns)
+        ))
 
     def to_records(self) -> list[FlightLogRecord]:
-        columns = {f.name: getattr(self, f.name).tolist() for f in fields(self)}
-        for name in _TIME_COLUMNS:
-            columns[name] = [_EPOCH + timedelta(seconds=s) for s in columns[name]]
-        # The fields are in FlightLogRecord's order, cnr_db last.
-        return [FlightLogRecord(*row[:-1], None if math.isnan(row[-1]) else row[-1]) for row in zip(*columns.values())]
+        """The rows as records.  The column rules are the checks a record
+        makes, so they run once here and each record skips its own."""
+        _check_log(self)
+        columns = [getattr(self, f.name).tolist() for f in fields(self)]
+        times = {s: _EPOCH + timedelta(seconds=s) for s in set().union(*(columns[i] for i in _TIME_INDEX))}
+        for i in _TIME_INDEX:
+            columns[i] = [times[s] for s in columns[i]]
+        columns[-1] = [None if math.isnan(v) else v for v in columns[-1]]
+        names = [f.name for f in fields(FlightLogRecord)]
+        records = []
+        for row in zip(*columns):
+            record = object.__new__(FlightLogRecord)
+            record.__dict__.update(zip(names, row))
+            records.append(record)
+        return records
+
+    def __len__(self) -> int:
+        return len(self.epoch_s)
+
+    def take(self, index) -> "LogColumns":
+        """The rows at ``index``, integer positions or a boolean mask."""
+        return LogColumns(*(getattr(self, f.name)[index] for f in fields(self)))
+
+    def __getitem__(self, row: int) -> FlightLogRecord:
+        return self.take([row]).to_records()[0]
+
+    def __iter__(self) -> Iterator[FlightLogRecord]:
+        return iter(self.to_records())
 
 
-def _check_log(log: LogColumns) -> None:
-    """The checks :class:`FlightLogRecord` makes per row, on whole columns.
-    The first failing row raises ``ValueError``."""
-    lengths = {len(getattr(log, f.name)) for f in fields(log)}
-    if len(lengths) > 1:
-        raise ValueError(f"log columns of unequal length: {sorted(lengths)}")
+def _columns(records: LogColumns | Iterable[FlightLogRecord]) -> LogColumns:
+    """``records`` as columns: converted once when they are records."""
+    return records if isinstance(records, LogColumns) else LogColumns.from_records(records)
+
+
+def _bad_rows(log: LogColumns) -> dict[int, str]:
+    """The rules every log row keeps (the checks :class:`FlightLogRecord`
+    makes per row), on whole columns: each row that breaks one, with the
+    message of the first it breaks."""
     lat, lon, cnr = log.latitude_deg, log.longitude_deg, log.cnr_db
-    checks = (
+    rules = (
         (log.epoch_s % 60 != 0, "log_date not minute-aligned"),
         ((log.epoch_s < log.flight_start_s) | (log.epoch_s > log.flight_end_s), "log_date outside the flight interval"),
         (~((lat >= -90.0) & (lat <= 90.0)), "latitude out of range"),
@@ -252,10 +226,108 @@ def _check_log(log: LogColumns) -> None:
         (~(log.altitude_m >= 0.0), "altitude must be >= 0"),
         ((cnr < 0.0) | (cnr > 20.0), "cnr_db out of [0, 20]"),
     )
-    for bad, message in checks:
-        if bad.any():
-            row = int(np.argmax(bad))
-            raise ValueError(f"flight {log.flight_id[row]} row {row}: {message}")
+    bad: dict[int, str] = {}
+    for broken, message in rules:
+        for row in np.flatnonzero(broken).tolist():
+            bad.setdefault(row, message)
+    return bad
+
+
+def _check_log(log: LogColumns) -> None:
+    """Raise ``ValueError`` for unequal column lengths or on the first row
+    that breaks a rule of :func:`_bad_rows`."""
+    lengths = {len(getattr(log, f.name)) for f in fields(log)}
+    if len(lengths) > 1:
+        raise ValueError(f"log columns of unequal length: {sorted(lengths)}")
+    bad = _bad_rows(log)
+    if bad:
+        row = min(bad)
+        raise ValueError(f"flight {log.flight_id[row]} row {row}: {bad[row]}")
+
+
+def _utc_cell(text: str) -> int:
+    return (_parse_utc(text) - _EPOCH) // _SECOND
+
+
+def _cnr_cell(text: str) -> float:
+    """An empty cell is a minute without a measurement, NaN in the column."""
+    value = float(text) if text else math.nan
+    if math.isnan(value) and text:
+        raise ValueError(f"cnr_db out of [0, 20]: {text}")
+    return value
+
+
+def _parse_column(texts: Sequence[str], parse, dtype, bad: dict[int, str], memo=None) -> np.ndarray:
+    """``parse`` over a column's cells, once per distinct text; ``memo``
+    (values, errors) carries what earlier calls parsed.  A text ``parse``
+    rejects is 0 and marks its rows in ``bad``."""
+    values, errors = ({}, {}) if memo is None else memo
+    for text in {text for text in texts if text not in values}:
+        try:
+            values[text] = parse(text)
+        except ValueError as exc:
+            values[text], errors[text] = 0, str(exc)
+    if errors:
+        for row, text in enumerate(texts):
+            if text in errors:
+                bad.setdefault(row, errors[text])
+    return np.array(list(map(values.__getitem__, texts)), dtype=dtype)
+
+
+def _parse_rows(rows: Sequence[Sequence[str]], times: tuple[dict, dict]) -> tuple[LogColumns, dict[int, str]]:
+    """One file's rows as columns, with each bad row's first error in the
+    order a record would raise it.  ``times`` is the memo of every time
+    text parsed so far."""
+    bad: dict[int, str] = {}
+    cells = list(zip(*rows)) or [()] * len(LOG_CSV_COLUMNS)
+    log = LogColumns(*(
+        _parse_column(texts, _utc_cell, np.int64, bad, times) if i in _TIME_INDEX
+        else _parse_column(texts, _cnr_cell if i == 12 else float, np.float64, bad) if i in _NUMBER_INDEX
+        else _parse_column(texts, str, object, bad)  # one string object per distinct text
+        for i, texts in enumerate(cells)
+    ))
+    lon = log.longitude_deg
+    wrap = np.isfinite(lon) & ~((lon >= -180.0) & (lon < 180.0))
+    lon[wrap] = [normalize_lon(v) for v in lon[wrap].tolist()]
+    for row, message in _bad_rows(log).items():
+        bad.setdefault(row, message)
+    return log, bad
+
+
+def parse_logs(paths: Sequence[str]) -> LogColumns:
+    """Parse one or more flight-log CSVs into columns.
+
+    Either every row parses and keeps the rules of :func:`_check_log`, or a
+    :class:`LogParseError` reports every bad line of every file at once, in
+    file and line order.  Times need ``Z`` or an offset and whole seconds
+    (see :func:`_parse_utc`); longitudes are wrapped into [-180, 180) as
+    :func:`normalize_lon` does, and an empty ``cnr_db`` cell is NaN.
+    """
+    paths = [str(path) for path in paths]
+    times: tuple[dict, dict] = ({}, {})  # each distinct time text is parsed once, in any file
+    parts = [_parse_rows([], times)[0]]  # gives the columns their dtypes when no file has rows
+    errors: list[tuple[int, int, str]] = []  # (file index, line, message)
+    for index, path in enumerate(paths):
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != LOG_CSV_COLUMNS:
+                errors.append((index, 1, f"bad header {header!r}"))
+                continue
+            rows, lines = [], []
+            for line_no, row in enumerate(reader, start=2):
+                if len(row) != len(LOG_CSV_COLUMNS):
+                    errors.append((index, line_no, f"expected {len(LOG_CSV_COLUMNS)} fields, got {len(row)}"))
+                    continue
+                rows.append(row)
+                lines.append(line_no)
+        # One file at a time, so only one file's cell texts are alive at once.
+        log, bad = _parse_rows(rows, times)
+        errors += [(index, lines[row], message) for row, message in bad.items()]
+        parts.append(log)
+    if errors:
+        raise LogParseError([(paths[index], line, message) for index, line, message in sorted(errors)])
+    return LogColumns(*(np.concatenate([getattr(part, f.name) for part in parts]) for f in fields(LogColumns)))
 
 
 def save_log_columns(log: LogColumns, path: str) -> list[str]:
@@ -285,55 +357,58 @@ def save_log_columns(log: LogColumns, path: str) -> list[str]:
     return cnr_cells
 
 
-def save_logs(records: Iterable[FlightLogRecord], path: str) -> None:
-    """Write records with :func:`save_log_columns`."""
-    save_log_columns(LogColumns.from_records(records), path)
+def save_logs(records: LogColumns | Iterable[FlightLogRecord], path: str) -> None:
+    """Write rows with :func:`save_log_columns`."""
+    save_log_columns(_columns(records), path)
 
 
-def labeled(records: Iterable[FlightLogRecord]) -> list[FlightLogRecord]:
+def labeled(records: LogColumns | Iterable[FlightLogRecord]) -> LogColumns:
     """Only the rows that carry a CNR measurement."""
-    return [r for r in records if r.cnr_db is not None]
+    log = _columns(records)
+    return log.take(~np.isnan(log.cnr_db))
 
 
 def filter_altitude(
-    records: Iterable[FlightLogRecord],
+    records: LogColumns | Iterable[FlightLogRecord],
     min_m: Optional[float] = None,
     max_m: Optional[float] = None,
-) -> list[FlightLogRecord]:
-    """Keep records with min_m < altitude < max_m (both strict).
+) -> LogColumns:
+    """Keep rows with min_m < altitude < max_m (both strict).
 
     Rows exactly at a threshold belong to neither side of the cut.
     """
     if min_m is not None and max_m is not None and not min_m < max_m:
         raise ValueError(f"min_m must be < max_m, got {min_m} >= {max_m}")
-    out = []
-    for r in records:
-        if min_m is not None and not r.altitude_m > min_m:
-            continue
-        if max_m is not None and not r.altitude_m < max_m:
-            continue
-        out.append(r)
-    return out
+    log = _columns(records)
+    keep = np.ones(len(log), dtype=bool)
+    if min_m is not None:
+        keep &= log.altitude_m > min_m
+    if max_m is not None:
+        keep &= log.altitude_m < max_m
+    return log.take(keep)
 
 
 def top_routes(
-    records: Sequence[FlightLogRecord], k: int
-) -> tuple[list[tuple[str, str]], list[FlightLogRecord]]:
-    """The k directional (departure, arrival) routes with the most records.
+    records: LogColumns | Iterable[FlightLogRecord], k: int
+) -> tuple[list[tuple[str, str]], LogColumns]:
+    """The k directional (departure, arrival) routes with the most rows.
 
     Ties rank lexicographically by route key.  Returns the winning keys and
-    the input records restricted to them, in their original order.
+    the input rows restricted to them, in their original order.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    counts: dict[tuple[str, str], int] = {}
-    for r in records:
-        key = (r.departure_airport, r.arrival_airport)
-        counts[key] = counts.get(key, 0) + 1
-    ranked = sorted(counts, key=lambda key: (-counts[key], key))
-    keep = ranked[:k]
-    keep_set = set(keep)
-    return keep, [r for r in records if (r.departure_airport, r.arrival_airport) in keep_set]
+    log = _columns(records)
+    dep, arr = log.departure_airport.tolist(), log.arrival_airport.tolist()
+    deps, arrs = sorted(set(dep)), sorted(set(arr))
+    dep_id = {token: i for i, token in enumerate(deps)}
+    arr_id = {token: i for i, token in enumerate(arrs)}
+    # Both id sets are sorted, so route codes sort as the route keys do.
+    code = np.array([dep_id[d] * len(arrs) + arr_id[a] for d, a in zip(dep, arr)], dtype=np.int64)
+    routes, counts = np.unique(code, return_counts=True)
+    ranked = routes[np.argsort(-counts, kind="stable")[:k]]
+    keep = [(deps[c // len(arrs)], arrs[c % len(arrs)]) for c in ranked.tolist()]
+    return keep, log.take(np.isin(code, ranked))
 
 
 @dataclass(frozen=True)
@@ -345,7 +420,7 @@ class JoinReport:
 
 @dataclass(frozen=True)
 class JoinResult:
-    records: list[FlightLogRecord]
+    records: LogColumns
     cells: list[WeatherCell]
     report: JoinReport
 
@@ -355,27 +430,24 @@ class JoinCoverageError(ValueError):
 
 
 def join_weather(
-    records: Sequence[FlightLogRecord], provider: WeatherProvider
+    records: LogColumns | Iterable[FlightLogRecord], provider: WeatherProvider
 ) -> JoinResult:
-    """Attach the nearest weather cell to every record, in one batch lookup.
+    """Attach the nearest weather cell to every row, in one batch lookup.
 
-    Records hitting a coverage gap are dropped and counted; losing more
-    than 10% of the input raises :class:`JoinCoverageError`, which usually
-    means the weather field does not belong to this dataset.
+    Rows hitting a coverage gap are dropped and counted; losing more than
+    10% of the input raises :class:`JoinCoverageError`, which usually means
+    the weather field does not belong to this dataset.
     """
-    found = provider.cells_at(
-        np.array([r.log_date.timestamp() for r in records], dtype=float),
-        np.array([r.latitude_deg for r in records], dtype=float),
-        np.array([r.longitude_deg for r in records], dtype=float),
-    )
-    kept = [r for r, cell in zip(records, found) if cell is not None]
+    log = _columns(records)
+    found = provider.cells_at(log.epoch_s.astype(float), log.latitude_deg, log.longitude_deg)
+    hit = np.array([cell is not None for cell in found], dtype=bool)
     cells = [cell for cell in found if cell is not None]
-    report = JoinReport(total=len(records), attached=len(kept), dropped=len(records) - len(kept))
+    report = JoinReport(total=len(log), attached=len(cells), dropped=len(log) - len(cells))
     if report.total and report.dropped / report.total > 0.10:
         raise JoinCoverageError(
             f"{report.dropped}/{report.total} records outside weather coverage"
         )
-    return JoinResult(records=kept, cells=cells, report=report)
+    return JoinResult(records=log.take(hit), cells=cells, report=report)
 
 
 NUMERIC_COLUMNS = [
@@ -408,10 +480,11 @@ class Vocabulary:
     mappings: dict[str, dict[str, int]]
 
     @classmethod
-    def build(cls, records: Sequence[FlightLogRecord]) -> "Vocabulary":
+    def build(cls, records: LogColumns | Iterable[FlightLogRecord]) -> "Vocabulary":
+        log = _columns(records)
         mappings = {}
         for column in CATEGORICAL_COLUMNS:
-            tokens = sorted(set(map(attrgetter(column), records)))
+            tokens = sorted(set(getattr(log, column).tolist()))
             mappings[column] = {tok: i for i, tok in enumerate(tokens, start=1)}
         return cls(mappings)
 
@@ -466,48 +539,47 @@ class FeatureMatrix:
 
 
 def encode_features(
-    records: Sequence[FlightLogRecord],
+    records: LogColumns | Iterable[FlightLogRecord],
     vocab: Optional[Vocabulary] = None,
     cells: Optional[Sequence[WeatherCell]] = None,
     for_prediction: bool = False,
 ) -> tuple[FeatureMatrix, Vocabulary]:
-    """Turn records (optionally weather-joined) into a feature matrix.
+    """Turn rows (optionally weather-joined) into a feature matrix.
 
-    In training mode every record must carry a CNR measurement and the
+    In training mode every row must carry a CNR measurement and the
     vocabulary is built here when not supplied.  In prediction mode a
     vocabulary is mandatory, labels are not produced, and unseen category
     tokens map to the reserved unknown id.  Numeric features pass through
     unscaled; trees do not care about monotone rescaling.
     """
+    log = _columns(records)
     if for_prediction and vocab is None:
         raise ValueError("prediction mode requires a stored vocabulary")
-    if cells is not None and len(cells) != len(records):
-        raise ValueError(f"{len(cells)} weather cells for {len(records)} records")
+    if cells is not None and len(cells) != len(log):
+        raise ValueError(f"{len(cells)} weather cells for {len(log)} records")
     if not for_prediction:
-        unlabeled = sum(1 for r in records if r.cnr_db is None)
+        unlabeled = int(np.isnan(log.cnr_db).sum())
         if unlabeled:
             raise ValueError(f"{unlabeled} records without CNR cannot be labeled")
     if vocab is None:
-        vocab = Vocabulary.build(records)
+        vocab = Vocabulary.build(log)
 
     columns = list(NUMERIC_COLUMNS)
     if cells is not None:
         columns += WEATHER_COLUMNS
     columns += CATEGORICAL_COLUMNS
-    X = np.empty((len(records), len(columns)), dtype=np.float64)
+    X = np.empty((len(log), len(columns)), dtype=np.float64)
     # One column at a time, so only one column's temporaries are alive.
     out = dict(zip(columns, X.T))
-    out["latitude"][:] = [r.latitude_deg for r in records]
-    out["longitude"][:] = [r.longitude_deg for r in records]
-    out["altitude_m"][:] = [r.altitude_m for r in records]
-    # Log dates are whole minutes, so their epoch seconds are exact.
-    epoch_s = np.array([r.log_date.timestamp() for r in records], dtype=np.int64)
-    out["minute_of_day"][:] = epoch_s % 86400 // 60
-    day = epoch_s.astype("datetime64[s]").astype("datetime64[D]")
+    out["latitude"][:] = log.latitude_deg
+    out["longitude"][:] = log.longitude_deg
+    out["altitude_m"][:] = log.altitude_m
+    out["minute_of_day"][:] = log.epoch_s % 86400 // 60
+    day = log.epoch_s.astype("datetime64[s]").astype("datetime64[D]")
     out["day_of_year"][:] = (day - day.astype("datetime64[Y]")).astype(np.int64) + 1
-    # Timedelta seconds, as exact as before for sub-second flight times.
-    elapsed_s = np.array([(r.log_date - r.flight_start_time).total_seconds() for r in records])
-    duration_s = np.array([(r.flight_end_time - r.flight_start_time).total_seconds() for r in records])
+    # Whole seconds, so both differences are exact as floats.
+    elapsed_s = (log.epoch_s - log.flight_start_s).astype(np.float64)
+    duration_s = (log.flight_end_s - log.flight_start_s).astype(np.float64)
     out["flight_fraction"][:] = 0.0
     np.divide(elapsed_s, duration_s, out=out["flight_fraction"], where=duration_s > 0)
     if cells is not None:
@@ -515,16 +587,15 @@ def encode_features(
             out[column][:] = [getattr(c, attr) for c in cells]
     for column in CATEGORICAL_COLUMNS:
         ids = vocab.mappings[column]
-        out[column][:] = [ids.get(token, UNKNOWN_ID) for token in map(attrgetter(column), records)]
+        out[column][:] = [ids.get(token, UNKNOWN_ID) for token in getattr(log, column).tolist()]
 
     if for_prediction:
         y = y_cnr = None
     else:
-        y_cnr = np.array([r.cnr_db for r in records], dtype=np.float64)
+        y_cnr = log.cnr_db.astype(np.float64)
         # Edges are lower-inclusive, as in bin_cnr.
         y = np.searchsorted(CATEGORY_EDGES_DB, y_cnr, side="right").astype(np.int8)
-    flight_ids = np.array([r.flight_id for r in records], dtype=object)
-    matrix = FeatureMatrix(tuple(columns), X, y, y_cnr, flight_ids, vocab)
+    matrix = FeatureMatrix(tuple(columns), X, y, y_cnr, log.flight_id.copy(), vocab)
     return matrix, vocab
 
 

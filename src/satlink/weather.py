@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from itertools import groupby, product
 from typing import Iterable, Optional, Protocol
 
@@ -422,7 +422,16 @@ WEATHER_CSV_COLUMNS = [
 ]
 
 def _parse_utc(text: str) -> datetime:
-    return datetime.fromisoformat(text.replace("Z", "+00:00")).astimezone(timezone.utc)
+    """An ISO 8601 time as a UTC datetime.  The text must carry ``Z`` or an
+    offset, since a time without one would be read as the host's local
+    time, and whole seconds, which is all a log's epoch seconds can hold."""
+    t = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    if t.tzinfo is None:
+        raise ValueError(f"time without Z or an offset: {text!r}")
+    t = t.astimezone(timezone.utc)
+    if t.microsecond:
+        raise ValueError(f"time not in whole seconds: {text!r}")
+    return t
 
 
 def _format_utc(epoch_s) -> list[str]:
@@ -435,10 +444,19 @@ def _format_utc(epoch_s) -> list[str]:
     return [texts[i] for i in index.tolist()]
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_SECOND = timedelta(seconds=1)
+
+
 def _utc_seconds(times: Iterable[datetime]) -> np.ndarray:
-    """Timezone-aware datetimes as whole UTC epoch seconds; fractions of a
-    second are dropped."""
-    return np.array([_require_utc(t).replace(tzinfo=None) for t in times], dtype="datetime64[s]").astype(np.int64)
+    """Timezone-aware datetimes as whole UTC epoch seconds, each distinct
+    time converted once; fractions of a second are dropped."""
+    times = list(times)
+    try:
+        seconds = {t: (t - _EPOCH) // _SECOND for t in set(times)}
+    except TypeError:  # a naive datetime does not subtract from an aware one
+        raise ValueError("times must be timezone-aware") from None
+    return np.array(list(map(seconds.__getitem__, times)), dtype=np.int64)
 
 
 def save_weather_csv(field: WeatherField, path: str) -> None:

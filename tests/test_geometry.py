@@ -44,6 +44,10 @@ class TestGeoPosition:
         assert GeoPosition(0.0, -180.0).longitude_deg == -180.0
         assert GeoPosition(0.0, 180.0).longitude_deg == -180.0
 
+    def test_longitude_one_ulp_below_minus_180_wraps_to_minus_180(self):
+        # Its remainder -2**-45 plus 360 rounds to 360.0, which is 180.0 shifted back.
+        assert GeoPosition(0.0, float(np.nextafter(-180.0, -181.0))).longitude_deg == -180.0
+
     @pytest.mark.parametrize("lat,lon,alt", [(91.0, 0.0, 0.0), (-90.5, 0.0, 0.0), (0.0, 0.0, -1.0)])
     def test_rejects_bad_fields(self, lat, lon, alt):
         with pytest.raises(ValueError):

@@ -240,6 +240,19 @@ class TestSimulate:
         report = simulate_handover(records, predictions=predictions, truth=truth)
         assert report.outage_minutes == 1
 
+    def test_outage_is_a_truly_bad_or_unmeasured_minute(self):
+        # Bad is below 6 dB; 6 dB itself is Weak.
+        records = [record(minute=i, flight_id="S1", sat="A") for i in range(4)]
+        truth = {"A": [6.0, float(np.nextafter(6.0, 0.0)), None, float("nan")]}
+        report = simulate_handover(records, predictions=[{"A": GOOD}] * 4, truth=truth)
+        assert (report.outage_minutes, report.baseline_outage_minutes) == (3, 3)
+
+    def test_truth_needs_one_finite_value_or_none_per_minute(self):
+        records, truth, predictions = two_satellite_flight()
+        for bad in ({**truth, "B": truth["B"][:-1]}, {**truth, "B": [float("inf")] * len(records)}):
+            with pytest.raises(ValueError, match="truth for B"):
+                simulate_handover(records, predictions=predictions, truth=bad)
+
     def test_report_json_shape(self):
         records, truth, predictions = two_satellite_flight()
         report = simulate_handover(

@@ -1,4 +1,6 @@
 import math
+import time
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from satlink.cli import load_records
 from satlink.flightsim import DEFAULT_LINK_PARAMS, demo_route_plans, demo_satellites, generate_flight
-from satlink.geometry import GeoPosition, haversine_m
+from satlink.geometry import GeoPosition, haversine_m, normalize_lon
 from satlink.ingest import (
     CATEGORICAL_COLUMNS,
     CATEGORY_EDGES_DB,
@@ -20,7 +22,9 @@ from satlink.ingest import (
     FlightLogRecord,
     JoinCoverageError,
     LOG_CSV_COLUMNS,
+    LogColumns,
     LogParseError,
+    _check_log,
     Vocabulary,
     bin_cnr,
     encode_features,
@@ -32,7 +36,14 @@ from satlink.ingest import (
     split_by_flight,
     top_routes,
 )
-from satlink.weather import SyntheticWeather, WeatherCell, synth_weather_field
+from satlink.weather import (
+    SyntheticWeather,
+    WeatherCell,
+    WeatherCsvError,
+    _parse_utc,
+    load_weather_csv,
+    synth_weather_field,
+)
 
 from conftest import make_matrix
 
@@ -119,7 +130,7 @@ class TestParseLogs:
     def test_header_only_file_is_empty_success(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text(",".join(LOG_CSV_COLUMNS) + "\n")
-        assert parse_logs([str(path)]) == []
+        assert parse_logs([str(path)]).to_records() == []
 
     def test_empty_cnr_cell_parses_as_missing(self, tmp_path):
         path = tmp_path / "gap.csv"
@@ -165,7 +176,213 @@ class TestParseLogs:
         path = tmp_path / "old.csv"
         save_logs(rows, path)
         assert path.read_text().splitlines()[1].startswith("0999-12-31T23:00:00Z,F1,")
-        assert parse_logs([str(path)]) == rows
+        assert parse_logs([str(path)]).to_records() == rows
+
+
+    def test_bad_lines_of_every_file_come_in_file_and_line_order(self, tmp_path):
+        headless = tmp_path / "a.csv"
+        headless.write_text("not,a,header\n")
+        rows = tmp_path / "b.csv"
+        save_logs([record(minute=0), record(minute=1), record(minute=2)], rows)
+        lines = rows.read_text().splitlines()
+        lines[1] = lines[1].replace(",10.000000,", ",north,")  # latitude is no number
+        lines[2] = lines[2] + ",extra"
+        rows.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LogParseError) as err:
+            parse_logs([str(headless), str(rows)])
+        reported = [(path, line) for path, line, _ in err.value.errors]
+        assert reported == [(str(headless), 1), (str(rows), 2), (str(rows), 3)]
+        messages = [message for _, _, message in err.value.errors]
+        assert "header" in messages[0] and "north" in messages[1] and "fields" in messages[2]
+
+    def test_nan_cnr_cell_is_a_bad_line_and_empty_cell_is_missing(self, tmp_path):
+        path = tmp_path / "f.csv"
+        save_logs([record(minute=0, cnr=None), record(minute=1)], path)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",nan"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LogParseError) as err:
+            parse_logs([str(path)])
+        assert [(line, "cnr_db" in message) for _, line, message in err.value.errors] == [(3, True)]
+
+    def test_longitudes_wrap_as_a_record_wraps_them(self, tmp_path):
+        path = tmp_path / "f.csv"
+        lons = [180.0, 190.0, -190.5, 540.0, float(np.nextafter(-180.0, -181.0)), -180.0, 179.5]
+        save_logs([record(minute=i) for i in range(len(lons))], path)
+        lines = path.read_text().splitlines()
+        lines[1:] = [line.replace(",20.000000,", f",{lon!r},") for line, lon in zip(lines[1:], lons)]
+        path.write_text("\n".join(lines) + "\n")
+        parsed = parse_logs([str(path)]).longitude_deg.tolist()
+        assert parsed == [record(lon=lon).longitude_deg for lon in lons]
+        assert parsed == [-180.0, -170.0, 169.5, -180.0, -180.0, -180.0, 179.5]
+
+    def test_rows_are_not_built_from_columns_that_break_a_rule(self):
+        log = LogColumns.from_records([record(minute=0), record(minute=1)])
+        log.latitude_deg[1] = 91.0
+        with pytest.raises(ValueError, match="row 1: latitude"):
+            log.to_records()
+
+    def test_row_access_matches_the_records(self, tmp_path):
+        recs = [record(minute=i, alt=float(1000 * i), cnr=None if i == 2 else 8.5) for i in range(5)]
+        path = tmp_path / "f.csv"
+        save_logs(recs, path)
+        log = parse_logs([str(path)])
+        assert len(log) == 5
+        assert list(log) == recs
+        assert log[0] == recs[0] and log[-1] == recs[-1] and log[2].cnr_db is None
+        assert log.take(log.altitude_m > 1500.0).to_records() == recs[2:]
+        assert log.take([3, 1]).to_records() == [recs[3], recs[1]]
+        for name in ("epoch_s", "flight_start_s", "latitude_deg", "satellite_id"):
+            assert getattr(LogColumns.from_records(recs), name).tolist() == getattr(log, name).tolist()
+
+
+@pytest.fixture
+def tokyo_time(monkeypatch):
+    """The host clock set to Asia/Tokyo (UTC+9) for the test."""
+    monkeypatch.setenv("TZ", "Asia/Tokyo")
+    time.tzset()
+    yield
+    monkeypatch.undo()
+    time.tzset()
+
+
+class TestTimeRules:
+    """Times carry a zone and whole seconds in every reader and in records."""
+
+    def test_zoneless_time_is_a_bad_line_not_host_time(self, tmp_path, tokyo_time):
+        path = tmp_path / "f.csv"
+        save_logs([record(minute=0), record(minute=1)], path)
+        text = path.read_text()
+        path.write_text(text.replace("2023-03-05T08:01:00Z", "2023-03-05T08:01:00", 1))
+        with pytest.raises(LogParseError) as err:
+            parse_logs([str(path)])
+        assert [(line, "without Z" in message) for _, line, message in err.value.errors] == [(3, True)]
+        with pytest.raises(ValueError, match="without Z"):
+            _parse_utc("2023-03-01T00:00:00")
+
+    def test_zoneless_weather_hour_is_a_bad_line(self, tmp_path, tokyo_time):
+        path = tmp_path / "wx.csv"
+        path.write_text(
+            "hour_utc,grid_lat,grid_lon,precip_mmh,cloud_pct,temp_c,wind_mps\n"
+            "2023-03-05T12:00:00Z,40.0,5.0,0.0,50.0,15.0,4.0\n"
+            "2023-03-05T13:00:00,40.0,5.0,0.0,50.0,15.0,4.0\n"
+        )
+        with pytest.raises(WeatherCsvError) as err:
+            load_weather_csv(path)
+        assert [line for line, _ in err.value.errors] == [3]
+
+    def test_file_with_zones_reads_the_same_under_any_host_zone(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.csv"
+        save_logs([record(minute=i) for i in range(3)], path)
+        path.write_text(path.read_text().replace("T08:02:00Z", "T17:02:00+09:00"))
+        columns = {}
+        for zone in ("UTC", "Asia/Tokyo"):
+            monkeypatch.setenv("TZ", zone)
+            time.tzset()
+            log = parse_logs([str(path)])
+            columns[zone] = (log.epoch_s.tolist(), log.flight_start_s.tolist(), log.flight_end_s.tolist())
+        monkeypatch.undo()
+        time.tzset()
+        assert columns["UTC"] == columns["Asia/Tokyo"]
+        assert columns["UTC"][0] == [int(T0.timestamp()) + 60 * i for i in range(3)]
+
+    def test_bad_time_is_reported_in_every_file_that_has_it(self, tmp_path):
+        # Each distinct time text is parsed once for all files.
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in paths:
+            save_logs([record(minute=0), record(minute=1)], path)
+            path.write_text(path.read_text().replace("T08:01:00Z", "T08:01:00"))
+        with pytest.raises(LogParseError) as err:
+            parse_logs([str(p) for p in paths])
+        assert [(path, line) for path, line, _ in err.value.errors] == [(str(paths[0]), 3), (str(paths[1]), 3)]
+
+    @pytest.mark.parametrize("column", [0, 6, 7])
+    def test_sub_second_log_time_is_a_bad_line(self, tmp_path, column):
+        path = tmp_path / "f.csv"
+        save_logs([record(minute=1)], path)
+        header, row = path.read_text().splitlines()
+        cells = row.split(",")
+        cells[column] = cells[column].replace(":00Z", ":00.5Z")
+        path.write_text(header + "\n" + ",".join(cells) + "\n")
+        with pytest.raises(LogParseError, match="whole seconds"):
+            parse_logs([str(path)])
+
+    def test_sub_second_weather_hour_is_a_bad_line(self, tmp_path):
+        path = tmp_path / "wx.csv"
+        path.write_text(
+            "hour_utc,grid_lat,grid_lon,precip_mmh,cloud_pct,temp_c,wind_mps\n"
+            "2023-03-05T12:00:00.5Z,40.0,5.0,0.0,50.0,15.0,4.0\n"
+        )
+        with pytest.raises(WeatherCsvError, match="whole seconds"):
+            load_weather_csv(path)
+
+    @pytest.mark.parametrize("field", ["log_date", "flight_start_time", "flight_end_time"])
+    def test_record_rejects_a_sub_second_time(self, field):
+        good = record(minute=1)
+        with pytest.raises(ValueError, match="whole seconds"):
+            replace(good, **{field: getattr(good, field) + timedelta(microseconds=500_000)})
+
+
+EDGE_LAT = [-90.0, 90.0, np.nextafter(-90.0, -91.0), np.nextafter(90.0, 91.0), math.nan]
+EDGE_LON = [-180.0, 180.0, np.nextafter(-180.0, -181.0), np.nextafter(180.0, 181.0), 540.0, math.nan, math.inf]
+EDGE_ALT = [0.0, -0.0, np.nextafter(0.0, -1.0), math.nan]
+EDGE_BOUND_CNR = [0.0, 20.0, np.nextafter(0.0, -1.0), np.nextafter(20.0, 21.0)]
+
+
+@st.composite
+def log_rows(draw):
+    """One row's fields: times on and off the minute, inside and outside the
+    flight interval, and values at and just past every bound.  A missing CNR
+    is None; NaN is how the column stores it, so NaN is not drawn for it."""
+    offsets = st.sampled_from([0, 60, -60]) | st.integers(-90, 90)
+    log_date = T0 + timedelta(seconds=draw(offsets))
+    start = log_date - timedelta(seconds=draw(offsets))
+    end = log_date + timedelta(seconds=draw(offsets))
+    return dict(
+        log_date=log_date,
+        flight_start_time=start,
+        flight_end_time=end,
+        latitude_deg=float(draw(st.sampled_from(EDGE_LAT) | st.floats(-100.0, 100.0))),
+        longitude_deg=float(draw(st.sampled_from(EDGE_LON) | st.floats(-400.0, 400.0))),
+        altitude_m=float(draw(st.sampled_from(EDGE_ALT) | st.floats(-10.0, 15000.0))),
+        cnr_db=draw(st.none() | st.sampled_from(EDGE_BOUND_CNR).map(float) | st.floats(-1.0, 21.0)),
+    )
+
+
+class TestValidatorsAgree:
+    @settings(max_examples=400, deadline=None)
+    @given(log_rows())
+    def test_record_raises_iff_column_check_raises(self, row):
+        try:
+            FlightLogRecord(flight_id="F1", tail_number="Z-1", airline_code="ZZ", departure_airport="AAA",
+                            arrival_airport="BBB", satellite_id="I5F1", **row)
+            record_ok = True
+        except ValueError:
+            record_ok = False
+        lon = row["longitude_deg"]
+        column = lambda value, dtype=float: np.array([value], dtype=dtype)
+        one_row = LogColumns(
+            epoch_s=column(int(row["log_date"].timestamp()), np.int64),
+            flight_id=column("F1", object),
+            tail_number=column("Z-1", object),
+            airline_code=column("ZZ", object),
+            departure_airport=column("AAA", object),
+            arrival_airport=column("BBB", object),
+            flight_start_s=column(int(row["flight_start_time"].timestamp()), np.int64),
+            flight_end_s=column(int(row["flight_end_time"].timestamp()), np.int64),
+            latitude_deg=column(row["latitude_deg"]),
+            # Wrapped as parse_logs wraps it; a record wraps it the same way.
+            longitude_deg=column(normalize_lon(lon) if math.isfinite(lon) else lon),
+            altitude_m=column(row["altitude_m"]),
+            satellite_id=column("I5F1", object),
+            cnr_db=column(math.nan if row["cnr_db"] is None else row["cnr_db"]),
+        )
+        try:
+            _check_log(one_row)
+            columns_ok = True
+        except ValueError:
+            columns_ok = False
+        assert record_ok == columns_ok
 
 
 class TestFilterAltitude:
@@ -180,7 +397,7 @@ class TestFilterAltitude:
 
     def test_cruise_only_flight_kept_entirely(self):
         recs = [record(minute=i, alt=11000.0) for i in range(10)]
-        assert filter_altitude(recs, min_m=6000) == recs
+        assert filter_altitude(recs, min_m=6000).to_records() == recs
 
     def test_partition_arithmetic(self):
         recs = self.recs()
@@ -193,7 +410,7 @@ class TestFilterAltitude:
         rng = np.random.default_rng(0)
         recs = [record(minute=i, alt=float(a)) for i, a in enumerate(rng.uniform(0, 12000, 200))]
         twice = filter_altitude(filter_altitude(recs, min_m=2000), min_m=5000)
-        assert twice == filter_altitude(recs, min_m=5000)
+        assert twice.to_records() == filter_altitude(recs, min_m=5000).to_records()
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -205,7 +422,7 @@ class TestTopRoutes:
         recs = [record(minute=i) for i in range(4)]
         keys, kept = top_routes(recs, 5)
         assert keys == [("AAA", "BBB")]
-        assert kept == recs
+        assert kept.to_records() == recs
 
     def test_tie_breaks_lexicographically(self):
         recs = [record(minute=i, dep="CCC", arr="DDD", flight_id="F2") for i in range(3)]
@@ -233,7 +450,7 @@ class TestTopRoutes:
     def test_k_at_least_route_count_returns_input(self):
         recs = [record(minute=i, dep=d, arr=a, flight_id=f"F{i}") for i, (d, a) in enumerate([("AAA", "BBB"), ("CCC", "DDD")])]
         _, kept = top_routes(recs, 10)
-        assert kept == recs
+        assert kept.to_records() == recs
 
     def test_record_set_shrinks_as_k_decreases(self):
         recs = [record(minute=i, dep=d, arr="XXX", flight_id=f"F{i}") for i, d in enumerate(["AAA"] * 5 + ["BBB"] * 3 + ["CCC"] * 2)]
@@ -261,7 +478,7 @@ class TestJoinWeather:
 
     def test_empty_input_is_empty_success(self):
         result = join_weather([], self.field())
-        assert result.records == [] and result.cells == []
+        assert result.records.to_records() == [] and result.cells == []
         assert result.report.total == 0
 
     def test_matches_brute_force_oracle(self):
@@ -301,7 +518,7 @@ class TestJoinWeather:
         field = self.field()
         rec = record()
         result = join_weather([rec], field)
-        assert result.records[0] is rec
+        assert result.records[0] == rec
 
 
 class TestEncodeFeatures:
@@ -400,18 +617,19 @@ EDGE_CNR = [e for edge in CATEGORY_EDGES_DB for e in (np.nextafter(edge, 0.0), e
 
 @st.composite
 def encode_cases(draw):
-    """Records (some of zero-duration or sub-second flights), optional
-    weather cells, and whether to encode with a vocabulary built from only
-    part of them, so that unseen tokens occur."""
+    """Records (some of zero-duration flights or with flight times off the
+    minute), optional weather cells, and whether to encode with a
+    vocabulary built from only part of them, so that unseen tokens occur."""
     n = draw(st.integers(0, 12))
     tokens = st.sampled_from(["AAA", "BBB", "CCC"])
+    off_minute = st.integers(0, 10**5).filter(lambda s: s % 60)
     records, cells = [], []
     for i in range(n):
         log_date = draw(st.sampled_from(ENCODE_DATES)) + timedelta(minutes=draw(st.integers(0, 3)))
         before, after = draw(st.sampled_from([
             (timedelta(0), timedelta(0)),
             (timedelta(minutes=draw(st.integers(0, 900))), timedelta(minutes=draw(st.integers(0, 900)))),
-            (timedelta(seconds=draw(st.floats(0.0, 1e5))), timedelta(seconds=draw(st.floats(0.0, 1e5)))),
+            (timedelta(seconds=draw(off_minute)), timedelta(seconds=draw(off_minute))),
         ]))
         records.append(FlightLogRecord(
             log_date=log_date,
@@ -529,7 +747,7 @@ class TestSplitByFlight:
 class TestLabeledHelper:
     def test_filters_missing_cnr(self):
         recs = [record(minute=0), record(minute=1, cnr=None)]
-        assert labeled(recs) == [recs[0]]
+        assert labeled(recs).to_records() == [recs[0]]
 
 
 class TestVocabulary:
