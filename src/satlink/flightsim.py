@@ -29,10 +29,8 @@ from .geometry import (
     haversine_m,
     slerp_track,
 )
-# save_logs is re-exported: it writes generate_flight's records with the
-# writer generate_dataset writes its columns with.
-from .ingest import CATEGORY_EDGES_DB, CnrCategory, FlightLogRecord, LogColumns, save_log_columns, save_logs
-from .weather import CoverageGapError, SyntheticWeather, WeatherCell, WeatherProvider, _format_utc
+from .ingest import CATEGORY_EDGES_DB, CnrCategory, FlightLogRecord, LogColumns, save_logs
+from .weather import CoverageGapError, SyntheticWeather, WeatherCell, WeatherProvider, _format_utc, _parse_utc
 
 __all__ = [
     "AntipodalRouteError",
@@ -408,11 +406,9 @@ class GenerationConfig:
         start_date = None
         if start_raw is not None:
             try:
-                start_date = datetime.fromisoformat(start_raw.replace("Z", "+00:00"))
-                if start_date.tzinfo is None:
-                    start_date = start_date.replace(tzinfo=timezone.utc)
-            except ValueError:
-                errors.append(f"start_date not ISO-8601: {start_raw!r}")
+                start_date = _parse_utc(start_raw)
+            except ValueError as exc:
+                errors.append(f"start_date: {exc}")
 
         plans: list[RoutePlan] = []
         for i, entry in enumerate(routes_raw or []):
@@ -484,11 +480,6 @@ class GenerationConfig:
             min_log_altitude_m=float(data.get("min_log_altitude_m", DEFAULT_MIN_LOG_ALTITUDE_M)),
         )
 
-    @classmethod
-    def from_json_file(cls, path: str) -> "GenerationConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
     def weather_provider(self) -> Optional[SyntheticWeather]:
         if self.weather is None:
             return None
@@ -538,7 +529,7 @@ def generate_dataset(config: GenerationConfig, out_dir: str) -> dict:
                 config.descent_rate_mps,
             )
             rel_path = f"flights/{flight_id}.csv"
-            cnr_cells = save_log_columns(log, os.path.join(out_dir, rel_path))
+            cnr_cells = save_logs(log, os.path.join(out_dir, rel_path))
             files.append({"file": rel_path, "flight_id": flight_id, "rows": len(cnr_cells)})
             total_rows += len(cnr_cells)
             # Labels of the values as written, which is what a parse reads.

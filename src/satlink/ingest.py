@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from enum import IntEnum
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
@@ -95,30 +95,18 @@ class FlightLogRecord:
     cnr_db: Optional[float] = None
 
     def __post_init__(self) -> None:
+        """A record built by hand is one row of :class:`LogColumns`: it keeps
+        the column rules and holds the values its row holds (UTC times, a
+        wrapped longitude).  Columns keep whole seconds only, so a time
+        with a fraction is rejected here rather than dropped."""
         for name in ("log_date", "flight_start_time", "flight_end_time"):
             t = getattr(self, name)
-            if t.tzinfo is None:
-                raise ValueError(f"{name} must be timezone-aware")
-            t = t.astimezone(timezone.utc)
             if t.microsecond:
                 raise ValueError(f"{name} not in whole seconds: {t.isoformat()}")
-            object.__setattr__(self, name, t)
-        if self.log_date.second:
-            raise ValueError(f"log_date not minute-aligned: {self.log_date.isoformat()}")
-        if not self.flight_start_time <= self.log_date <= self.flight_end_time:
-            raise ValueError(
-                f"log_date {self.log_date.isoformat()} outside flight interval "
-                f"[{self.flight_start_time.isoformat()}, {self.flight_end_time.isoformat()}]"
-            )
-        if not -90.0 <= self.latitude_deg <= 90.0:
-            raise ValueError(f"latitude out of range: {self.latitude_deg}")
-        if not math.isfinite(self.longitude_deg):
-            raise ValueError(f"longitude not finite: {self.longitude_deg}")
-        object.__setattr__(self, "longitude_deg", normalize_lon(self.longitude_deg))
-        if not self.altitude_m >= 0.0:
-            raise ValueError(f"altitude must be >= 0: {self.altitude_m}")
-        if self.cnr_db is not None and not 0.0 <= self.cnr_db <= 20.0:
-            raise ValueError(f"cnr_db out of [0, 20]: {self.cnr_db}")
+        log = LogColumns.from_records([self])
+        _wrap_lon(log.longitude_deg)
+        (row,) = log.to_records()
+        self.__dict__.update(row.__dict__)
 
     @property
     def position(self) -> GeoPosition:
@@ -144,7 +132,7 @@ _TIME_INDEX = (0, 6, 7)
 _NUMBER_INDEX = (8, 9, 10, 12)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogColumns:
     """Flight-log rows as columns, one entry per row, in CSV column order.
 
@@ -178,8 +166,8 @@ class LogColumns:
         ))
 
     def to_records(self) -> list[FlightLogRecord]:
-        """The rows as records.  The column rules are the checks a record
-        makes, so they run once here and each record skips its own."""
+        """The rows as records, checked once with :func:`_check_log`; each
+        record skips the same check its constructor makes."""
         _check_log(self)
         columns = [getattr(self, f.name).tolist() for f in fields(self)]
         times = {s: _EPOCH + timedelta(seconds=s) for s in set().union(*(columns[i] for i in _TIME_INDEX))}
@@ -196,6 +184,13 @@ class LogColumns:
 
     def __len__(self) -> int:
         return len(self.epoch_s)
+
+    def __eq__(self, other: object) -> bool:
+        """Equal in every column; NaN equals NaN in the float columns."""
+        if not isinstance(other, LogColumns):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b, equal_nan=a.dtype.kind == "f") for a, b in pairs)
 
     def take(self, index) -> "LogColumns":
         """The rows at ``index``, integer positions or a boolean mask."""
@@ -214,9 +209,9 @@ def _columns(records: LogColumns | Iterable[FlightLogRecord]) -> LogColumns:
 
 
 def _bad_rows(log: LogColumns) -> dict[int, str]:
-    """The rules every log row keeps (the checks :class:`FlightLogRecord`
-    makes per row), on whole columns: each row that breaks one, with the
-    message of the first it breaks."""
+    """The rules every log row keeps, parsed or built by hand, on whole
+    columns: each row that breaks one, with the message of the first it
+    breaks."""
     lat, lon, cnr = log.latitude_deg, log.longitude_deg, log.cnr_db
     rules = (
         (log.epoch_s % 60 != 0, "log_date not minute-aligned"),
@@ -274,6 +269,13 @@ def _parse_column(texts: Sequence[str], parse, dtype, bad: dict[int, str], memo=
     return np.array(list(map(values.__getitem__, texts)), dtype=dtype)
 
 
+def _wrap_lon(lon: np.ndarray) -> None:
+    """Wrap finite longitudes outside [-180, 180) in place with
+    :func:`normalize_lon`; in-range values keep their bits."""
+    wrap = np.isfinite(lon) & ~((lon >= -180.0) & (lon < 180.0))
+    lon[wrap] = [normalize_lon(v) for v in lon[wrap].tolist()]
+
+
 def _parse_rows(rows: Sequence[Sequence[str]], times: tuple[dict, dict]) -> tuple[LogColumns, dict[int, str]]:
     """One file's rows as columns, with each bad row's first error in the
     order a record would raise it.  ``times`` is the memo of every time
@@ -286,9 +288,7 @@ def _parse_rows(rows: Sequence[Sequence[str]], times: tuple[dict, dict]) -> tupl
         else _parse_column(texts, str, object, bad)  # one string object per distinct text
         for i, texts in enumerate(cells)
     ))
-    lon = log.longitude_deg
-    wrap = np.isfinite(lon) & ~((lon >= -180.0) & (lon < 180.0))
-    lon[wrap] = [normalize_lon(v) for v in lon[wrap].tolist()]
+    _wrap_lon(log.longitude_deg)
     for row, message in _bad_rows(log).items():
         bad.setdefault(row, message)
     return log, bad
@@ -330,9 +330,10 @@ def parse_logs(paths: Sequence[str]) -> LogColumns:
     return LogColumns(*(np.concatenate([getattr(part, f.name) for part in parts]) for f in fields(LogColumns)))
 
 
-def save_log_columns(log: LogColumns, path: str) -> list[str]:
-    """Check the columns, then write them as a flight-log CSV in the
-    canonical formats.  Returns the ``cnr_db`` cells as written."""
+def save_logs(records: LogColumns | Iterable[FlightLogRecord], path: str) -> list[str]:
+    """Check the rows, then write them as a flight-log CSV in the canonical
+    formats.  Returns the ``cnr_db`` cells as written."""
+    log = _columns(records)
     _check_log(log)
     cnr_cells = ["" if math.isnan(v) else f"{v:.3f}" for v in log.cnr_db.tolist()]
     rows = zip(
@@ -355,11 +356,6 @@ def save_log_columns(log: LogColumns, path: str) -> list[str]:
         writer.writerow(LOG_CSV_COLUMNS)
         writer.writerows(rows)
     return cnr_cells
-
-
-def save_logs(records: LogColumns | Iterable[FlightLogRecord], path: str) -> None:
-    """Write rows with :func:`save_log_columns`."""
-    save_log_columns(_columns(records), path)
 
 
 def labeled(records: LogColumns | Iterable[FlightLogRecord]) -> LogColumns:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,9 +43,6 @@ class EvalReport:
         if self.mae_db is not None:
             out["mae_db"] = self.mae_db
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def to_text(self) -> str:
         names = [c.label for c in CnrCategory]

@@ -32,7 +32,7 @@ from satlink.flightsim import (
     synth_cnr,
 )
 from satlink.geometry import GeoPosition, GeoSatellite, elevations_deg, geo_look_angles, haversine_m
-from satlink.ingest import FlightLogRecord, bin_cnr, save_log_columns, save_logs
+from satlink.ingest import FlightLogRecord, bin_cnr, save_logs
 from satlink.weather import CoverageGapError, SyntheticWeather, WeatherCell, synth_weather_field
 
 from test_weather import ReferenceWeather
@@ -156,10 +156,10 @@ def assert_same_flight(got, want):
 
 
 def write_both(log, records) -> tuple[bytes, bytes]:
-    """The columnar writer's bytes and save_logs's, for the same flight."""
+    """save_logs's bytes for a flight's columns and for its records."""
     with tempfile.TemporaryDirectory() as tmp:
         columnar, per_row = Path(tmp, "columnar.csv"), Path(tmp, "per_row.csv")
-        save_log_columns(log, str(columnar))
+        save_logs(log, str(columnar))
         save_logs(records, per_row)
         return columnar.read_bytes(), per_row.read_bytes()
 
@@ -347,7 +347,7 @@ class TestLogColumnChecks:
     def test_bad_column_raises_and_writes_nothing(self, bad, message, tmp_path):
         path = tmp_path / "f.csv"
         with pytest.raises(ValueError, match=message):
-            save_log_columns(bad(), str(path))
+            save_logs(bad(), str(path))
         assert not path.exists()
 
     def test_valid_log_writes_the_bytes_save_logs_writes(self):
@@ -712,6 +712,27 @@ class TestGenerateDataset:
         with pytest.raises(ConfigError) as err:
             GenerationConfig.from_dict(bad)
         assert len(err.value.errors) == 2
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [("2023-03-01T00:00:00", "without Z"), ("2023-03-01T00:00:00.5Z", "whole seconds"), ("1 March 2023", "isoformat")],
+    )
+    def test_config_start_date_is_read_as_a_log_time_is(self, text, reason):
+        with pytest.raises(ConfigError) as err:
+            GenerationConfig.from_dict(config_starting(text))
+        (error,) = err.value.errors
+        assert error.startswith("start_date") and reason in error
+
+    @pytest.mark.parametrize("text", ["2023-03-01T00:00:00Z", "2023-03-01T09:00:00+09:00"])
+    def test_config_start_date_with_a_zone_is_utc(self, text):
+        start = GenerationConfig.from_dict(config_starting(text)).start_date
+        assert start == datetime(2023, 3, 1, tzinfo=timezone.utc)
+        assert start.tzinfo is timezone.utc
+
+
+def config_starting(text: str) -> dict:
+    """The smallest generation config, starting at ``text``."""
+    return {"seed": 1, "flights_per_route": 1, "start_date": text, "span_days": 1, "routes": [], "satellites": []}
 
 
 def reference_sample_cnr_population(routes, sats, params, n, seed):

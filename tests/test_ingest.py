@@ -1,6 +1,6 @@
 import math
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -161,7 +161,7 @@ class TestParseLogs:
         assert reported[1][0] == 4
 
     def test_record_requires_log_date_inside_flight(self):
-        with pytest.raises(ValueError, match="outside flight interval"):
+        with pytest.raises(ValueError, match="outside the flight interval"):
             record(minute=-5)
 
     def test_year_999_round_trips(self, tmp_path):
@@ -383,6 +383,69 @@ class TestValidatorsAgree:
         except ValueError:
             columns_ok = False
         assert record_ok == columns_ok
+
+
+#: One row per column rule: (record field, a value that breaks the rule,
+#: its CSV column, a cell that breaks it, the rule's message).
+RULE_CASES = [
+    ("log_date", T0 + timedelta(seconds=90), 0, "2023-03-05T08:01:30Z", "log_date not minute-aligned"),
+    ("log_date", T0 - timedelta(minutes=5), 0, "2023-03-05T07:55:00Z", "log_date outside the flight interval"),
+    ("latitude_deg", 90.5, 8, "90.5", "latitude out of range"),
+    ("longitude_deg", math.inf, 9, "inf", "longitude out of [-180, 180)"),
+    ("altitude_m", -0.5, 10, "-0.5", "altitude must be >= 0"),
+    ("cnr_db", 20.5, 12, "20.5", "cnr_db out of [0, 20]"),
+]
+
+
+class TestOneRuleSet:
+    @pytest.mark.parametrize("field, value, column, cell, message", RULE_CASES)
+    def test_record_and_csv_line_break_a_rule_with_one_message(self, tmp_path, field, value, column, cell, message):
+        good = record(minute=1)
+        with pytest.raises(ValueError) as built:
+            replace(good, **{field: value})
+        assert str(built.value) == f"flight F1 row 0: {message}"
+        path = tmp_path / "f.csv"
+        save_logs([good], path)
+        header, row = path.read_text().splitlines()
+        cells = row.split(",")
+        cells[column] = cell
+        path.write_text(header + "\n" + ",".join(cells) + "\n")
+        with pytest.raises(LogParseError) as parsed:
+            parse_logs([str(path)])
+        assert parsed.value.errors == [(str(path), 2, message)]
+
+    def test_record_holds_the_values_of_its_row(self):
+        tokyo = timezone(timedelta(hours=9))
+        rec = replace(record(minute=1, lon=200.0), log_date=(T0 + timedelta(minutes=1)).astimezone(tokyo))
+        assert rec.log_date.tzinfo is timezone.utc
+        assert rec.longitude_deg == normalize_lon(200.0) == -160.0
+        assert LogColumns.from_records([rec]).to_records() == [rec]
+
+
+class TestLogColumnsEquality:
+    def log(self):
+        return LogColumns.from_records([record(minute=0), record(minute=1, cnr=None), record(minute=2, lon=-170.0)])
+
+    def test_equals_a_take_of_all_its_rows(self):
+        log = self.log()
+        assert np.isnan(log.cnr_db[1])
+        assert log == log.take(np.arange(len(log)))
+        assert not log != log.take(np.arange(len(log)))
+
+    @pytest.mark.parametrize("column", [f.name for f in fields(LogColumns)])
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_one_differing_cell_makes_them_unequal(self, column, row):
+        log = self.log()
+        other = log.take(np.arange(len(log)))
+        values = getattr(other, column)
+        values[row] = "other" if values.dtype == object else values[row] + 60 if column.endswith("_s") else 5.0
+        assert getattr(log, column)[row] != values[row]
+        assert log != other and other != log
+
+    def test_other_types_are_not_compared(self):
+        log = self.log()
+        assert log.__eq__(log.to_records()) is NotImplemented
+        assert log != log.to_records()
 
 
 class TestFilterAltitude:

@@ -1,8 +1,10 @@
 import hashlib
+import inspect
 import math
 import random
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from satlink.weather import (
 )
 
 H0 = datetime(2023, 3, 5, 12, 0, tzinfo=timezone.utc)
+SRC = Path(__file__).resolve().parents[1] / "src" / "satlink"
 
 
 # --- the per-point scalar evaluation SyntheticWeather was built on ---------
@@ -409,6 +412,19 @@ class TestWeatherCsv:
         if t.year >= 1000:
             assert text == t.strftime("%Y-%m-%dT%H:%M:%SZ")
         assert _parse_utc(text) == t.replace(microsecond=0)
+
+    def test_one_time_parser_and_no_strftime_in_the_package(self):
+        """Every time text is read by _parse_utc and written by _format_utc,
+        so no second parser or formatter may come back."""
+        found = {name: [] for name in ("fromisoformat", "strftime", "strptime")}
+        for path in sorted(SRC.rglob("*.py")):
+            for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+                for name, where in found.items():
+                    if name in line:
+                        where.append(f"{path.relative_to(SRC)}:{line_no}")
+        assert len(found["fromisoformat"]) == 1, found
+        assert "fromisoformat" in inspect.getsource(_parse_utc)
+        assert found["strftime"] == found["strptime"] == [], found
 
     def test_malformed_rows_reported_with_line_numbers(self, tmp_path):
         path = tmp_path / "bad.csv"
