@@ -89,6 +89,12 @@ class ExperimentSpec:
             ("storm_density" in weather and "seed" in weather) or "csv" in weather
         ):
             raise ValueError(f"weather must name a synthetic source or a csv: {weather!r}")
+        hyperparams = data.get("hyperparams", {})
+        if not isinstance(hyperparams, dict):
+            raise ValueError(f"hyperparams must be an object: {hyperparams!r}")
+        unknown = sorted(set(hyperparams) - {f.name for f in dataclasses.fields(GbmHyperParams)})
+        if unknown:
+            raise ValueError(f"unknown hyperparams key(s): {', '.join(unknown)}")
         return cls(
             name=data.get("name", ""),
             top_routes=top_k,
@@ -96,7 +102,7 @@ class ExperimentSpec:
             max_altitude_m=data.get("max_altitude_m"),
             weather=weather,
             satellite=data.get("satellite"),
-            hyperparams=GbmHyperParams(**data.get("hyperparams", {})),
+            hyperparams=GbmHyperParams(**hyperparams),
             test_fraction=float(data.get("test_fraction", 0.2)),
             seed=int(data.get("seed", 0)),
         )

@@ -384,10 +384,11 @@ class GenerationConfig:
     def from_dict(cls, data: dict) -> "GenerationConfig":
         errors: list[str] = []
 
-        def need(key, kind):
+        def need(key, kind, default=None):
             if key not in data:
-                errors.append(f"missing key {key!r}")
-                return None
+                if default is None:
+                    errors.append(f"missing key {key!r}")
+                return default
             value = data[key]
             if kind is float and isinstance(value, int):
                 value = float(value)
@@ -402,6 +403,9 @@ class GenerationConfig:
         span_days = need("span_days", float)
         routes_raw = need("routes", list)
         sats_raw = need("satellites", list)
+        climb = need("climb_rate_mps", float, DEFAULT_CLIMB_RATE_MPS)
+        descent = need("descent_rate_mps", float, DEFAULT_DESCENT_RATE_MPS)
+        min_log_altitude = need("min_log_altitude_m", float, DEFAULT_MIN_LOG_ALTITUDE_M)
 
         start_date = None
         if start_raw is not None:
@@ -464,6 +468,11 @@ class GenerationConfig:
             errors.append("flights_per_route must be >= 0")
         if span_days is not None and span_days <= 0:
             errors.append("span_days must be > 0")
+        for key, rate in (("climb_rate_mps", climb), ("descent_rate_mps", descent)):
+            if rate is not None and not (math.isfinite(rate) and rate > 0):
+                errors.append(f"{key} must be finite and > 0")
+        if min_log_altitude is not None and not math.isfinite(min_log_altitude):
+            errors.append("min_log_altitude_m must be finite")
         if errors:
             raise ConfigError(errors)
         return cls(
@@ -475,9 +484,9 @@ class GenerationConfig:
             satellites=tuple(satellites),
             link_params=link_params,
             weather=weather,
-            climb_rate_mps=float(data.get("climb_rate_mps", DEFAULT_CLIMB_RATE_MPS)),
-            descent_rate_mps=float(data.get("descent_rate_mps", DEFAULT_DESCENT_RATE_MPS)),
-            min_log_altitude_m=float(data.get("min_log_altitude_m", DEFAULT_MIN_LOG_ALTITUDE_M)),
+            climb_rate_mps=climb,
+            descent_rate_mps=descent,
+            min_log_altitude_m=min_log_altitude,
         )
 
     def weather_provider(self) -> Optional[SyntheticWeather]:

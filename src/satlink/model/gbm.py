@@ -12,15 +12,22 @@ chosen split maximizes
 with leaf weight -G/(H+lambda) scaled by the learning rate.  With enough
 bins for every distinct value this reduces to exact greedy splitting.
 
-Bin codes are stored feature-major and offset by ``f * width`` (the
-largest bin count), so each (feature, bin) pair owns one slot of a flat
-histogram: a node's gradient and hessian histograms over all features are
-two ``bincount`` calls, its gains one (features, width - 1) array whose
-row-major argmax keeps the tie rule (lowest feature, then lowest bin).
-Each slot sums its rows in ascending row order, exactly as a per-feature
-histogram does, so histograms, gains, splits and leaves are bit-identical
-to a per-feature search, and identical data and hyperparameters give
-byte-identical serialized models.
+Trees grow one depth level at a time, as XGBoost's depth-wise ``hist``
+method does.  Bin codes are offset by ``f * width`` (the largest bin
+count), so each (feature, bin) pair owns one slot of a flat histogram,
+and node ``k`` of a batch owns the slots
+``k * features * width + f * width + bin``.  The root's gradient and
+hessian histograms are one ``bincount`` pair over all rows.  Below it,
+each level builds only the smaller child of every split node from its
+rows, all in one ``take`` and one ``bincount`` pair, and gets the sibling
+as parent − child (LightGBM's subtraction trick).  The gains of a level's
+nodes are one (nodes, features, width - 1) array whose row-major argmax
+per node keeps the tie rule (lowest feature, then lowest bin).
+Subtraction adds in another order than a direct histogram, so a near-tie
+split may differ from a per-node search; node sums, and so leaf values,
+always come from the node's own rows.  Trees are renumbered to preorder
+once grown, and identical data and hyperparameters give byte-identical
+serialized models.
 
 Prediction walks every tree at once over flat node arrays (see
 :class:`_FlatEnsemble`) and adds leaf values round by round, so scores
@@ -32,6 +39,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -63,6 +72,14 @@ class GbmHyperParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n_rounds", "max_depth", "n_bins"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an int: {value!r}")
+        for name in ("learning_rate", "min_child_weight", "l2_lambda"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number: {value!r}")
         if self.n_rounds < 0:
             raise ValueError(f"n_rounds must be >= 0: {self.n_rounds}")
         if self.max_depth < 1:
@@ -192,11 +209,11 @@ def _bin_edges(col: np.ndarray, n_bins: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Bins:
-    """Bin codes of one training matrix, stored feature-major."""
+    """Bin codes of one training matrix."""
 
     edges: list[np.ndarray]  # split candidates per feature
     codes: np.ndarray  # (features, rows) uint8
-    flat: np.ndarray  # (features, rows) intp: codes[f] + f * width
+    flat: np.ndarray  # (rows, features) intp: codes[f] + f * width, row-major
     candidate: np.ndarray  # (features, width - 1) bool: a real split after bin b
 
 
@@ -209,7 +226,8 @@ def _bin_features(X: np.ndarray, n_bins: int) -> _Bins:
     # At least one split slot, so all-constant columns still give gains (all -inf).
     width = max(int(n_edges.max(initial=0)), 1) + 1
     offsets = np.arange(X.shape[1], dtype=np.intp)[:, None] * width
-    return _Bins(edges, codes, codes + offsets, np.arange(width - 1) < n_edges[:, None])
+    flat = np.ascontiguousarray((codes + offsets).T)
+    return _Bins(edges, codes, flat, np.arange(width - 1) < n_edges[:, None])
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -224,22 +242,70 @@ def _log_loss(scores: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(lse - shifted[np.arange(len(y)), y]))
 
 
-def _find_split(bins: _Bins, rows: np.ndarray, g_rows: np.ndarray, h_rows: np.ndarray,
-                g_sum: float, h_sum: float, hp: GbmHyperParams) -> Optional[tuple[int, int]]:
-    """Best (feature, bin) over all histogram splits of the node ``rows``, or None.
+def _histograms(
+    bins: _Bins, g: np.ndarray, h: np.ndarray, row_sets: Optional[list[np.ndarray]] = None
+) -> np.ndarray:
+    """(nodes, 2, features * width) gradient and hessian histograms built
+    directly from rows, with one ``take`` and one ``bincount`` pair.
 
-    Ties resolve to the lowest feature id, then the lowest bin, so the
-    search is order-deterministic.
+    Node ``k`` of ``row_sets`` owns the slots ``k * F * W + f * W + bin``;
+    ``None`` is the root, whose slots are ``bins.flat`` itself.  Slots are
+    read row by row, so consecutive adds go to different features' slots,
+    and each slot adds its rows in the order given, ascending for every
+    node.
     """
     n_features, n_slots = bins.candidate.shape
     size = n_features * (n_slots + 1)
-    slots = np.take(bins.flat, rows, axis=1).ravel()
-    hist_g = np.bincount(slots, weights=np.tile(g_rows, n_features), minlength=size)
-    hist_h = np.bincount(slots, weights=np.tile(h_rows, n_features), minlength=size)
-    gl = np.cumsum(hist_g.reshape(n_features, -1), axis=1)[:, :-1]
-    hl = np.cumsum(hist_h.reshape(n_features, -1), axis=1)[:, :-1]
+    if row_sets is None:
+        rows, slots, n_nodes = slice(None), bins.flat.ravel(), 1
+    else:
+        rows, n_nodes = np.concatenate(row_sets), len(row_sets)
+        slots = np.take(bins.flat, rows, axis=0)
+        slots += np.repeat(np.arange(n_nodes) * size, [r.size for r in row_sets])[:, None]
+        slots = slots.ravel()
+    hists = [
+        np.bincount(slots, weights=np.repeat(v[rows], n_features), minlength=n_nodes * size).reshape(n_nodes, size)
+        for v in (g, h)
+    ]
+    return np.stack(hists, axis=1)
+
+
+def _child_histograms(
+    bins: _Bins, g: np.ndarray, h: np.ndarray, parents: np.ndarray, children: list[tuple[np.ndarray, np.ndarray]]
+) -> np.ndarray:
+    """Histograms of both children of each split node, left then right,
+    node after node, from the ``parents``' histograms.
+
+    Only the smaller child of each pair (the left one on a tie) is built
+    from its rows, all of them in one :func:`_histograms` call; its sibling
+    is the parent's histogram minus the smaller child's.
+    """
+    pairs = np.arange(len(children))
+    small_side = np.array([left.size > right.size for left, right in children], dtype=np.intp)
+    small = _histograms(bins, g, h, [pair[s] for pair, s in zip(children, small_side)])
+    hist = np.empty((len(children), 2) + parents.shape[1:])
+    hist[pairs, small_side] = small
+    hist[pairs, 1 - small_side] = parents - small
+    return hist.reshape((-1,) + parents.shape[1:])
+
+
+def _best_splits(
+    bins: _Bins, hist: np.ndarray, g_sum: np.ndarray, h_sum: np.ndarray, hp: GbmHyperParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best (feature, bin) of each node from its histograms and row sums;
+    the feature is -1 where no split has a positive gain.
+
+    All nodes share one (nodes, features, width - 1) gain array.  Each
+    node's row-major argmax resolves ties to the lowest feature id, then
+    the lowest bin, so the search is order-deterministic.
+    """
+    n_nodes = hist.shape[0]
+    n_features, n_slots = bins.candidate.shape
+    gl, hl = np.cumsum(hist.reshape(n_nodes, 2, n_features, -1), axis=3)[:, :, :, :-1].transpose(1, 0, 2, 3)
     lam = hp.l2_lambda
-    parent = g_sum * g_sum / (h_sum + lam) if h_sum + lam > 0 else 0.0
+    g_sum = g_sum[:, None, None]
+    h_sum = h_sum[:, None, None]
+    parent = np.divide(g_sum * g_sum, h_sum + lam, out=np.zeros_like(g_sum), where=(h_sum + lam) > 0)
     gr = g_sum - gl
     hr = h_sum - hl
     left_term = np.divide(gl * gl, hl + lam, out=np.zeros_like(gl), where=(hl + lam) > 0)
@@ -248,42 +314,75 @@ def _find_split(bins: _Bins, rows: np.ndarray, g_rows: np.ndarray, h_rows: np.nd
     gains[~bins.candidate | (hl < hp.min_child_weight) | (hr < hp.min_child_weight)] = -np.inf
     # A NaN gain rules out its whole feature, as in a per-feature search
     # whose argmax lands on the NaN and then fails the `> 0` test.
-    gains[np.isnan(gains).any(axis=1)] = -np.inf
-    best = int(np.argmax(gains))
-    if not gains.flat[best] > 0.0:
-        return None
-    return divmod(best, n_slots)
+    gains[np.isnan(gains).any(axis=2)] = -np.inf
+    gains = gains.reshape(n_nodes, -1)
+    best = np.argmax(gains, axis=1)
+    feature, bin_ = np.divmod(best, n_slots)
+    return np.where(gains[np.arange(n_nodes), best] > 0.0, feature, -1), bin_
 
 
 def _build_tree(
     bins: _Bins, g: np.ndarray, h: np.ndarray, hp: GbmHyperParams
 ) -> tuple[Tree, np.ndarray]:
-    """Grow one tree on (g, h); returns it plus the score update per row."""
-    nodes: list[list] = []  # preorder [feature, threshold, left, right, value]
+    """Grow one tree on (g, h) one depth level at a time; returns it plus
+    the score update per row.
+
+    The root's histograms are built from all rows.  Each later level gets
+    its histograms from :func:`_child_histograms` and its splits from one
+    :func:`_best_splits` call.  Node sums, and so leaf values, always come
+    from the node's own rows.  Nodes are numbered breadth-first while
+    growing and renumbered to preorder at the end.
+    """
+    nodes: list[list] = []  # breadth-first [feature, threshold, left, right, value]
     update = np.zeros(g.size)
+    level = [np.arange(g.size)]  # rows of each node of the level, ascending
+    hist = _histograms(bins, g, h)  # one row per node of the level
+    for depth in range(hp.max_depth + 1):
+        g_sum = np.array([float(g[rows].sum()) for rows in level])
+        h_sum = np.array([float(h[rows].sum()) for rows in level])
+        split_f = np.full(len(level), -1)
+        split_b = np.zeros(len(level), dtype=np.intp)
+        if depth < hp.max_depth:
+            grown = np.array([rows.size >= 2 for rows in level])
+            if grown.any():
+                split_f[grown], split_b[grown] = _best_splits(bins, hist[grown], g_sum[grown], h_sum[grown], hp)
+        children = []
+        for i, rows in enumerate(level):
+            f, b = int(split_f[i]), int(split_b[i])
+            if f < 0:
+                leaf = -hp.learning_rate * float(g_sum[i]) / (float(h_sum[i]) + hp.l2_lambda)
+                nodes.append([-1, 0.0, -1, -1, leaf])
+                update[rows] = leaf
+                continue
+            # The next level follows this one, two nodes per split node.
+            first_child = len(nodes) + len(level) - i + 2 * len(children)
+            nodes.append([f, float(bins.edges[f][b]), first_child, first_child + 1, 0.0])
+            mask = bins.codes[f][rows] <= b
+            children.append((rows[mask], rows[~mask]))
+        if not children:
+            break
+        if depth + 1 < hp.max_depth:
+            hist = _child_histograms(bins, g, h, hist[split_f >= 0], children)
+        level = [rows for pair in children for rows in pair]
+    return _preorder(nodes), update
 
-    def grow(rows: np.ndarray, g_rows: np.ndarray, h_rows: np.ndarray, depth: int) -> int:
-        node = len(nodes)
-        nodes.append([-1, 0.0, -1, -1, 0.0])
-        g_sum = float(g_rows.sum())
-        h_sum = float(h_rows.sum())
-        split = None
-        if depth < hp.max_depth and rows.size >= 2:
-            split = _find_split(bins, rows, g_rows, h_rows, g_sum, h_sum, hp)
-        if split is None:
-            nodes[node][4] = leaf = -hp.learning_rate * g_sum / (h_sum + hp.l2_lambda)
-            update[rows] = leaf
-            return node
-        f, b = split
-        nodes[node][:2] = f, float(bins.edges[f][b])
-        mask = bins.codes[f][rows] <= b
-        nodes[node][2] = grow(rows[mask], g_rows[mask], h_rows[mask], depth + 1)
-        nodes[node][3] = grow(rows[~mask], g_rows[~mask], h_rows[~mask], depth + 1)
-        return node
 
-    grow(np.arange(g.size), g, h, 0)
-    arrays = {k: np.array(col, dtype=t) for (k, t), col in zip(_TREE_DTYPES.items(), zip(*nodes))}
-    return Tree(**arrays), update
+def _preorder(nodes: list[list]) -> Tree:
+    """The tree of breadth-first ``nodes``, renumbered to preorder."""
+    order = []
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if nodes[node][0] >= 0:
+            stack += (nodes[node][3], nodes[node][2])
+    new_id = np.empty(len(order), dtype=np.int32)
+    new_id[order] = np.arange(len(order))
+    arrays = {k: np.array(col, dtype=t)[order] for (k, t), col in zip(_TREE_DTYPES.items(), zip(*nodes))}
+    split = arrays["feature"] >= 0
+    for k in ("left", "right"):
+        arrays[k] = np.where(split, new_id[arrays[k]], -1).astype(np.int32)
+    return Tree(**arrays)
 
 
 def _clipped_log_priors(counts: np.ndarray) -> np.ndarray:
@@ -485,6 +584,8 @@ def _check_tree(tree: Tree, n_features: int) -> None:
         raise ModelFormatError("a leaf node has children")
     if (tree.feature >= n_features).any():
         raise ModelFormatError(f"split feature index out of range for {n_features} columns")
+    if not np.isfinite(tree.threshold[split]).all():
+        raise ModelFormatError("non-finite threshold at a split node")
     lo, hi = np.minimum(tree.left, tree.right), np.maximum(tree.left, tree.right)
     if ((lo <= np.arange(n)) | (hi >= n))[split].any():
         raise ModelFormatError("a child index does not point forward within its tree")

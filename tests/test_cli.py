@@ -327,3 +327,21 @@ class TestExperimentSpec:
     def test_rejects_malformed_weather(self):
         with pytest.raises(ValueError, match="weather"):
             ExperimentSpec.from_dict({"weather": {"wrong": 1}})
+
+    def test_rejects_unknown_hyperparams_key_by_name(self):
+        with pytest.raises(ValueError, match="unknown hyperparams key.*n_round"):
+            ExperimentSpec.from_dict({"hyperparams": {"n_round": 5}})
+
+    def test_rejects_hyperparams_that_are_not_an_object(self):
+        with pytest.raises(ValueError, match="hyperparams must be an object"):
+            ExperimentSpec.from_dict({"hyperparams": [5]})
+
+    @pytest.mark.parametrize("hyperparams", [{"n_round": 5}, {"n_bins": 2.5}])
+    def test_train_reports_a_bad_hyperparams_key_as_an_error(self, hyperparams, small_corpus, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"name": "bad", "hyperparams": hyperparams}))
+        code = main([
+            "train", "--config", str(spec), "--data", small_corpus["dir"], "--out", str(tmp_path / "m.json"),
+        ])
+        assert code == 1
+        assert next(iter(hyperparams)) in capsys.readouterr().err

@@ -730,6 +730,35 @@ class TestGenerateDataset:
         assert start.tzinfo is timezone.utc
 
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("climb_rate_mps", "fast", "key 'climb_rate_mps' must be float"),
+            ("climb_rate_mps", -5, "climb_rate_mps must be finite and > 0"),
+            ("climb_rate_mps", 0, "climb_rate_mps must be finite and > 0"),
+            ("climb_rate_mps", float("nan"), "climb_rate_mps must be finite and > 0"),
+            ("descent_rate_mps", None, "key 'descent_rate_mps' must be float"),
+            ("descent_rate_mps", -2.5, "descent_rate_mps must be finite and > 0"),
+            ("descent_rate_mps", float("inf"), "descent_rate_mps must be finite and > 0"),
+            ("min_log_altitude_m", [1000], "key 'min_log_altitude_m' must be float"),
+            ("min_log_altitude_m", float("nan"), "min_log_altitude_m must be finite"),
+            ("min_log_altitude_m", float("-inf"), "min_log_altitude_m must be finite"),
+        ],
+    )
+    def test_config_rates_and_log_altitude_are_checked(self, key, value, message):
+        with pytest.raises(ConfigError) as err:
+            GenerationConfig.from_dict(dict(config_starting("2023-03-01T00:00:00Z"), **{key: value}))
+        assert err.value.errors == [message]
+
+    def test_config_rates_and_log_altitude_default_or_convert(self):
+        config = GenerationConfig.from_dict(config_starting("2023-03-01T00:00:00Z"))
+        assert (config.climb_rate_mps, config.descent_rate_mps, config.min_log_altitude_m) == (10.0, 8.0, 1000.0)
+        raw = dict(config_starting("2023-03-01T00:00:00Z"), climb_rate_mps=3, descent_rate_mps=2.5, min_log_altitude_m=0)
+        config = GenerationConfig.from_dict(raw)
+        assert (config.climb_rate_mps, config.descent_rate_mps, config.min_log_altitude_m) == (3.0, 2.5, 0.0)
+        assert isinstance(config.climb_rate_mps, float) and isinstance(config.min_log_altitude_m, float)
+
+
 def config_starting(text: str) -> dict:
     """The smallest generation config, starting at ``text``."""
     return {"seed": 1, "flights_per_route": 1, "start_date": text, "span_days": 1, "routes": [], "satellites": []}

@@ -120,6 +120,15 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError, match="finite"):
             load_model(path)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), 1e400])
+    def test_non_finite_threshold_rejected(self, trained, tmp_path, threshold):
+        def edit(data):
+            tree = data["trees"][0][0]
+            tree["threshold"][first_node(tree, leaf=False)] = threshold
+
+        with pytest.raises(ModelFormatError, match="non-finite threshold"):
+            load_model(corrupt(trained[1], tmp_path, edit))
+
     def test_child_pointing_back_rejected(self, trained, tmp_path):
         def edit(data):
             tree = data["trees"][0][0]
