@@ -390,9 +390,10 @@ class GenerationConfig:
                     errors.append(f"missing key {key!r}")
                 return default
             value = data[key]
-            if kind is float and isinstance(value, int):
+            if kind is float and isinstance(value, int) and not isinstance(value, bool):
                 value = float(value)
-            if not isinstance(value, kind):
+            # bool is an int subclass, but true is never a count or a rate.
+            if isinstance(value, bool) or not isinstance(value, kind):
                 errors.append(f"key {key!r} must be {kind.__name__}")
                 return None
             return value

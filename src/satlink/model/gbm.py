@@ -30,8 +30,11 @@ once grown, and identical data and hyperparameters give byte-identical
 serialized models.
 
 Prediction walks every tree at once over flat node arrays (see
-:class:`_FlatEnsemble`) and adds leaf values round by round, so scores
-are bit-identical to walking one tree at a time.
+:class:`_FlatEnsemble`).  Trees are held deepest first, so each depth
+level steps only the leading trees that still split there, and every
+tree costs a row only as many steps as the tree is deep.  Leaf values
+come back in training order and are added round by round, so scores are
+bit-identical to walking one tree at a time.
 """
 
 from __future__ import annotations
@@ -106,12 +109,20 @@ class Tree:
 
     @property
     def depth(self) -> int:
-        def walk(i: int) -> int:
-            if self.feature[i] < 0:
-                return 0
-            return 1 + max(walk(self.left[i]), walk(self.right[i]))
+        """Splits on the longest root-to-leaf path.
 
-        return walk(0)
+        One forward pass: children always follow their parent (preorder,
+        and :func:`_check_tree` for loaded trees), so every parent of a
+        node is seen before the node itself.
+        """
+        feature, left, right = self.feature.tolist(), self.left.tolist(), self.right.tolist()
+        depth = [0] * len(feature)
+        for i, f in enumerate(feature):
+            if f >= 0:
+                below = depth[i] + 1
+                depth[left[i]] = max(depth[left[i]], below)
+                depth[right[i]] = max(depth[right[i]], below)
+        return max(depth)
 
 
 _TREE_DTYPES = {
@@ -147,25 +158,33 @@ class GbmModel:
 
 @dataclass(frozen=True)
 class _FlatEnsemble:
-    """Every tree of a model in one set of node arrays.
+    """Every tree of a model in one set of node arrays, deepest tree first.
 
-    Trees are concatenated round by round and class by class, each node
-    ``i`` of the concatenation owning the slots ``2i`` and ``2i + 1``.
-    Walking rows hold doubled ids, so that ``child[2i + went_left]`` is the
-    next node: slot ``2i`` holds the right child, ``2i + 1`` the left one.
-    A leaf is its own child on both sides, so after ``levels`` steps (the
-    depth of the deepest tree) every row sits at its leaf in every tree.
+    Trees are sorted by depth, deepest first (a stable sort, so trees of
+    equal depth keep training order), and concatenated in that order,
+    each node ``i`` of the concatenation owning the slots ``2i`` and
+    ``2i + 1``.  Walking rows hold doubled ids, so that
+    ``child[2i + went_left]`` is the next node: slot ``2i`` holds the
+    right child, ``2i + 1`` the left one.  A leaf is its own child on
+    both sides, so a row that reaches a leaf early stays there.
+    ``deeper[l]`` trees are deeper than ``l``; they lead the order, so
+    level ``l`` of a walk steps only them, and after as many steps as a
+    tree is deep every row sits at its leaf in that tree.
     """
 
     feature: np.ndarray  # (2 * nodes,) intp; 0 at leaves
     threshold: np.ndarray  # (2 * nodes,) float64
     child: np.ndarray  # (2 * nodes,) intp doubled ids: right child, then left child
     value: np.ndarray  # (2 * nodes,) float64
-    roots: np.ndarray  # (trees,) intp doubled id of each tree's root
-    levels: int
+    roots: np.ndarray  # (trees,) intp doubled id of each tree's root, deepest tree first
+    deeper: tuple[int, ...]  # deeper[l]: trees deeper than level l; non-increasing
+    position: np.ndarray  # (trees,) intp place in the walk of each tree, in training order
 
     @classmethod
     def build(cls, trees: list[Tree]) -> "_FlatEnsemble":
+        depths = np.array([tree.depth for tree in trees])
+        order = np.argsort(-depths, kind="stable")
+        trees = [trees[t] for t in order]
         sizes = np.array([tree.feature.size for tree in trees], dtype=np.intp)
         offsets = np.cumsum(sizes) - sizes
         feature = np.concatenate([tree.feature for tree in trees]).astype(np.intp)
@@ -174,26 +193,37 @@ class _FlatEnsemble:
         leaf = feature < 0
         left[leaf] = right[leaf] = np.flatnonzero(leaf)
         feature[leaf] = 0
+        position = np.empty(len(trees), dtype=np.intp)
+        position[order] = np.arange(len(trees))
         return cls(
             feature=np.repeat(feature, 2),
             threshold=np.repeat(np.concatenate([tree.threshold for tree in trees]), 2),
             child=np.column_stack([2 * right, 2 * left]).ravel(),
             value=np.repeat(np.concatenate([tree.value for tree in trees]), 2),
             roots=2 * offsets,
-            levels=max(tree.depth for tree in trees),
+            deeper=tuple(int((depths > level).sum()) for level in range(int(depths.max()))),
+            position=position,
         )
 
+    @property
+    def rows_per_block(self) -> int:
+        """Rows :func:`raw_scores` walks at once: ``_BLOCK_PAIRS`` (row,
+        tree) pairs, and at least one row."""
+        return max(1, _BLOCK_PAIRS // self.roots.size)
+
     def leaf_values(self, X: np.ndarray) -> np.ndarray:
-        """(rows, trees) leaf value of every row of C-contiguous ``X`` in
-        every tree; rows go left when x <= threshold, so NaN goes right."""
+        """(trees, rows) leaf value of every row of C-contiguous ``X`` in
+        every tree, trees in training order; rows go left when
+        x <= threshold, so NaN goes right."""
         n_rows, n_features = X.shape
         flat_x = X.ravel()
-        row_start = np.arange(n_rows, dtype=np.intp)[:, None] * n_features
-        node = np.broadcast_to(self.roots, (n_rows, self.roots.size))
-        for _ in range(self.levels):
-            went_left = flat_x[row_start + self.feature[node]] <= self.threshold[node]
-            node = self.child[node + went_left]
-        return self.value[node]
+        row_start = np.arange(n_rows, dtype=np.intp) * n_features
+        node = np.repeat(self.roots[:, None], n_rows, axis=1)
+        for n_trees in self.deeper:
+            walking = node[:n_trees]
+            went_left = flat_x[row_start + self.feature[walking]] <= self.threshold[walking]
+            node[:n_trees] = self.child[walking + went_left]
+        return self.value[node[self.position]]
 
 
 def _bin_edges(col: np.ndarray, n_bins: int) -> np.ndarray:
@@ -349,6 +379,13 @@ def _build_tree(
         children = []
         for i, rows in enumerate(level):
             f, b = int(split_f[i]), int(split_b[i])
+            if f >= 0:
+                mask = bins.codes[f][rows] <= b
+                # With min_child_weight 0 the best split can leave a side
+                # without rows; its gain is rounding noise, and since it
+                # was the argmax no candidate has a real gain.
+                if mask.all() or not mask.any():
+                    f = split_f[i] = -1
             if f < 0:
                 leaf = -hp.learning_rate * float(g_sum[i]) / (float(h_sum[i]) + hp.l2_lambda)
                 nodes.append([-1, 0.0, -1, -1, leaf])
@@ -357,7 +394,6 @@ def _build_tree(
             # The next level follows this one, two nodes per split node.
             first_child = len(nodes) + len(level) - i + 2 * len(children)
             nodes.append([f, float(bins.edges[f][b]), first_child, first_child + 1, 0.0])
-            mask = bins.codes[f][rows] <= b
             children.append((rows[mask], rows[~mask]))
         if not children:
             break
@@ -495,31 +531,33 @@ def _check_schema(model: GbmModel, matrix: FeatureMatrix) -> None:
         )
 
 
-#: Rows walked at once; bounds the (rows, trees) temporaries of a walk.
-_BLOCK_ROWS = 512
+#: (row, tree) pairs walked at once; bounds the (trees, rows) temporaries
+#: of a walk while keeping whole flights in one block.
+_BLOCK_PAIRS = 2**18
 
 
 def raw_scores(model: GbmModel, matrix: FeatureMatrix) -> np.ndarray:
     """Base scores plus summed leaf values, shape (n_rows, n_classes).
 
-    Rows walk every tree at once in blocks of ``_BLOCK_ROWS``; leaf values
-    are added round by round, in training order.
+    Rows walk every tree at once in blocks of
+    :attr:`_FlatEnsemble.rows_per_block`; leaf values are added round by
+    round, in training order, to class-major scores.
     """
     _check_schema(model, matrix)
     if matrix.X.shape[1] != len(model.columns):
         raise SchemaMismatchError(
             f"{matrix.X.shape[1]} feature columns for a model of {len(model.columns)}"
         )
-    scores = np.tile(model.base_score, (matrix.n_rows, 1))
-    if not model.trees:
-        return scores
-    X = np.ascontiguousarray(matrix.X, dtype=np.float64)
-    for start in range(0, matrix.n_rows, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        leaves = model._flat.leaf_values(X[block]).reshape(-1, len(model.trees), model.n_classes)
-        for r in range(len(model.trees)):
-            scores[block] += leaves[:, r]
-    return scores
+    scores = np.repeat(model.base_score[:, None], matrix.n_rows, axis=1)
+    if model.trees:
+        X = np.ascontiguousarray(matrix.X, dtype=np.float64)
+        flat, step = model._flat, model._flat.rows_per_block
+        for start in range(0, matrix.n_rows, step):
+            block = slice(start, start + step)
+            leaves = flat.leaf_values(X[block]).reshape(len(model.trees), model.n_classes, -1)
+            for round_leaves in leaves:
+                scores[:, block] += round_leaves
+    return scores.T
 
 
 def predict_proba(model: GbmModel, rows: FeatureMatrix) -> np.ndarray:

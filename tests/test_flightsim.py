@@ -743,6 +743,11 @@ class TestGenerateDataset:
             ("min_log_altitude_m", [1000], "key 'min_log_altitude_m' must be float"),
             ("min_log_altitude_m", float("nan"), "min_log_altitude_m must be finite"),
             ("min_log_altitude_m", float("-inf"), "min_log_altitude_m must be finite"),
+            # bool is an int subclass, but never a count or a rate.
+            ("climb_rate_mps", True, "key 'climb_rate_mps' must be float"),
+            ("seed", True, "key 'seed' must be int"),
+            ("flights_per_route", True, "key 'flights_per_route' must be int"),
+            ("span_days", True, "key 'span_days' must be float"),
         ],
     )
     def test_config_rates_and_log_altitude_are_checked(self, key, value, message):

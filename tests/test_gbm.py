@@ -1,5 +1,6 @@
 import hashlib
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -287,8 +288,36 @@ class TestHistogramSubtraction:
         assert hist[1].tobytes() == gbm._histograms(bins, g, h, [np.arange(5, 8)])[0].tobytes()
 
 
-def reference_apply(tree, X):
-    """Leaf value of one tree for every row; rows go left when x <= threshold.
+@st.composite
+def zero_weight_cases(draw):
+    """Normal rows, unit or softmax-like hessians and ``min_child_weight``
+    0, where a split that sends every row of a node to one side has only
+    rounding noise for a gain."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(50, 1000))
+    X = rng.normal(size=(n, 3))
+    if draw(st.booleans()):
+        g, h = rng.normal(size=n), np.ones(n)
+    else:
+        p = rng.uniform(size=n)
+        g, h = p - (rng.uniform(size=n) < 0.3), p * (1.0 - p)
+    hp = GbmHyperParams(max_depth=6, n_bins=64, min_child_weight=0.0, l2_lambda=draw(st.sampled_from([0.0, 1.0])))
+    return X, g, h, hp
+
+
+class TestEmptyChildren:
+    @settings(max_examples=60, deadline=None)
+    @given(zero_weight_cases())
+    def test_every_leaf_is_reached_by_a_training_row(self, case):
+        X, g, h, hp = case
+        tree, update = gbm._build_tree(gbm._bin_features(X, hp.n_bins), g, h, hp)
+        leaves = reference_leaves(tree, X)
+        assert set(leaves.tolist()) == set(np.flatnonzero(tree.feature < 0).tolist())
+        assert np.array_equal(update, tree.value[leaves])
+
+
+def reference_leaves(tree, X):
+    """Leaf id of one tree for every row; rows go left when x <= threshold.
 
     Walks one tree at a time; the reference for the flat walk over every
     tree in ``gbm.raw_scores``.
@@ -297,10 +326,14 @@ def reference_apply(tree, X):
     while True:
         active = np.nonzero(tree.feature[node] >= 0)[0]
         if active.size == 0:
-            return tree.value[node]
+            return node
         cur = node[active]
         go_left = X[active, tree.feature[cur]] <= tree.threshold[cur]
         node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
+
+
+def reference_apply(tree, X):
+    return tree.value[reference_leaves(tree, X)]
 
 
 def reference_raw_scores(model, X):
@@ -311,9 +344,10 @@ def reference_raw_scores(model, X):
     return scores
 
 
-def random_tree(rng, n_features, max_depth, thresholds):
+def random_tree(rng, n_features, max_depth, thresholds, split_p=0.75):
     """A preorder tree of at most ``max_depth`` levels (0 gives a single
-    leaf) that splits on thresholds drawn from ``thresholds``."""
+    leaf) that splits on thresholds drawn from ``thresholds``; a node
+    above the last level splits with probability ``split_p``."""
     feature, threshold, left, right, value = [], [], [], [], []
 
     def grow(depth):
@@ -323,7 +357,7 @@ def random_tree(rng, n_features, max_depth, thresholds):
         left.append(-1)
         right.append(-1)
         value.append(0.0)
-        if depth < max_depth and rng.random() < 0.75:
+        if depth < max_depth and rng.random() < split_p:
             feature[node] = int(rng.integers(n_features))
             threshold[node] = float(rng.choice(thresholds))
             left[node] = grow(depth + 1)
@@ -342,39 +376,133 @@ def random_tree(rng, n_features, max_depth, thresholds):
     )
 
 
+def random_trees(draw, rng, n_features, thresholds, n_classes):
+    """[round][class] trees of one of three shapes: mixed depths; whole
+    classes of single leaves among trees of mixed depth; or shallow trees
+    with one tree of depth 5 deeper than all the others."""
+    n_rounds = draw(st.integers(0, 6))
+    shape = draw(st.sampled_from(["mixed", "leaf classes", "one deep"]))
+    if shape == "mixed":
+        return [
+            [random_tree(rng, n_features, draw(st.integers(0, 5)), thresholds) for _ in range(n_classes)]
+            for _ in range(n_rounds)
+        ]
+    if shape == "leaf classes":
+        leaf_classes = set(draw(st.sets(st.integers(0, n_classes - 1), max_size=n_classes)))
+        return [
+            [random_tree(rng, n_features, 0 if k in leaf_classes else draw(st.integers(1, 5)), thresholds)
+             for k in range(n_classes)]
+            for _ in range(n_rounds)
+        ]
+    trees = [[random_tree(rng, n_features, 2, thresholds) for _ in range(n_classes)] for _ in range(n_rounds)]
+    if trees:
+        trees[draw(st.integers(0, n_rounds - 1))][draw(st.integers(0, n_classes - 1))] = random_tree(
+            rng, n_features, 5, thresholds, split_p=1.0
+        )
+    return trees
+
+
 @st.composite
 def ensemble_cases(draw):
-    """A model of random trees of mixed depth, and rows to score with it.
+    """A model of random trees, a ``gbm._BLOCK_PAIRS`` small enough for
+    short tests, and rows to score that end on, just past or well past a
+    block boundary for that model.
 
     Feature values come from a few levels that double as thresholds, so
     many values equal a threshold; some values are NaN.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n_rows = draw(st.sampled_from([0, 1, 2, gbm._BLOCK_ROWS, gbm._BLOCK_ROWS + 1, 2 * gbm._BLOCK_ROWS + 3]))
     n_features = draw(st.integers(1, 4))
     levels = np.round(rng.normal(size=draw(st.integers(1, 6))), 2)
-    X = rng.choice(levels, size=(n_rows, n_features))
-    X[rng.random(X.shape) < draw(st.sampled_from([0.0, 0.2]))] = np.nan
     kind, n_classes = draw(st.sampled_from([("classifier", 4), ("regressor", 1)]))
-    trees = [
-        [random_tree(rng, n_features, draw(st.integers(0, 5)), levels) for _ in range(n_classes)]
-        for _ in range(draw(st.integers(0, 6)))
-    ]
-    matrix = make_matrix(X)
+    trees = random_trees(draw, rng, n_features, levels, n_classes)
+    columns = make_matrix(np.zeros((0, n_features)))
     model = GbmModel(
         kind=kind, n_classes=n_classes, hyperparams=GbmHyperParams(), base_score=rng.normal(size=n_classes),
-        trees=trees, columns=matrix.columns, schema_hash=matrix.schema_hash, vocab=None,
+        trees=trees, columns=columns.columns, schema_hash=columns.schema_hash, vocab=None,
     )
-    return model, matrix
+    block_pairs = draw(st.sampled_from([1, 7, 64]))
+    per_block = 1
+    if trees:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gbm, "_BLOCK_PAIRS", block_pairs)
+            per_block = model._flat.rows_per_block
+    n_rows = draw(st.sampled_from([0, 1, per_block, per_block + 1, 2 * per_block + 3]))
+    X = rng.choice(levels, size=(n_rows, n_features))
+    X[rng.random(X.shape) < draw(st.sampled_from([0.0, 0.2]))] = np.nan
+    return model, make_matrix(X), block_pairs
 
 
 class TestRawScores:
     @settings(max_examples=150, deadline=None)
     @given(ensemble_cases())
     def test_flat_walk_matches_per_tree_reference_bit_for_bit(self, case):
-        model, matrix = case
-        got = gbm.raw_scores(model, matrix)
+        model, matrix, block_pairs = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gbm, "_BLOCK_PAIRS", block_pairs)
+            got = gbm.raw_scores(model, matrix)
         assert got.shape == (matrix.n_rows, model.n_classes)
+        assert got.tobytes() == reference_raw_scores(model, matrix.X).tobytes()
+
+    def test_block_boundaries_at_the_real_block_size(self):
+        # Enough stumps that a block holds only a few dozen rows.
+        rng = np.random.default_rng(9)
+        levels = np.array([-1.0, 0.0, 1.0])
+        trees = [[random_tree(rng, 2, 1, levels, split_p=1.0) for _ in range(4)] for _ in range(1024)]
+        X = rng.choice(levels, size=(200, 2))
+        matrix = make_matrix(X)
+        model = GbmModel(
+            kind="classifier", n_classes=4, hyperparams=GbmHyperParams(), base_score=np.zeros(4),
+            trees=trees, columns=matrix.columns, schema_hash=matrix.schema_hash, vocab=None,
+        )
+        assert 1 < model._flat.rows_per_block < 100
+        assert gbm.raw_scores(model, matrix).tobytes() == reference_raw_scores(model, X).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 30))
+    def test_deeper_counts_the_trees_below_each_level(self, seed, n_trees):
+        rng = np.random.default_rng(seed)
+        trees = [random_tree(rng, 2, int(rng.integers(0, 7)), [0.0]) for _ in range(n_trees)]
+        flat = gbm._FlatEnsemble.build(trees)
+        depths = np.array([tree.depth for tree in trees])
+        assert list(flat.deeper) == [int((depths > level).sum()) for level in range(depths.max())]
+        assert all(a >= b for a, b in zip(flat.deeper, flat.deeper[1:]))
+        # Deepest first in the walk, and equal depths in training order.
+        walk_order = np.argsort(flat.position)
+        assert np.all(np.diff(depths[walk_order]) <= 0)
+        ties = depths[walk_order][1:] == depths[walk_order][:-1]
+        assert np.all(np.diff(walk_order)[ties] > 0)
+
+    def test_a_chain_deeper_than_the_recursion_limit_scores_like_the_reference(self):
+        # Split k sends x <= k to a leaf of value k and the rest on down the
+        # chain; the last split's right child is a leaf of value -1.
+        depth = 1500
+        feature, threshold, left, right, value = [], [], [], [], []
+        for k in range(depth):
+            node = 2 * k
+            feature += [0, -1]
+            threshold += [float(k), 0.0]
+            left += [node + 1, -1]
+            right += [node + 2, -1]
+            value += [0.0, float(k)]
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(-1.0)
+        chain = Tree(
+            feature=np.array(feature, dtype=np.int32), threshold=np.array(threshold),
+            left=np.array(left, dtype=np.int32), right=np.array(right, dtype=np.int32), value=np.array(value),
+        )
+        matrix = make_matrix([[-3.0], [0.5], [700.5], [1498.5], [2000.0], [np.nan]])
+        built = GbmModel(
+            kind="regressor", n_classes=1, hyperparams=GbmHyperParams(), base_score=np.zeros(1),
+            trees=[[chain]], columns=matrix.columns, schema_hash=matrix.schema_hash, vocab=None,
+        )
+        model = gbm.model_from_jsonable(json.loads(json.dumps(model_to_jsonable(built))))
+        assert model.trees[0][0].depth == depth
+        got = gbm.raw_scores(model, matrix)
+        assert got[:, 0].tolist() == [0.0, 1.0, 701.0, 1499.0, -1.0, -1.0]
         assert got.tobytes() == reference_raw_scores(model, matrix.X).tobytes()
 
     def test_threshold_goes_left_and_nan_goes_right(self):
@@ -393,7 +521,7 @@ class TestRawScores:
         assert predict_value(model, matrix).tolist() == [-1.0, 1.0, 1.0, -1.0]
 
     def test_zero_round_model_scores_its_base(self):
-        matrix = make_matrix(np.zeros((gbm._BLOCK_ROWS + 1, 2)), y=[0, 1, 2] * 171)
+        matrix = make_matrix(np.zeros((513, 2)), y=[0, 1, 2] * 171)
         model = baseline_majority(matrix)
         assert np.array_equal(gbm.raw_scores(model, matrix), np.tile(model.base_score, (matrix.n_rows, 1)))
 
@@ -410,11 +538,22 @@ class TestRawScores:
             gbm.raw_scores(model, narrow)
 
 
+# (Python, numpy) versions the C9 hashes below were recorded with.
+C9_BUILD = ("3.11.7", "2.4.6")
+
+
+def c9_mismatch(what):
+    """Assertion message for a C9 hash that does not match."""
+    return (
+        f"{what} differs from the value recorded on Python {C9_BUILD[0]}, numpy {C9_BUILD[1]}; "
+        f"this is Python {platform.python_version()}, numpy {np.__version__}.  On the recorded build "
+        "this is a regression; on another, float sums may differ, so refresh the pinned value on purpose."
+    )
+
+
 # SHA-256 of the saved C9 set-up models (one flight per route, seed 55,
-# altitude > 6000 m, 25 rounds), recorded with Python 3.11.7 and numpy
-# 2.4.6 for the level-wise builder with histogram subtraction.  Float sums
-# depend on the numpy build, so another numpy version may need these
-# refreshed on purpose.
+# altitude > 6000 m, 25 rounds), recorded on ``C9_BUILD`` for the
+# level-wise builder with histogram subtraction.
 C9_MODEL_SHA256 = {
     "train_gbm": "0720134f123cfcc360942dacd1c27c2a7cc7ed350bdc9756db3eb08905c73cda",
     "train_regressor": "cb7a9aa9f3e0c56ef87d7867f98934b69db7575345065dcab37fe69d31aab797",
@@ -449,12 +588,14 @@ class TestModelBytes:
     @pytest.mark.parametrize("train_fn", [train_gbm, train_regressor])
     def test_pinned_c9_model_hashes(self, c9_train, train_fn, tmp_path):
         data = model_bytes(train_fn, *c9_train, tmp_path / "model.json")
-        assert hashlib.sha256(data).hexdigest() == C9_MODEL_SHA256[train_fn.__name__]
+        assert hashlib.sha256(data).hexdigest() == C9_MODEL_SHA256[train_fn.__name__], c9_mismatch(
+            f"the {train_fn.__name__} model hash"
+        )
 
     def test_pinned_c9_report_hash(self, c9_records):
         report, _ = run_experiment(c9_records, C9_SPEC)
         text = json.dumps(report.to_dict(), sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest() == C9_REPORT_SHA256
+        assert hashlib.sha256(text.encode()).hexdigest() == C9_REPORT_SHA256, c9_mismatch("the report hash")
 
     @pytest.mark.parametrize("train_fn", [train_gbm, train_regressor])
     def test_same_trees_as_reference_builder_on_tie_free_data(self, train_fn, monkeypatch):
