@@ -302,10 +302,11 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _models_from_config(config: dict) -> tuple[dict, dict, Optional[WeatherProvider]]:
-    model_by_sat = {sat: load_model(path) for sat, path in config.get("models", {}).items()}
-    weather_model_by_sat = {
-        sat: load_model(path) for sat, path in config.get("weather_models", {}).items()
-    }
+    # One model per file: satellites that name the same file share its predictions.
+    paths, wx_paths = config.get("models", {}), config.get("weather_models", {})
+    loaded = {path: load_model(path) for path in dict.fromkeys([*paths.values(), *wx_paths.values()])}
+    model_by_sat = {sat: loaded[path] for sat, path in paths.items()}
+    weather_model_by_sat = {sat: loaded[path] for sat, path in wx_paths.items()}
     provider = weather_provider_from_spec(config.get("weather"))
     return model_by_sat, weather_model_by_sat, provider
 

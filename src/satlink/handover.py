@@ -7,12 +7,20 @@ least ``min_dwell_s`` seconds have passed since the previous switch, and
 some other satellite is predicted strictly better.  This is deliberately
 the smallest policy family that acts before an outage without ping-ponging
 between beams.
+
+Predictions are an ``int8`` grid of (minutes, satellites), satellites
+sorted and -1 for no prediction.  The forecast labels each distinct input
+once: satellites share a model's labels unless some tree of it reads
+``satellite_id``.  The policy is a scan that jumps from switch to switch
+over whole-flight columns (degraded runs, the next minute a switch is
+earned), so a switch costs a few lookups, not a pass over the flight.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -28,7 +36,7 @@ from .ingest import (
     encode_features,
 )
 from .model.gbm import GbmModel, predict_labels
-from .weather import WeatherCell, WeatherProvider, _format_utc, _utc_seconds
+from .weather import _EPOCH, WeatherCell, WeatherProvider, _format_utc, _utc_seconds
 
 
 @dataclass(frozen=True)
@@ -43,9 +51,10 @@ class HoPolicy:
     horizon_min: int = 10
 
     def __post_init__(self) -> None:
-        if self.consecutive_k < 1:
-            raise ValueError(f"consecutive_k must be >= 1: {self.consecutive_k}")
-        if self.min_dwell_s < 0:
+        k = self.consecutive_k
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            raise ValueError(f"consecutive_k must be an int >= 1: {k!r}")
+        if not self.min_dwell_s >= 0:  # NaN as well
             raise ValueError(f"min_dwell_s must be >= 0: {self.min_dwell_s}")
         if self.horizon_min < self.consecutive_k:
             raise ValueError(
@@ -62,109 +71,20 @@ class HoEvent:
     reason: str
 
 
-@dataclass(frozen=True, slots=True)
-class HoDecision:
-    switch: bool
-    target: Optional[str] = None
-    reason: str = ""
-
-
-#: The decision of every step that does not switch; decisions are immutable.
-_STAY = HoDecision(switch=False)
-
-
-@dataclass(frozen=True, slots=True)
-class HoState:
-    """Immutable handover state; :func:`step` returns an updated copy."""
-
-    serving_satellite: str
-    last_switch_time: Optional[datetime] = None
-    degraded_run: int = 0
-    event_log: tuple[HoEvent, ...] = ()
-    last_step_time: Optional[datetime] = None
-
-
-def step(
-    state: HoState,
-    t: datetime,
-    categories: Mapping[str, CnrCategory],
-    policy: HoPolicy,
-) -> tuple[HoState, HoDecision]:
-    """Advance the state machine by one minute of predictions.
-
-    ``categories`` maps satellite id to the predicted category at time
-    ``t`` and must include the serving satellite.  Pure function: replaying
-    the same inputs reproduces the same states and event log.
-    """
-    if state.serving_satellite not in categories:
-        raise ValueError(f"no prediction for serving satellite {state.serving_satellite!r}")
-    if state.last_step_time is not None and t <= state.last_step_time:
-        raise ValueError(
-            f"step time {t.isoformat()} not after last step {state.last_step_time.isoformat()}"
-        )
-
-    serving_cat = categories[state.serving_satellite]
-    degraded = serving_cat < policy.degrade_threshold
-    run = state.degraded_run + 1 if degraded else 0
-
-    dwell_ok = (
-        state.last_switch_time is None
-        or (t - state.last_switch_time).total_seconds() >= policy.min_dwell_s
-    )
-    if run >= policy.consecutive_k and dwell_ok:
-        better = {
-            sat: cat
-            for sat, cat in categories.items()
-            if sat != state.serving_satellite and cat > serving_cat
-        }
-        if better:
-            best_cat = max(better.values())
-            target = min(sat for sat, cat in better.items() if cat == best_cat)
-            reason = (
-                f"serving {state.serving_satellite} predicted {serving_cat.label} "
-                f"for {run} consecutive minutes; {target} predicted {best_cat.label}"
-            )
-            event = HoEvent(t, state.serving_satellite, target, reason)
-            new_state = HoState(
-                serving_satellite=target,
-                last_switch_time=t,
-                degraded_run=0,
-                event_log=state.event_log + (event,),
-                last_step_time=t,
-            )
-            return new_state, HoDecision(switch=True, target=target, reason=reason)
-
-    kept = HoState(
-        serving_satellite=state.serving_satellite,
-        last_switch_time=state.last_switch_time,
-        degraded_run=run,
-        event_log=state.event_log,
-        last_step_time=t,
-    )
-    return kept, _STAY
-
-
-def forecast_route(
+def _forecast_codes(
     model_by_sat: Mapping[str, GbmModel],
     waypoints: LogColumns | Sequence[FlightLogRecord],
     weather: Optional[WeatherProvider] = None,
     weather_model_by_sat: Optional[Mapping[str, GbmModel]] = None,
-) -> list[dict[str, CnrCategory]]:
-    """Predicted category per (waypoint, satellite).
-
-    Waypoints are prediction-mode rows, so their CNR field is ignored.
-    When a weather provider and weather-augmented models are supplied,
-    waypoints inside weather coverage are scored with the augmented model
-    and the rest fall back to the weather-free one.
-    """
+) -> tuple[list[str], np.ndarray]:
+    """:func:`forecast_route` as the sorted satellites and an ``int8`` grid."""
     if not model_by_sat:
         raise ValueError("at least one satellite model is required")
     waypoints = _columns(waypoints)
     if (np.diff(waypoints.epoch_s) <= 0).any():
         raise ValueError("waypoints must be strictly time-ordered")
-    grid: list[dict[str, CnrCategory]] = [{} for _ in range(len(waypoints))]
-    if not grid:
-        return grid
+    sats = sorted(model_by_sat)
+    codes = np.full((len(waypoints), len(sats)), -1, dtype=np.int8)
 
     wx_models = {
         sat: m for sat, m in (weather_model_by_sat or {}).items()
@@ -180,8 +100,7 @@ def forecast_route(
         parts["covered"] = (covered, waypoints.take(covered), [cells[i] for i in covered])
         parts["uncovered"] = (uncovered, waypoints.take(uncovered), None)
 
-    # One encoding per part of the route and distinct vocabulary; only the
-    # satellite column differs between satellites.
+    # One encoding per part of the route and distinct vocabulary.
     encoded: dict[str, list[tuple[Optional[Vocabulary], FeatureMatrix]]] = {}
 
     def encode(part: str, vocab: Optional[Vocabulary]) -> FeatureMatrix:
@@ -193,8 +112,11 @@ def forecast_route(
         encoded[part].append((vocab, matrix))
         return matrix
 
-    categories = list(CnrCategory)
-    for sat in sorted(model_by_sat):
+    # One labelling per (part, model, satellite code); the code is None
+    # when no tree of the model reads satellite_id, so those satellites
+    # share one.  Models are keyed by identity for the length of this call.
+    labels: dict[tuple[str, int, Optional[int]], np.ndarray] = {}
+    for j, sat in enumerate(sats):
         if sat in wx_models:
             plan = [("covered", wx_models[sat]), ("uncovered", model_by_sat[sat])]
         else:
@@ -203,11 +125,34 @@ def forecast_route(
             index = parts[part][0]
             if not index:
                 continue
-            matrix = encode(part, model.vocab)
-            matrix.X[:, matrix.columns.index("satellite_id")] = model.vocab.encode("satellite_id", sat)
-            for i, label in zip(index, predict_labels(model, matrix).tolist()):
-                grid[i][sat] = categories[label]
-    return grid
+            column = model.columns.index("satellite_id")
+            code = model.vocab.encode("satellite_id", sat) if column in model.features_read else None
+            key = (part, id(model), code)
+            if key not in labels:
+                matrix = encode(part, model.vocab)
+                if code is not None:
+                    matrix.X[:, column] = code
+                labels[key] = predict_labels(model, matrix)
+            codes[index, j] = labels[key]
+    return sats, codes
+
+
+def forecast_route(
+    model_by_sat: Mapping[str, GbmModel],
+    waypoints: LogColumns | Sequence[FlightLogRecord],
+    weather: Optional[WeatherProvider] = None,
+    weather_model_by_sat: Optional[Mapping[str, GbmModel]] = None,
+) -> list[dict[str, CnrCategory]]:
+    """Predicted category per (waypoint, satellite).
+
+    Waypoints are prediction-mode rows, so their CNR field is ignored.
+    When a weather provider and weather-augmented models are supplied,
+    waypoints inside weather coverage are scored with the augmented model
+    and the rest fall back to the weather-free one.
+    """
+    sats, codes = _forecast_codes(model_by_sat, waypoints, weather, weather_model_by_sat)
+    categories = list(CnrCategory)
+    return [{sat: categories[c] for sat, c in zip(sats, row) if c >= 0} for row in codes.tolist()]
 
 
 @dataclass
@@ -218,7 +163,6 @@ class HoReport:
     steps: int
     outage_minutes: Optional[int]
     baseline_outage_minutes: Optional[int]
-    final_state: Optional[HoState] = None
 
     def to_dict(self) -> dict:
         times = _format_utc(_utc_seconds(e.time for e in self.switches))
@@ -230,6 +174,55 @@ class HoReport:
             "outage_minutes": self.outage_minutes,
             "baseline_outage_minutes": self.baseline_outage_minutes,
         }
+
+
+def _scan(
+    sats: list[str], codes: np.ndarray, epoch_s: np.ndarray, serving: int, policy: HoPolicy
+) -> tuple[np.ndarray, list[HoEvent]]:
+    """The serving column after every minute of the policy over the grid,
+    from column ``serving``, and its switches.  Raises ``ValueError`` where a
+    fold over the minutes would: at the first minute whose serving satellite
+    has no prediction, or whose time is not after the previous minute's."""
+    n, k = len(codes), policy.consecutive_k
+    stale = np.flatnonzero(np.diff(epoch_s) <= 0)
+    end = int(stale[0]) + 1 if stale.size else n
+    grid, minutes = codes[:end], np.arange(end)[:, None]
+    # Per satellite: degraded runs from the flight start, and the next minute
+    # it could switch, to the minute's best satellite (lowest column on ties).
+    # A missing prediction counts as degraded here; the loop raises first.
+    run = minutes - np.maximum.accumulate(np.where(grid >= policy.degrade_threshold, minutes, -1), axis=0)
+    ready = (run >= k) & (grid.max(axis=1, keepdims=True) > grid)
+    next_ready = np.minimum.accumulate(np.where(ready, minutes, end)[::-1], axis=0)[::-1]
+    top = grid.argmax(axis=1)
+    dwell_end = np.searchsorted(epoch_s[:end], epoch_s[:end] + policy.min_dwell_s)
+
+    def utc(minute: int) -> datetime:
+        return _EPOCH + timedelta(seconds=int(epoch_s[minute]))
+
+    labels = [c.label for c in CnrCategory]
+    served = np.empty(n, dtype=np.intp)
+    events: list[HoEvent] = []
+    first = 0  # the first minute of the serving satellite
+    while True:
+        # The run counts only the serving satellite's own minutes, and a
+        # switch waits out the dwell time after the previous one.
+        earliest = max(first + k - 1, dwell_end[first - 1] if events else 0)
+        minute = int(next_ready[earliest, serving]) if earliest < end else end
+        if (codes[first : minute + 1, serving] < 0).any():
+            raise ValueError(f"no prediction for serving satellite {sats[serving]!r}")
+        served[first:minute] = serving
+        if minute == n:
+            return served, events
+        if minute == end:
+            raise ValueError(f"step time {utc(end).isoformat()} not after last step {utc(end - 1).isoformat()}")
+        target, degraded = int(top[minute]), min(int(run[minute, serving]), minute - first + 1)
+        reason = (
+            f"serving {sats[serving]} predicted {labels[codes[minute, serving]]} for {degraded} consecutive "
+            f"minutes; {sats[target]} predicted {labels[codes[minute, target]]}"
+        )
+        events.append(HoEvent(utc(minute), sats[serving], sats[target], reason))
+        served[minute] = serving = target
+        first = minute + 1
 
 
 def simulate_handover(
@@ -249,42 +242,43 @@ def simulate_handover(
     ``predictions`` (e.g. ground truth, for policy-ceiling studies).  When
     ``truth`` maps satellite id to the per-minute true CNR, the report
     counts the minutes the chosen serving satellite was truly Bad or
-    unmeasurable, alongside the same count for a never-switching baseline.
+    unmeasurable, alongside the same count for a never-switching baseline;
+    it must then cover the initial satellite and every satellite served.
     """
     if (model_by_sat is None) == (predictions is None):
         raise ValueError("provide exactly one of model_by_sat or predictions")
     if predictions is None:
-        predictions = forecast_route(model_by_sat, records, weather, weather_model_by_sat)
+        sats, codes = _forecast_codes(model_by_sat, records, weather, weather_model_by_sat)
     elif len(predictions) != len(records):
         raise ValueError(f"{len(predictions)} prediction rows for {len(records)} records")
+    else:
+        sats = sorted(set().union(*predictions))
+        codes = np.array([row.get(sat, -1) for row in predictions for sat in sats], dtype=np.int8)
+        codes = codes.reshape(len(predictions), len(sats))
 
     if not len(records):
         return HoReport(switches=[], steps=0, outage_minutes=None, baseline_outage_minutes=None)
     initial = initial_satellite or records[0].satellite_id
-    state = HoState(serving_satellite=initial)
-    serving = []
-    for record, categories in zip(records, predictions):
-        state, _ = step(state, record.log_date, categories, policy)
-        serving.append(state.serving_satellite)
+    if initial not in sats:
+        raise ValueError(f"no prediction for serving satellite {initial!r}")
+    epoch_s = records.epoch_s if isinstance(records, LogColumns) else _utc_seconds(r.log_date for r in records)
+    served, events = _scan(sats, codes, epoch_s, sats.index(initial), policy)
 
     outage = baseline_outage = None
     if truth is not None:
         # No measurement (None, NaN) means no usable link; count it with the Bad minutes.
         cnr = {sat: np.array(values, dtype=float) for sat, values in truth.items()}
         for sat, v in cnr.items():
-            if v.shape != (len(serving),) or np.isinf(v).any():
+            if v.shape != (len(served),) or np.isinf(v).any():
                 raise ValueError(f"truth for {sat} needs one finite CNR or None per minute")
+        for sat in [initial] + [sats[c] for c in np.unique(served).tolist()]:
+            if sat not in cnr:
+                raise ValueError(f"truth has no CNR for satellite {sat!r}, which the policy serves")
         down = {
-            sat: (np.isnan(v) | (np.searchsorted(CATEGORY_EDGES_DB, v, side="right") == CnrCategory.BAD)).tolist()
+            sat: np.isnan(v) | (np.searchsorted(CATEGORY_EDGES_DB, v, side="right") == CnrCategory.BAD)
             for sat, v in cnr.items()
         }
-        outage = sum(down[sat][i] for i, sat in enumerate(serving))
-        baseline_outage = sum(down[initial])
+        outage = sum(int(down[sats[c]][served == c].sum()) for c in np.unique(served).tolist())
+        baseline_outage = int(down[initial].sum())
 
-    return HoReport(
-        switches=list(state.event_log),
-        steps=len(records),
-        outage_minutes=outage,
-        baseline_outage_minutes=baseline_outage,
-        final_state=state,
-    )
+    return HoReport(events, len(records), outage, baseline_outage)

@@ -150,6 +150,11 @@ class GbmModel:
         return len(self.trees)
 
     @functools.cached_property
+    def features_read(self) -> frozenset[int]:
+        """Column indices some tree splits on; trees never change once built."""
+        return frozenset(f for trees in self.trees for tree in trees for f in tree.feature.tolist() if f >= 0)
+
+    @functools.cached_property
     def _flat(self) -> "_FlatEnsemble":
         """All trees as flat arrays, built on first prediction; trees are
         not changed after training or loading."""

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from satlink.cli import ExperimentSpec, _policy_from_dict, main
+from satlink.cli import ExperimentSpec, _models_from_config, _policy_from_dict, main
 from satlink.flightsim import GenerationConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -299,6 +299,12 @@ class TestForecastHosim:
         assert code == 0
         report = json.loads(out.read_text())
         assert set(report) == {"switches", "outage_minutes", "baseline_outage_minutes"}
+
+    def test_satellites_naming_one_file_share_one_model(self, trained_model, tmp_path):
+        config = json.loads(self.models_config(trained_model, tmp_path).read_text())
+        config["weather_models"] = {"I5F1": str(trained_model["model"])}
+        model_by_sat, wx_models, _ = _models_from_config(config)
+        assert len({id(m) for m in [*model_by_sat.values(), *wx_models.values()]}) == 1
 
     def test_unknown_model_path_is_file_error(self, tmp_path, capsys):
         config = tmp_path / "models.json"

@@ -1,20 +1,34 @@
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from pathlib import Path
 from datetime import datetime, timedelta, timezone
+from time import perf_counter
+from typing import Mapping, Optional
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satlink import handover
 from satlink.cli import load_records
 from satlink.handover import (
+    HoEvent,
     HoPolicy,
-    HoState,
+    _forecast_codes,
+    _scan,
     forecast_route,
     simulate_handover,
-    step,
 )
-from satlink.ingest import CnrCategory, encode_features, filter_altitude, labeled
+from satlink.ingest import (
+    UNKNOWN_ID,
+    CnrCategory,
+    LogColumns,
+    bin_cnr,
+    encode_features,
+    filter_altitude,
+    labeled,
+    parse_logs,
+)
 from satlink.model import GbmHyperParams, predict_category, predict_labels, train_gbm
 from satlink.weather import CoverageGapError, SyntheticWeather
 
@@ -27,6 +41,108 @@ BAD, WEAK, MEDIUM, GOOD = CnrCategory
 
 def minute(i):
     return T0 + timedelta(minutes=i)
+
+
+@dataclass(frozen=True, slots=True)
+class HoDecision:
+    switch: bool
+    target: Optional[str] = None
+    reason: str = ""
+
+
+#: The decision of every step that does not switch; decisions are immutable.
+_STAY = HoDecision(switch=False)
+
+
+@dataclass(frozen=True, slots=True)
+class HoState:
+    """Immutable handover state; :func:`step` returns an updated copy."""
+
+    serving_satellite: str
+    last_switch_time: Optional[datetime] = None
+    degraded_run: int = 0
+    event_log: tuple[HoEvent, ...] = ()
+    last_step_time: Optional[datetime] = None
+
+
+def step(
+    state: HoState,
+    t: datetime,
+    categories: Mapping[str, CnrCategory],
+    policy: HoPolicy,
+) -> tuple[HoState, HoDecision]:
+    """Advance the policy by one minute of predictions: the reference fold
+    for the scan in ``simulate_handover``.
+
+    ``categories`` maps satellite id to the predicted category at time
+    ``t`` and must include the serving satellite.  Pure function: replaying
+    the same inputs reproduces the same states and event log.
+    """
+    if state.serving_satellite not in categories:
+        raise ValueError(f"no prediction for serving satellite {state.serving_satellite!r}")
+    if state.last_step_time is not None and t <= state.last_step_time:
+        raise ValueError(
+            f"step time {t.isoformat()} not after last step {state.last_step_time.isoformat()}"
+        )
+
+    serving_cat = categories[state.serving_satellite]
+    degraded = serving_cat < policy.degrade_threshold
+    run = state.degraded_run + 1 if degraded else 0
+
+    dwell_ok = (
+        state.last_switch_time is None
+        or (t - state.last_switch_time).total_seconds() >= policy.min_dwell_s
+    )
+    if run >= policy.consecutive_k and dwell_ok:
+        better = {
+            sat: cat
+            for sat, cat in categories.items()
+            if sat != state.serving_satellite and cat > serving_cat
+        }
+        if better:
+            best_cat = max(better.values())
+            target = min(sat for sat, cat in better.items() if cat == best_cat)
+            reason = (
+                f"serving {state.serving_satellite} predicted {serving_cat.label} "
+                f"for {run} consecutive minutes; {target} predicted {best_cat.label}"
+            )
+            event = HoEvent(t, state.serving_satellite, target, reason)
+            new_state = HoState(
+                serving_satellite=target,
+                last_switch_time=t,
+                degraded_run=0,
+                event_log=state.event_log + (event,),
+                last_step_time=t,
+            )
+            return new_state, HoDecision(switch=True, target=target, reason=reason)
+
+    kept = HoState(
+        serving_satellite=state.serving_satellite,
+        last_switch_time=state.last_switch_time,
+        degraded_run=run,
+        event_log=state.event_log,
+        last_step_time=t,
+    )
+    return kept, _STAY
+
+
+def reference_simulate(times, predictions, policy, initial, truth=None):
+    """``simulate_handover`` as a fold of :func:`step`: the serving
+    satellite after every minute, the events, and the outage and baseline
+    minutes when ``truth`` is given."""
+    state = HoState(serving_satellite=initial)
+    serving = []
+    for t, categories in zip(times, predictions):
+        state, _ = step(state, t, categories, policy)
+        serving.append(state.serving_satellite)
+    outage = baseline = None
+    if truth is not None:
+        down = {
+            sat: [v is None or bin_cnr(v) == CnrCategory.BAD for v in values] for sat, values in truth.items()
+        }
+        outage = sum(down[sat][i] for i, sat in enumerate(serving))
+        baseline = sum(down[initial])
+    return serving, list(state.event_log), outage, baseline
 
 
 def run_steps(categories_per_minute, policy, serving="A"):
@@ -130,6 +246,11 @@ class TestStep:
             HoPolicy(min_dwell_s=-1.0)
         with pytest.raises(ValueError):
             HoPolicy(consecutive_k=5, horizon_min=3)
+        for k in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="consecutive_k must be an int"):
+                HoPolicy(consecutive_k=k)
+        with pytest.raises(ValueError, match="min_dwell_s"):
+            HoPolicy(min_dwell_s=float("nan"))
 
 
 @st.composite
@@ -267,6 +388,100 @@ class TestSimulate:
         with pytest.raises(ValueError, match="exactly one"):
             simulate_handover(records)
 
+    def test_truth_must_cover_every_satellite_served(self):
+        records, truth, predictions = two_satellite_flight()
+        policy = HoPolicy(min_dwell_s=0.0)
+        for partial, missing in (({"A": truth["A"]}, "'B'"), ({"B": truth["B"]}, "'A'")):
+            with pytest.raises(ValueError, match=f"truth has no CNR for satellite {missing}"):
+                simulate_handover(records, predictions=predictions, policy=policy, truth=partial)
+
+    def test_missing_prediction_raises_only_while_serving(self):
+        records = [record(minute=i, flight_id="S1", sat="A") for i in range(8)]
+        predictions = [{"A": BAD, "B": MEDIUM}] * 2 + [{"B": MEDIUM}] * 6
+        policy = HoPolicy(consecutive_k=1, min_dwell_s=0.0)
+        report = simulate_handover(records, predictions=predictions, policy=policy)
+        assert [(e.time, e.to_satellite) for e in report.switches] == [(minute(0), "B")]
+        with pytest.raises(ValueError, match="no prediction for serving satellite 'A'"):
+            simulate_handover(records, predictions=predictions, policy=replace(policy, consecutive_k=3))
+
+    def test_initial_satellite_without_predictions_rejected(self):
+        records, _, predictions = two_satellite_flight()
+        with pytest.raises(ValueError, match="no prediction for serving satellite 'X'"):
+            simulate_handover(records, predictions=predictions, initial_satellite="X")
+
+
+@st.composite
+def flight_cases(draw):
+    """A policy, minutes, per-minute predictions and true CNR of 1-3
+    satellites, and the initial satellite.  Minutes are one to three
+    apart, with now and then one that does not advance; one satellite may
+    miss its prediction at up to two minutes, and the initial satellite
+    may have none at all."""
+    sats = ["A", "B", "C"][: draw(st.integers(1, 3))]
+    k = draw(st.integers(1, 4))
+    policy = HoPolicy(
+        degrade_threshold=draw(st.sampled_from([BAD, WEAK, MEDIUM, MEDIUM, GOOD, GOOD])),
+        consecutive_k=k,
+        min_dwell_s=draw(st.sampled_from([0.0, 60.0, 120.0, 150.0, 180.0, 600.0, float("inf")])),
+        horizon_min=max(k, 10),
+    )
+    n = draw(st.integers(1, 80))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    if n > 1 and draw(st.integers(0, 4)) == 0:
+        gaps[draw(st.integers(1, n - 1))] = draw(st.integers(-1, 0))
+    cats = st.sampled_from(list(CnrCategory))
+    grid = [{sat: draw(cats) for sat in sats} for _ in range(n)]
+    gappy = draw(st.sampled_from(sats))  # the satellite whose predictions have holes
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        del grid[i][gappy]
+    cnr = st.sampled_from([None, 3.0, 8.0, 12.0, 16.0])
+    truth = {sat: [draw(cnr) for _ in range(n)] for sat in sats}
+    initial = draw(st.sampled_from(sats * 3 + ["X"]))
+    return policy, (5 + np.cumsum(gaps)).tolist(), grid, truth, initial
+
+
+class TestScanEqualsReferenceFold:
+    @settings(max_examples=300, deadline=None)
+    @given(flight_cases())
+    def test_same_serving_events_and_outages(self, case):
+        policy, minutes, grid, truth, initial = case
+        records = [record(minute=m, flight_id="EQ", sat="A") for m in minutes]
+        times = [r.log_date for r in records]
+        run = lambda: simulate_handover(
+            records, predictions=grid, policy=policy, truth=truth, initial_satellite=initial
+        )
+        try:
+            serving, events, outage, baseline = reference_simulate(times, grid, policy, initial, truth)
+        except ValueError as error:
+            with pytest.raises(ValueError) as raised:
+                run()
+            assert str(raised.value) == str(error)
+            return
+        report = run()
+        assert report.switches == events
+        assert [e.reason for e in report.switches] == [e.reason for e in events]
+        assert (report.outage_minutes, report.baseline_outage_minutes) == (outage, baseline)
+        sats = sorted(set().union(*grid))
+        codes = np.array([[row.get(sat, -1) for sat in sats] for row in grid], dtype=np.int8)
+        served, _ = _scan(sats, codes, np.array(minutes) * 60, sats.index(initial), policy)
+        assert [sats[c] for c in served.tolist()] == serving
+
+    def test_switching_every_minute_is_no_slower_than_the_fold(self):
+        n = 20_000
+        one = LogColumns.from_records([record(minute=0, flight_id="LONG", sat="A", duration_min=n)])
+        columns = replace(one.take(np.zeros(n, dtype=int)), epoch_s=one.epoch_s[0] + 60 * np.arange(n))
+        grid = [{"A": BAD, "B": GOOD}, {"A": GOOD, "B": BAD}] * (n // 2)
+        policy = HoPolicy(consecutive_k=1, min_dwell_s=0.0, horizon_min=1)
+        started = perf_counter()
+        _, events, _, _ = reference_simulate([minute(i) for i in range(n)], grid, policy, "A")
+        fold_s = perf_counter() - started
+        started = perf_counter()
+        report = simulate_handover(columns, predictions=grid, policy=policy)
+        scan_s = perf_counter() - started
+        assert len(report.switches) == n
+        assert report.switches == events
+        assert scan_s <= fold_s, (scan_s, fold_s)
+
 
 @pytest.fixture(scope="module")
 def sat_models():
@@ -290,6 +505,18 @@ def sat_models():
     matrix, _ = encode_features(records)
     model = train_gbm(matrix, GbmHyperParams(n_rounds=30, max_depth=3))
     return {"A": model, "B": model}
+
+
+@pytest.fixture(scope="module")
+def blind_model():
+    """A model of one satellite's rows, so no tree reads satellite_id."""
+    rng = np.random.default_rng(10)
+    records = []
+    for i in range(240):
+        lat = float(rng.uniform(-40, 60))
+        cnr = 4.0 + (12.0 if lat > 10.0 else 3.0) + float(rng.uniform(0, 0.5))
+        records.append(record(minute=i, flight_id=f"F{i % 6}", lat=lat, sat="A", cnr=cnr, duration_min=600))
+    return train_gbm(encode_features(records)[0], GbmHyperParams(n_rounds=10, max_depth=3))
 
 
 def reference_forecast_route(model_by_sat, waypoints, weather=None, weather_model_by_sat=None):
@@ -447,3 +674,118 @@ class TestForecastRoute:
         grid = forecast_route(models, waypoints, weather, wx_models)
         assert grid == reference_forecast_route(models, waypoints, weather, wx_models)
         assert grid != forecast_route(models, waypoints)
+
+
+def reads_satellite(model):
+    column = model.columns.index("satellite_id")
+    return any((tree.feature == column).any() for trees in model.trees for tree in trees)
+
+
+def label_keys(model_by_sat, wx_models=None):
+    """The distinct (part, model, satellite code) inputs of a forecast whose
+    route has waypoints inside and outside weather coverage."""
+    keys = set()
+    for sat in model_by_sat:
+        if sat in (wx_models or {}):
+            plan = [("covered", wx_models[sat]), ("uncovered", model_by_sat[sat])]
+        else:
+            plan = [("all", model_by_sat[sat])]
+        for part, model in plan:
+            code = model.vocab.encode("satellite_id", sat) if reads_satellite(model) else None
+            keys.add((part, id(model), code))
+    return keys
+
+
+def plan_waypoints(n=50, seed=9):
+    rng = np.random.default_rng(seed)
+    return [record(minute=i, flight_id="PLAN", lat=float(rng.uniform(-40, 60)), cnr=None) for i in range(n)]
+
+
+class TestForecastSharing:
+    """Each distinct (part, model, satellite code) is labelled once."""
+
+    def forecast_calls(self, monkeypatch, models, waypoints, weather=None, wx_models=None):
+        calls = []
+
+        def counting(model, matrix):
+            calls.append(model)
+            return predict_labels(model, matrix)
+
+        monkeypatch.setattr(handover, "predict_labels", counting)
+        sats, codes = _forecast_codes(models, waypoints, weather, wx_models)
+        monkeypatch.undo()
+        expected = reference_forecast_route(models, waypoints, weather, wx_models)
+        assert codes.tolist() == [[int(row[sat]) for sat in sats] for row in expected]
+        assert forecast_route(models, waypoints, weather, wx_models) == expected
+        assert len(calls) == len(label_keys(models, wx_models))
+        return len(calls)
+
+    def test_no_tree_reads_satellite_id(self, monkeypatch, blind_model):
+        assert not reads_satellite(blind_model)
+        models = dict.fromkeys("ABC", blind_model)
+        assert self.forecast_calls(monkeypatch, models, plan_waypoints()) == 1
+
+    def test_some_trees_read_satellite_id(self, monkeypatch, sat_models):
+        assert reads_satellite(sat_models["A"])
+        assert self.forecast_calls(monkeypatch, sat_models, plan_waypoints()) == 2
+
+    def test_unknown_satellites_share_the_unknown_code(self, monkeypatch, sat_models):
+        model = sat_models["A"]
+        assert model.vocab.encode("satellite_id", "Y") == model.vocab.encode("satellite_id", "Z") == UNKNOWN_ID
+        models = dict.fromkeys("ABYZ", model)
+        assert self.forecast_calls(monkeypatch, models, plan_waypoints()) == 3
+
+    def test_different_models_per_satellite(self, monkeypatch, sat_models, blind_model):
+        # D's model keeps B's vocabulary object but predicts otherwise.
+        reversed_priors = replace(blind_model, base_score=blind_model.base_score[::-1].copy())
+        models = {"A": sat_models["A"], "B": blind_model, "C": blind_model, "D": reversed_priors}
+        assert self.forecast_calls(monkeypatch, models, plan_waypoints()) == 3
+        waypoints = plan_waypoints()
+        assert forecast_route({"B": blind_model}, waypoints) != forecast_route({"B": reversed_priors}, waypoints)
+
+    def test_weather_models_for_some_satellites(self, monkeypatch, demo_forecast_setup):
+        models, wx_models, weather, waypoints = demo_forecast_setup
+        assert not any(map(reads_satellite, [*models.values(), *wx_models.values()]))
+        assert self.forecast_calls(monkeypatch, models, waypoints, weather, wx_models) == 5
+        # I5F1 and I5F3 share both their models, I5F2 has no weather model.
+        shared = dict.fromkeys(["I5F1", "I5F3"], wx_models["I5F1"])
+        assert self.forecast_calls(monkeypatch, models, waypoints, weather, shared) == 3
+
+    def test_features_read_is_every_split_feature(self, sat_models, blind_model, demo_forecast_setup):
+        models, wx_models, _, _ = demo_forecast_setup
+        for model in [sat_models["A"], blind_model, *models.values(), *wx_models.values()]:
+            brute = {
+                column for column in range(len(model.columns))
+                if any((tree.feature == column).any() for trees in model.trees for tree in trees)
+            }
+            assert model.features_read == brute
+        column = blind_model.columns.index("satellite_id")
+        assert column in sat_models["A"].features_read and column not in blind_model.features_read
+
+
+class TestColumnsInput:
+    def test_columns_and_records_give_equal_reports(self, small_corpus, demo_forecast_setup):
+        """The hosim path: parsed columns and the same rows as records."""
+        models, wx_models, weather, _ = demo_forecast_setup
+        flight = sorted(Path(small_corpus["dir"], "flights").glob("*.csv"))[0]
+        columns = parse_logs([str(flight)])
+        records = columns.to_records()
+        sats = sorted(models)
+        assert records[0].satellite_id in sats
+        # Each satellite in turn is Bad for 20 minutes while the others are Good.
+        predictions = [
+            {sat: BAD if i // 20 % 3 == j else GOOD for j, sat in enumerate(sats)} for i in range(len(records))
+        ]
+        rng = np.random.default_rng(12)
+        truth = {sat: rng.uniform(0.0, 20.0, len(records)).tolist() for sat in sats}
+        sources = (
+            {"model_by_sat": models, "weather": weather, "weather_model_by_sat": wx_models},
+            {"predictions": predictions},
+        )
+        for source in sources:
+            from_columns = simulate_handover(columns, truth=truth, **source)
+            from_records = simulate_handover(records, truth=truth, **source)
+            assert from_columns == from_records
+            assert [e.time for e in from_columns.switches] == [e.time for e in from_records.switches]
+            assert from_columns.to_dict() == from_records.to_dict()
+        assert from_columns.switches
