@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from datetime import timedelta
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .flightsim import ConfigError, GenerationConfig, generate_dataset
 from .handover import HoPolicy, forecast_route, simulate_handover
 from .ingest import (
@@ -51,13 +53,18 @@ from .model import (
 )
 from .weather import (
     SyntheticWeather,
-    WeatherCell,
     WeatherProvider,
     _format_utc,
     load_weather_csv,
     save_weather_csv,
     synth_weather_field,
 )
+
+
+def _reject_unknown(what: str, data: dict, known) -> None:
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +84,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
+        _reject_unknown("experiment", data, cls().to_dict())
         dataset = data.get("dataset", "all")
         if dataset == "all":
             top_k = None
@@ -92,9 +100,7 @@ class ExperimentSpec:
         hyperparams = data.get("hyperparams", {})
         if not isinstance(hyperparams, dict):
             raise ValueError(f"hyperparams must be an object: {hyperparams!r}")
-        unknown = sorted(set(hyperparams) - {f.name for f in dataclasses.fields(GbmHyperParams)})
-        if unknown:
-            raise ValueError(f"unknown hyperparams key(s): {', '.join(unknown)}")
+        _reject_unknown("hyperparams", hyperparams, {f.name for f in dataclasses.fields(GbmHyperParams)})
         return cls(
             name=data.get("name", ""),
             top_routes=top_k,
@@ -150,11 +156,11 @@ def weather_provider_from_spec(weather: Optional[dict]) -> Optional[WeatherProvi
 
 def select_rows(
     records: LogColumns | Sequence[FlightLogRecord], spec: ExperimentSpec, provider: Optional[WeatherProvider]
-) -> tuple[LogColumns, Optional[list[WeatherCell]]]:
+) -> tuple[LogColumns, Optional[np.ndarray]]:
     """The spec's row selection, shared by training and evaluation: route
     cut, altitude cut, satellite, labeled rows, then a weather join when
-    ``provider`` is given.  Returns the rows and their cells (``None``
-    without a join); raises ``ValueError`` when no row is left."""
+    ``provider`` is given.  Returns the rows and their weather value rows
+    (``None`` without a join); raises ``ValueError`` when no row is left."""
     selected = records
     if spec.top_routes is not None:
         _, selected = top_routes(selected, spec.top_routes)
@@ -340,6 +346,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 
 def _policy_from_dict(data: dict) -> HoPolicy:
+    _reject_unknown("policy", data, {f.name for f in dataclasses.fields(HoPolicy)})
     kwargs = dict(data)
     if "degrade_threshold" in kwargs:
         kwargs["degrade_threshold"] = CnrCategory[str(kwargs["degrade_threshold"]).upper()]

@@ -274,11 +274,13 @@ def _simulate_flight(
     rain = np.zeros(len(epoch_s))
     if weather is not None:
         low = np.flatnonzero(alts < params.troposphere_ceiling_m)
-        for i, cell in zip(low.tolist(), weather.cells_at(epoch_s[low], lats[low], lons[low])):
-            if cell is None:
-                when = _format_utc(epoch_s[i : i + 1])[0]
-                raise CoverageGapError(f"flight {flight_id}: no weather at ({lats[i]}, {lons[i]}) on {when}")
-            rain[i] = cell.precipitation_mmh
+        cells = weather.cells_at(epoch_s[low], lats[low], lons[low])
+        gap = np.isnan(cells).any(axis=1)
+        if gap.any():
+            i = low[np.argmax(gap)]
+            when = _format_utc(epoch_s[i : i + 1])[0]
+            raise CoverageGapError(f"flight {flight_id}: no weather at ({lats[i]}, {lons[i]}) on {when}")
+        rain[low] = cells[:, 0]
 
     elevation = serving_elevation[first:]
     visible = elevation >= params.horizon_cut_elevation_deg

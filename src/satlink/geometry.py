@@ -96,16 +96,16 @@ def haversine_m(a: GeoPosition, b: GeoPosition) -> float:
 
     Altitude is ignored; the result is the arc length on the Earth sphere.
     """
-    return float(_haversine_m(a, b.latitude_deg, b.longitude_deg))
+    return float(_haversine_m(a.latitude_deg, a.longitude_deg, b.latitude_deg, b.longitude_deg))
 
 
-def _haversine_m(a: GeoPosition, lat_deg, lon_deg):
-    """:func:`haversine_m` from ``a`` to points given in degrees, as one
-    number or a numpy array of them."""
-    lat1 = np.radians(a.latitude_deg)
-    lat2 = np.radians(lat_deg)
+def _haversine_m(lat1_deg, lon1_deg, lat2_deg, lon2_deg):
+    """:func:`haversine_m` between points given in degrees, as numbers or
+    numpy arrays that broadcast against each other."""
+    lat1 = np.radians(lat1_deg)
+    lat2 = np.radians(lat2_deg)
     dlat = lat2 - lat1
-    dlon = np.radians(np.subtract(lon_deg, a.longitude_deg))
+    dlon = np.radians(np.subtract(lon2_deg, lon1_deg))
     h = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.minimum(1.0, np.sqrt(h)))
 

@@ -36,7 +36,7 @@ from .ingest import (
     encode_features,
 )
 from .model.gbm import GbmModel, predict_labels
-from .weather import _EPOCH, WeatherCell, WeatherProvider, _format_utc, _utc_seconds
+from .weather import _EPOCH, WeatherProvider, _format_utc, _utc_seconds
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,9 @@ class HoPolicy:
         k = self.consecutive_k
         if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
             raise ValueError(f"consecutive_k must be an int >= 1: {k!r}")
-        if not self.min_dwell_s >= 0:  # NaN as well
-            raise ValueError(f"min_dwell_s must be >= 0: {self.min_dwell_s}")
+        dwell = self.min_dwell_s
+        if isinstance(dwell, bool) or not isinstance(dwell, numbers.Real) or not dwell >= 0:  # NaN as well
+            raise ValueError(f"min_dwell_s must be a number >= 0: {dwell!r}")
         if self.horizon_min < self.consecutive_k:
             raise ValueError(
                 f"horizon_min ({self.horizon_min}) must cover consecutive_k "
@@ -90,14 +91,14 @@ def _forecast_codes(
         sat: m for sat, m in (weather_model_by_sat or {}).items()
         if weather is not None and sat in model_by_sat and m is not None
     }
-    parts: dict[str, tuple[list[int], LogColumns, Optional[list[WeatherCell]]]] = {
-        "all": (list(range(len(waypoints))), waypoints, None)
+    parts: dict[str, tuple[np.ndarray, LogColumns, Optional[np.ndarray]]] = {
+        "all": (np.arange(len(waypoints)), waypoints, None)
     }
     if wx_models:
         cells = weather.cells_at(waypoints.epoch_s.astype(float), waypoints.latitude_deg, waypoints.longitude_deg)
-        covered = [i for i, c in enumerate(cells) if c is not None]
-        uncovered = [i for i, c in enumerate(cells) if c is None]
-        parts["covered"] = (covered, waypoints.take(covered), [cells[i] for i in covered])
+        gap = np.isnan(cells).any(axis=1)
+        covered, uncovered = np.flatnonzero(~gap), np.flatnonzero(gap)
+        parts["covered"] = (covered, waypoints.take(covered), cells[covered])
         parts["uncovered"] = (uncovered, waypoints.take(uncovered), None)
 
     # One encoding per part of the route and distinct vocabulary.
@@ -123,7 +124,7 @@ def _forecast_codes(
             plan = [("all", model_by_sat[sat])]
         for part, model in plan:
             index = parts[part][0]
-            if not index:
+            if not len(index):
                 continue
             column = model.columns.index("satellite_id")
             code = model.vocab.encode("satellite_id", sat) if column in model.features_read else None

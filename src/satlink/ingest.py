@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .geometry import GeoPosition, normalize_lon
-from .weather import _EPOCH, _SECOND, WeatherCell, WeatherProvider, _format_utc, _parse_utc, _utc_seconds
+from .weather import _EPOCH, _SECOND, WeatherProvider, _format_utc, _parse_utc, _utc_seconds
 
 
 class CnrCategory(IntEnum):
@@ -417,7 +417,7 @@ class JoinReport:
 @dataclass(frozen=True)
 class JoinResult:
     records: LogColumns
-    cells: list[WeatherCell]
+    cells: np.ndarray  # one row of WEATHER_COLUMNS values per record
     report: JoinReport
 
 
@@ -428,16 +428,16 @@ class JoinCoverageError(ValueError):
 def join_weather(
     records: LogColumns | Iterable[FlightLogRecord], provider: WeatherProvider
 ) -> JoinResult:
-    """Attach the nearest weather cell to every row, in one batch lookup.
+    """Attach the nearest weather cell's values to every row in one lookup.
 
     Rows hitting a coverage gap are dropped and counted; losing more than
     10% of the input raises :class:`JoinCoverageError`, which usually means
     the weather field does not belong to this dataset.
     """
     log = _columns(records)
-    found = provider.cells_at(log.epoch_s.astype(float), log.latitude_deg, log.longitude_deg)
-    hit = np.array([cell is not None for cell in found], dtype=bool)
-    cells = [cell for cell in found if cell is not None]
+    values = provider.cells_at(log.epoch_s.astype(float), log.latitude_deg, log.longitude_deg)
+    hit = ~np.isnan(values).any(axis=1)
+    cells = values[hit]
     report = JoinReport(total=len(log), attached=len(cells), dropped=len(log) - len(cells))
     if report.total and report.dropped / report.total > 0.10:
         raise JoinCoverageError(
@@ -454,8 +454,8 @@ NUMERIC_COLUMNS = [
     "day_of_year",
     "flight_fraction",
 ]
+#: In the order of a weather provider's value rows.
 WEATHER_COLUMNS = ["precip_mmh", "cloud_pct", "temp_c", "wind_mps"]
-_WEATHER_ATTRS = ["precipitation_mmh", "cloud_cover_pct", "temperature_c", "wind_speed_mps"]
 #: Named after the :class:`FlightLogRecord` fields they encode.
 CATEGORICAL_COLUMNS = [
     "airline_code",
@@ -537,10 +537,13 @@ class FeatureMatrix:
 def encode_features(
     records: LogColumns | Iterable[FlightLogRecord],
     vocab: Optional[Vocabulary] = None,
-    cells: Optional[Sequence[WeatherCell]] = None,
+    cells: Optional[np.ndarray] = None,
     for_prediction: bool = False,
 ) -> tuple[FeatureMatrix, Vocabulary]:
     """Turn rows (optionally weather-joined) into a feature matrix.
+
+    ``cells`` holds one row of :data:`WEATHER_COLUMNS` values per record,
+    as :func:`join_weather` returns them.
 
     In training mode every row must carry a CNR measurement and the
     vocabulary is built here when not supplied.  In prediction mode a
@@ -551,8 +554,12 @@ def encode_features(
     log = _columns(records)
     if for_prediction and vocab is None:
         raise ValueError("prediction mode requires a stored vocabulary")
-    if cells is not None and len(cells) != len(log):
-        raise ValueError(f"{len(cells)} weather cells for {len(log)} records")
+    if cells is not None:
+        cells = np.asarray(cells, dtype=np.float64)
+        if cells.shape != (len(log), len(WEATHER_COLUMNS)):
+            raise ValueError(f"weather cells of shape {cells.shape} for {len(log)} records")
+        if np.isnan(cells).any():
+            raise ValueError("a NaN weather row, a coverage gap, cannot be encoded")
     if not for_prediction:
         unlabeled = int(np.isnan(log.cnr_db).sum())
         if unlabeled:
@@ -579,8 +586,7 @@ def encode_features(
     out["flight_fraction"][:] = 0.0
     np.divide(elapsed_s, duration_s, out=out["flight_fraction"], where=duration_s > 0)
     if cells is not None:
-        for column, attr in zip(WEATHER_COLUMNS, _WEATHER_ATTRS):
-            out[column][:] = [getattr(c, attr) for c in cells]
+        X[:, len(NUMERIC_COLUMNS) : len(NUMERIC_COLUMNS) + len(WEATHER_COLUMNS)] = cells
     for column in CATEGORICAL_COLUMNS:
         ids = vocab.mappings[column]
         out[column][:] = [ids.get(token, UNKNOWN_ID) for token in getattr(log, column).tolist()]

@@ -23,7 +23,6 @@ from .metrics import (
     evaluate_classifier,
     report_from_confusion,
 )
-from .tuning import grid_search
 
 __all__ = [
     "GbmHyperParams",
@@ -45,5 +44,4 @@ __all__ = [
     "eval_regressor",
     "evaluate_classifier",
     "report_from_confusion",
-    "grid_search",
 ]

@@ -145,10 +145,6 @@ class GbmModel:
     vocab: Optional[Vocabulary]
     train_loss: list[float] = field(default_factory=list)
 
-    @property
-    def n_rounds_trained(self) -> int:
-        return len(self.trees)
-
     @functools.cached_property
     def features_read(self) -> frozenset[int]:
         """Column indices some tree splits on; trees never change once built."""

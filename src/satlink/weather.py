@@ -1,6 +1,6 @@
 """Hourly gridded weather on a 0.1 degree grid.
 
-Two interchangeable providers sit behind the same ``cell_at`` interface:
+Two interchangeable providers sit behind the same ``cells_at`` interface:
 
 * :class:`WeatherField` — an explicit, bounded set of cells, loadable from
   and savable to CSV.  Lookups resolve to the nearest hour, then the
@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
-from itertools import groupby, product
-from typing import Iterable, Optional, Protocol
+from typing import Iterable, Protocol
 
 import numpy as np
 
@@ -78,6 +77,9 @@ class WeatherCell:
         if t.minute or t.second or t.microsecond:
             raise ValueError(f"hour_utc must be truncated to the hour: {t.isoformat()}")
         object.__setattr__(self, "hour_utc", t)
+        for f in fields(self)[1:]:  # every field after hour_utc is a number
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite: {getattr(self, f.name)}")
         object.__setattr__(self, "grid_lon_deg", normalize_lon(self.grid_lon_deg))
         for name in ("grid_lat_deg", "grid_lon_deg"):
             v = getattr(self, name)
@@ -94,6 +96,12 @@ class WeatherCell:
             raise ValueError(f"wind speed must be >= 0: {self.wind_speed_mps}")
 
     @property
+    def values(self) -> tuple[float, float, float, float]:
+        """(precipitation, cloud, temperature, wind): a row of
+        :meth:`WeatherProvider.cells_at`."""
+        return (self.precipitation_mmh, self.cloud_cover_pct, self.temperature_c, self.wind_speed_mps)
+
+    @property
     def key(self) -> tuple[int, int, int]:
         """(epoch hour, lat decidegrees, lon decidegrees) identity."""
         return (
@@ -104,61 +112,126 @@ class WeatherCell:
 
 
 class WeatherProvider(Protocol):
-    """Anything that can answer: nearest weather cell for (time, position)."""
+    """Anything that can answer: the weather at many (time, position) points."""
 
-    def cell_at(self, t: datetime, p: GeoPosition) -> WeatherCell: ...
-
-    def cells_at(
-        self, epoch_s: np.ndarray, lat_deg: np.ndarray, lon_deg: np.ndarray
-    ) -> list[Optional[WeatherCell]]:
-        """``cell_at`` for many points given as epoch seconds and degrees;
-        ``None`` marks a point in a coverage gap."""
+    def cells_at(self, epoch_s: np.ndarray, lat_deg: np.ndarray, lon_deg: np.ndarray) -> np.ndarray:
+        """The nearest cell's :attr:`WeatherCell.values` at each point (epoch
+        seconds and degrees) as an ``(n, 4)`` float array, with a NaN row
+        for a point in a coverage gap.  A non-finite time or longitude, or a
+        latitude outside [-90, 90], raises ``ValueError``."""
         ...
+
+
+def _points(epoch_s, lat_deg, lon_deg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Query points as float arrays with longitudes wrapped into
+    [-180, 180); raises ``ValueError`` for a point with no weather."""
+    ts, lat, lon = (np.asarray(v, dtype=float) for v in (epoch_s, lat_deg, lon_deg))
+    bad = ~(np.isfinite(ts) & (-90.0 <= lat) & (lat <= 90.0) & np.isfinite(lon))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"no weather at time {ts[i]}, latitude {lat[i]}, longitude {lon[i]}")
+    wrap = ~((-180.0 <= lon) & (lon < 180.0))
+    if wrap.any():
+        lon = lon.copy()
+        lon[wrap] = [normalize_lon(v) for v in lon[wrap].tolist()]
+    return ts, lat, lon
+
+
+#: Most (point, cell) or (point, storm) pairs evaluated at once, to bound
+#: memory on big grids.
+_MAX_PAIRS = 1 << 18
+#: The cell index :meth:`WeatherField._nearest` gives a point in a gap.
+_TIME_GAP, _LAT_GAP, _LON_GAP = -1, -2, -3
 
 
 class WeatherField:
     """An immutable set of weather cells with nearest-cell lookup.
 
     Cells are keyed by (hour, grid latitude, grid longitude); constructing
-    a field with two cells at the same key is rejected.  Lookups are safe
-    to run concurrently once the field is built.
+    a field with two cells at the same key is rejected.  The field keeps
+    its cells as arrays sorted by key, with one run of cells per hour.
+    Lookups are safe to run concurrently once the field is built.
     """
 
     def __init__(self, cells: Iterable[WeatherCell]):
-        self._cells: dict[tuple[int, int, int], WeatherCell] = {}
-        for cell in cells:
-            key = cell.key
-            if key in self._cells:
-                raise ValueError(f"duplicate weather cell key {key}")
-            self._cells[key] = cell
-        # One sort by (hour, lat, lon) key; each hour's run keeps (lat, lon) order.
-        self._by_hour: dict[int, tuple[np.ndarray, np.ndarray, list[WeatherCell]]] = {}
-        for hour, items in groupby(sorted(self._cells.items()), key=lambda item: item[0][0]):
-            group = [c for _, c in items]
-            lats = np.array([c.grid_lat_deg for c in group])
-            lons = np.array([c.grid_lon_deg for c in group])
-            self._by_hour[hour] = (lats, lons, group)
-        self._hours = np.array(list(self._by_hour), dtype=np.int64)
-        if self._cells:
-            all_lats = [c.grid_lat_deg for c in self._cells.values()]
-            all_lons = [c.grid_lon_deg for c in self._cells.values()]
-            self.lat_bounds = (min(all_lats), max(all_lats))
-            self.lon_bounds = (min(all_lons), max(all_lons))
-            self.hour_bounds = (
-                _hour_to_datetime(int(self._hours[0])),
-                _hour_to_datetime(int(self._hours[-1])),
-            )
-        else:
-            self.lat_bounds = self.lon_bounds = self.hour_bounds = None
+        cells = list(cells)
+        keys = np.array([cell.key for cell in cells], dtype=np.int64).reshape(-1, 3)
+        order = np.lexsort(keys.T[::-1])
+        keys = keys[order]
+        same = np.flatnonzero((keys[1:] == keys[:-1]).all(axis=1))
+        if same.size:
+            raise ValueError(f"duplicate weather cell key {tuple(keys[same[0]].tolist())}")
+        self._lat = keys[:, 1] / 10.0
+        self._lon = keys[:, 2] / 10.0
+        self._values = np.array([cells[i].values for i in order.tolist()], dtype=float).reshape(-1, 4)
+        # Hour i holds the cells in [_starts[i], _starts[i + 1]), in (lat, lon) order.
+        self._hours, starts = np.unique(keys[:, 0], return_index=True)
+        self._starts = np.append(starts, len(keys))
 
     def __len__(self) -> int:
-        return len(self._cells)
+        return len(self._lat)
 
     def __iter__(self):
-        return iter(sorted(self._cells.values(), key=lambda c: c.key))
+        return map(self._cell, range(len(self)))
 
-    def lookup_nearest(self, t: datetime, p: GeoPosition) -> WeatherCell:
-        """Cell at the nearest hour (ties to the earlier hour), then the
+    def _cell(self, i: int) -> WeatherCell:
+        hour = int(self._hours[np.searchsorted(self._starts, i, side="right") - 1])
+        return WeatherCell(_hour_to_datetime(hour), float(self._lat[i]), float(self._lon[i]), *self._values[i].tolist())
+
+    def _nearest(self, epoch_s, lat_deg, lon_deg) -> tuple[np.ndarray, np.ndarray]:
+        """Each point's cell index and its seconds from the nearest hour.
+
+        The cell is at the nearest hour (ties to the earlier hour), then the
+        nearest center by great-circle distance (ties to the smaller (lat,
+        lon)).  A point more than one hour outside the field's hours gets
+        ``_TIME_GAP``, else one more than one grid cell outside its
+        latitude or longitude bounds ``_LAT_GAP`` or ``_LON_GAP``.
+        """
+        if not len(self):
+            raise ValueError("weather field is empty")
+        ts, lat, lon = _points(epoch_s, lat_deg, lon_deg)
+        hour_s = self._hours * _HOUR_S
+        after = np.searchsorted(hour_s, ts)
+        before = np.maximum(after - 1, 0)
+        after = np.minimum(after, len(hour_s) - 1)
+        dt_before, dt_after = np.abs(ts - hour_s[before]), np.abs(ts - hour_s[after])
+        hour = np.where(dt_after < dt_before, after, before)
+        dt = np.minimum(dt_before, dt_after)
+
+        margin = GRID_DEG / 2.0 + GRID_DEG
+        cell = np.select(
+            [
+                dt > _HOUR_S,
+                (lat < self._lat.min() - margin) | (lat > self._lat.max() + margin),
+                (lon < self._lon.min() - margin) | (lon > self._lon.max() + margin),
+            ],
+            [_TIME_GAP, _LAT_GAP, _LON_GAP],
+            0,
+        )
+        covered = np.flatnonzero(cell == 0)
+        for h in np.unique(hour[covered]).tolist():
+            points = covered[hour[covered] == h]
+            start, stop = self._starts[h], self._starts[h + 1]
+            step = max(1, _MAX_PAIRS // (stop - start))
+            for chunk in (points[i : i + step] for i in range(0, len(points), step)):
+                d = _haversine_m(
+                    lat[chunk, None], lon[chunk, None], self._lat[None, start:stop], self._lon[None, start:stop]
+                )
+                # Each hour's run is in (lat, lon) order; argmin keeps the first of ties.
+                cell[chunk] = start + np.argmin(d, axis=1)
+        return cell, dt
+
+    def cells_at(self, epoch_s: np.ndarray, lat_deg: np.ndarray, lon_deg: np.ndarray) -> np.ndarray:
+        """:meth:`cell_at`'s values for many points, with a NaN row for a
+        coverage gap."""
+        cell, _ = self._nearest(epoch_s, lat_deg, lon_deg)
+        out = np.full((len(cell), 4), np.nan)
+        covered = cell >= 0
+        out[covered] = self._values[cell[covered]]
+        return out
+
+    def cell_at(self, t: datetime, p: GeoPosition) -> WeatherCell:
+        """The cell at the nearest hour (ties to the earlier hour), then the
         nearest center by great-circle distance (ties to the smaller
         (lat, lon)).
 
@@ -166,49 +239,17 @@ class WeatherField:
         outside the field's hour span or ``p`` more than one grid cell
         outside its spatial bounding box.
         """
-        if not self._cells:
-            raise ValueError("weather field is empty")
-        ts = _require_utc(t).timestamp()
-        dt = np.abs(ts - self._hours * _HOUR_S)
-        # Hours are sorted ascending, so the first minimum is the earlier one.
-        i = int(np.argmin(dt))
-        if dt[i] > _HOUR_S:
-            raise CoverageGapError(
-                f"timestamp {t.isoformat()} is {dt[i] / _HOUR_S:.2f} h from the "
-                f"nearest weather hour"
-            )
-        margin = GRID_DEG / 2.0 + GRID_DEG
-        if not (self.lat_bounds[0] - margin <= p.latitude_deg <= self.lat_bounds[1] + margin):
-            raise CoverageGapError(f"latitude {p.latitude_deg} outside weather coverage")
-        if not (self.lon_bounds[0] - margin <= p.longitude_deg <= self.lon_bounds[1] + margin):
-            raise CoverageGapError(f"longitude {p.longitude_deg} outside weather coverage")
-        lats, lons, group = self._by_hour[int(self._hours[i])]
-        d = _haversine_m(p, lats, lons)
-        # Groups are pre-sorted by (lat, lon); argmin keeps the first of ties.
-        return group[int(np.argmin(d))]
-
-    # Provider interface.
-    cell_at = lookup_nearest
-
-    def cells_at(
-        self, epoch_s: np.ndarray, lat_deg: np.ndarray, lon_deg: np.ndarray
-    ) -> list[Optional[WeatherCell]]:
-        """:meth:`lookup_nearest` per point, with ``None`` for a coverage gap."""
-        out: list[Optional[WeatherCell]] = []
-        for ts, lat, lon in zip(
-            np.asarray(epoch_s, dtype=float).tolist(),
-            np.asarray(lat_deg, dtype=float).tolist(),
-            np.asarray(lon_deg, dtype=float).tolist(),
-        ):
-            try:
-                out.append(self.lookup_nearest(datetime.fromtimestamp(ts, timezone.utc), GeoPosition(lat, lon)))
-            except CoverageGapError:
-                out.append(None)
-        return out
+        cell, dt = self._nearest([_require_utc(t).timestamp()], [p.latitude_deg], [p.longitude_deg])
+        i, dt = int(cell[0]), float(dt[0])
+        if i < 0:
+            raise CoverageGapError({
+                _TIME_GAP: f"timestamp {t.isoformat()} is {dt / _HOUR_S:.2f} h from the nearest weather hour",
+                _LAT_GAP: f"latitude {p.latitude_deg} outside weather coverage",
+                _LON_GAP: f"longitude {p.longitude_deg} outside weather coverage",
+            }[i])
+        return self._cell(i)
 
 
-#: Most (point, storm) pairs evaluated at once, to bound memory on big grids.
-_STORM_PAIRS = 1 << 18
 #: Hour-and-tile storm views a provider keeps: consecutive lookups along a
 #: flight reuse the last few, and older ones only cost memory.
 _VIEWS_KEPT = 32
@@ -313,7 +354,7 @@ class SyntheticWeather:
             center_lat, center_lon, reach2, radius, peak = self._storm_view(*key)
             if not len(peak):
                 continue
-            step = max(1, _STORM_PAIRS // len(peak))
+            step = max(1, _MAX_PAIRS // len(peak))
             for start in range(0, len(points), step):
                 idx = points[start : start + step]
                 columns = [(lats[i], lons[i], math.cos(math.radians(lats[i]))) for i in idx]
@@ -351,34 +392,23 @@ class SyntheticWeather:
             out.append((round(precip, 6), round(cloud, 6), round(temp, 6), round(wind, 6)))
         return out
 
-    def _cells(self, hours: list[int], ilats: list[int], ilons: list[int]) -> list[WeatherCell]:
-        """Cells at epoch hours and decidegree grid indices."""
-        lats = [i / 10.0 for i in ilats]
-        lons = [i / 10.0 for i in ilons]
-        when = {h: _hour_to_datetime(h) for h in set(hours)}
-        return [
-            WeatherCell(when[h], lat, lon, *values)
-            for h, lat, lon, values in zip(hours, lats, lons, self._values(hours, lats, lons))
-        ]
+    @staticmethod
+    def _snap(epoch_s, lat_deg, lon_deg) -> tuple[list[int], list[float], list[float]]:
+        """The epoch hour and 0.1 degree cell center nearest each point;
+        exact halves go to the earlier hour and the smaller coordinate, as
+        in a field lookup."""
+        ts, lat, lon = _points(epoch_s, lat_deg, lon_deg)
+        hours = np.ceil(ts / _HOUR_S - 0.5).astype(np.int64).tolist()
+        return hours, (np.ceil(lat * 10.0 - 0.5) / 10.0).tolist(), (np.ceil(lon * 10.0 - 0.5) / 10.0).tolist()
 
     def cell_at(self, t: datetime, p: GeoPosition) -> WeatherCell:
-        return self.cells_at([_require_utc(t).timestamp()], [p.latitude_deg], [p.longitude_deg])[0]
+        (hour,), (lat,), (lon,) = self._snap([_require_utc(t).timestamp()], [p.latitude_deg], [p.longitude_deg])
+        return WeatherCell(_hour_to_datetime(hour), lat, lon, *self._values([hour], [lat], [lon])[0])
 
-    def cells_at(
-        self, epoch_s: np.ndarray, lat_deg: np.ndarray, lon_deg: np.ndarray
-    ) -> list[Optional[WeatherCell]]:
-        """The cell at the nearest hour and the nearest 0.1 degree center of
-        each point; exact halves go to the earlier hour and the smaller
-        coordinate, as in a field lookup.  Coverage is unbounded, so no
-        entry is ``None``."""
-        hours, ilats, ilons = [], [], []
-        for ts, lat, lon in zip(*(np.asarray(v, dtype=float).tolist() for v in (epoch_s, lat_deg, lon_deg))):
-            if not (math.isfinite(ts) and -90.0 <= lat <= 90.0 and math.isfinite(lon)):
-                raise ValueError(f"no weather at time {ts}, latitude {lat}, longitude {lon}")
-            hours.append(math.ceil(ts / _HOUR_S - 0.5))
-            ilats.append(math.ceil(lat * 10.0 - 0.5))
-            ilons.append(math.ceil(normalize_lon(lon) * 10.0 - 0.5))
-        return self._cells(hours, ilats, ilons)
+    def cells_at(self, epoch_s: np.ndarray, lat_deg: np.ndarray, lon_deg: np.ndarray) -> np.ndarray:
+        """The values of the cell at each point's :meth:`_snap`.  Coverage
+        is unbounded, so no row is NaN."""
+        return np.array(self._values(*self._snap(epoch_s, lat_deg, lon_deg)), dtype=float).reshape(-1, 4)
 
 
 def synth_weather_field(
@@ -402,13 +432,14 @@ def synth_weather_field(
     if last_hour < first_hour:
         raise ValueError(f"time span contains no whole hour: {time_span}")
 
-    ilat_lo = math.ceil(lat_min * 10.0 - 1e-9)
-    ilat_hi = math.ceil(lat_max * 10.0 - 1e-9) - 1
-    ilon_lo = math.ceil(lon_min * 10.0 - 1e-9)
-    ilon_hi = math.ceil(lon_max * 10.0 - 1e-9) - 1
-    grid = list(product(range(first_hour, last_hour + 1), range(ilat_lo, ilat_hi + 1), range(ilon_lo, ilon_hi + 1)))
-    hours, ilats, ilons = ([point[axis] for point in grid] for axis in range(3))
-    return WeatherField(SyntheticWeather(storm_density, seed)._cells(hours, ilats, ilons))
+    ilat = np.arange(math.ceil(lat_min * 10.0 - 1e-9), math.ceil(lat_max * 10.0 - 1e-9))
+    ilon = np.arange(math.ceil(lon_min * 10.0 - 1e-9), math.ceil(lon_max * 10.0 - 1e-9))
+    grid = np.meshgrid(np.arange(first_hour, last_hour + 1), ilat / 10.0, ilon / 10.0, indexing="ij")
+    hours, lats, lons = (axis.ravel().tolist() for axis in grid)
+    values = SyntheticWeather(storm_density, seed)._values(hours, lats, lons)
+    return WeatherField(
+        WeatherCell(_hour_to_datetime(h), lat, lon, *v) for h, lat, lon, v in zip(hours, lats, lons, values)
+    )
 
 
 WEATHER_CSV_COLUMNS = [
@@ -461,23 +492,12 @@ def _utc_seconds(times: Iterable[datetime]) -> np.ndarray:
 
 def save_weather_csv(field: WeatherField, path: str) -> None:
     """Write a field in key order with fixed decimal formatting."""
-    cells = list(field)
-    hours = _format_utc(_utc_seconds(cell.hour_utc for cell in cells))
+    hours = _format_utc(np.repeat(field._hours, np.diff(field._starts)) * _HOUR_S)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(WEATHER_CSV_COLUMNS)
-        for hour, cell in zip(hours, cells):
-            writer.writerow(
-                [
-                    hour,
-                    f"{cell.grid_lat_deg:.1f}",
-                    f"{cell.grid_lon_deg:.1f}",
-                    f"{cell.precipitation_mmh:.6f}",
-                    f"{cell.cloud_cover_pct:.6f}",
-                    f"{cell.temperature_c:.6f}",
-                    f"{cell.wind_speed_mps:.6f}",
-                ]
-            )
+        for hour, lat, lon, values in zip(hours, field._lat.tolist(), field._lon.tolist(), field._values.tolist()):
+            writer.writerow([hour, f"{lat:.1f}", f"{lon:.1f}", *(f"{v:.6f}" for v in values)])
 
 
 def load_weather_csv(path: str) -> WeatherField:

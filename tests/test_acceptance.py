@@ -281,8 +281,10 @@ def test_c07_weather_join_oracle():
     result = join_weather(records, field)
     assert result.report.dropped == 0
     worst_m = 0.0
-    for rec, cell in zip(result.records, result.cells):
-        assert cell == oracle(rec.log_date, rec.position)
+    for rec, values in zip(result.records, result.cells.tolist()):
+        cell = oracle(rec.log_date, rec.position)
+        assert values == list(cell.values)
+        assert field.cell_at(rec.log_date, rec.position) == cell
         worst_m = max(
             worst_m, haversine_m(rec.position, GeoPosition(cell.grid_lat_deg, cell.grid_lon_deg))
         )

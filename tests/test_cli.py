@@ -306,6 +306,24 @@ class TestForecastHosim:
         model_by_sat, wx_models, _ = _models_from_config(config)
         assert len({id(m) for m in [*model_by_sat.values(), *wx_models.values()]}) == 1
 
+    @pytest.mark.parametrize("policy, named", [
+        ({"foo": 1}, "unknown policy key(s): foo"),
+        ({"consecutive_k": 3, "min_dwel_s": 600}, "min_dwel_s"),
+        ({"min_dwell_s": "600"}, "min_dwell_s must be a number"),
+        ({"min_dwell_s": None}, "min_dwell_s must be a number"),
+    ])
+    def test_hosim_reports_a_bad_policy_as_an_error(self, policy, named, trained_model, small_corpus, tmp_path, capsys):
+        config = self.models_config(trained_model, tmp_path)
+        config.write_text(json.dumps({**json.loads(config.read_text()), "policy": policy}))
+        flight = sorted(Path(small_corpus["dir"], "flights").glob("*.csv"))[0]
+        code = main(["hosim", "--config", str(config), "--data", str(flight)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+
+    def test_policy_keeps_horizon_min(self):
+        assert _policy_from_dict({"horizon_min": 12}).horizon_min == 12
+
     def test_unknown_model_path_is_file_error(self, tmp_path, capsys):
         config = tmp_path / "models.json"
         config.write_text(json.dumps({"models": {"I5F1": str(tmp_path / "missing.json")}}))
@@ -337,6 +355,21 @@ class TestExperimentSpec:
     def test_rejects_unknown_hyperparams_key_by_name(self):
         with pytest.raises(ValueError, match="unknown hyperparams key.*n_round"):
             ExperimentSpec.from_dict({"hyperparams": {"n_round": 5}})
+
+    def test_rejects_unknown_spec_key_by_name(self):
+        with pytest.raises(ValueError, match=r"unknown experiment key\(s\): min_altitude$"):
+            ExperimentSpec.from_dict({"min_altitude": 6000})
+
+    def test_train_reports_a_misspelt_spec_key_as_an_error(self, small_corpus, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"name": "typo", "min_altitude": 6000, "hyperparams": SMALL_HP}))
+        code = main([
+            "train", "--config", str(spec), "--data", small_corpus["dir"], "--out", str(tmp_path / "m.json"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "min_altitude" in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_rejects_hyperparams_that_are_not_an_object(self):
         with pytest.raises(ValueError, match="hyperparams must be an object"):

@@ -750,28 +750,6 @@ class TestPrediction:
         assert set(predict_labels(tied, uniform)) == {int(CnrCategory.BAD)}
 
 
-class TestGridSearch:
-    def test_picks_best_validation_f1(self):
-        from satlink.model import grid_search
-
-        matrix = separable_toy()
-        grid = [
-            GbmHyperParams(n_rounds=0),
-            GbmHyperParams(n_rounds=30, max_depth=3),
-        ]
-        best, results = grid_search(matrix, matrix, grid)
-        assert len(results) == 2
-        assert results[1][1] >= results[0][1]
-        assert best.n_rounds_trained == 30
-
-    def test_empty_grid_rejected(self):
-        from satlink.model import grid_search
-
-        matrix = separable_toy()
-        with pytest.raises(ValueError, match="grid"):
-            grid_search(matrix, matrix, [])
-
-
 class TestBaseline:
     def test_predicts_modal_class(self):
         matrix = make_matrix(np.zeros((10, 1)), y=[1] * 6 + [2] * 4)

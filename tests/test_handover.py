@@ -532,7 +532,7 @@ def reference_forecast_route(model_by_sat, waypoints, weather=None, weather_mode
             cells = []
             for r in rows:
                 try:
-                    cells.append(weather.cell_at(r.log_date, r.position))
+                    cells.append(weather.cell_at(r.log_date, r.position).values)
                 except CoverageGapError:
                     cells.append(None)
             covered = [i for i, c in enumerate(cells) if c is not None]
@@ -561,9 +561,9 @@ class PartialCoverage:
         return self.inner.cell_at(t, p)
 
     def cells_at(self, epoch_s, lat_deg, lon_deg):
-        minutes = (np.asarray(epoch_s) // 60 % 60).tolist()
         cells = self.inner.cells_at(epoch_s, lat_deg, lon_deg)
-        return [None if minute % 3 == 0 else cell for minute, cell in zip(minutes, cells)]
+        cells[np.asarray(epoch_s) // 60 % 3 == 0] = np.nan
+        return cells
 
 
 @pytest.fixture(scope="module")
@@ -581,7 +581,7 @@ def demo_forecast_setup(small_corpus):
         cells = None
         if weather is not None:
             rows = filter_altitude(rows, max_m=3000.0)
-            cells = [weather.cell_at(r.log_date, r.position) for r in rows]
+            cells = [weather.cell_at(r.log_date, r.position).values for r in rows]
         return train_gbm(encode_features(rows, cells=cells)[0], hp)
 
     provider = SyntheticWeather(6.0, 13)
@@ -634,7 +634,7 @@ class TestForecastRoute:
                 duration_min=600,
             )
             train_rows.append(r)
-            cells.append(provider.cell_at(r.log_date, r.position))
+            cells.append(provider.cell_at(r.log_date, r.position).values)
         matrix, _ = encode_features(train_rows, cells=cells)
         wx_model = train_gbm(matrix, GbmHyperParams(n_rounds=10, max_depth=3))
         wx_models = {"A": wx_model, "B": wx_model}
@@ -651,9 +651,9 @@ class TestForecastRoute:
 
         # The covered waypoint reproduces the weather model's prediction,
         # the uncovered one the base model's.
-        cell = field.lookup_nearest(inside.log_date, inside.position)
+        cell = field.cell_at(inside.log_date, inside.position)
         m_in, _ = encode_features(
-            [replace(inside, satellite_id="A")], vocab=wx_model.vocab, cells=[cell], for_prediction=True
+            [replace(inside, satellite_id="A")], vocab=wx_model.vocab, cells=[cell.values], for_prediction=True
         )
         assert grid[0]["A"] == predict_category(wx_model, m_in)[0]
         m_out, _ = encode_features(

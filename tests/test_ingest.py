@@ -38,7 +38,6 @@ from satlink.ingest import (
 )
 from satlink.weather import (
     SyntheticWeather,
-    WeatherCell,
     WeatherCsvError,
     _parse_utc,
     load_weather_csv,
@@ -535,13 +534,13 @@ class TestJoinWeather:
         rec = record(minute=0, lat=10.0, lon=20.0)
         result = join_weather([rec], field)
         assert result.report.attached == 1
-        cell = result.cells[0]
+        cell = field.cell_at(rec.log_date, rec.position)
         assert (cell.grid_lat_deg, cell.grid_lon_deg) == (10.0, 20.0)
-        assert cell == field.lookup_nearest(rec.log_date, rec.position)
+        assert result.cells.tolist() == [list(cell.values)]
 
     def test_empty_input_is_empty_success(self):
         result = join_weather([], self.field())
-        assert result.records.to_records() == [] and result.cells == []
+        assert result.records.to_records() == [] and result.cells.shape == (0, 4)
         assert result.report.total == 0
 
     def test_matches_brute_force_oracle(self):
@@ -560,8 +559,8 @@ class TestJoinWeather:
         ]
         result = join_weather(recs, field)
         assert result.report.dropped == 0
-        for rec, cell in zip(result.records, result.cells):
-            assert cell == brute_force_nearest(field, rec.log_date, rec.position)
+        for rec, values in zip(result.records, result.cells.tolist()):
+            assert values == list(brute_force_nearest(field, rec.log_date, rec.position).values)
 
     def test_small_gap_fraction_dropped_and_counted(self):
         field = self.field()
@@ -570,6 +569,7 @@ class TestJoinWeather:
         result = join_weather(recs, field)
         assert result.report.dropped == 1
         assert len(result.records) == 19
+        assert result.cells.shape == (19, 4) and not np.isnan(result.cells).any()
 
     def test_large_gap_fraction_is_an_error(self):
         field = self.field()
@@ -624,13 +624,18 @@ class TestEncodeFeatures:
     def test_weather_columns_appended_only_with_cells(self):
         provider = SyntheticWeather(0.0, 1)
         rec = record(alt=2000.0)
-        cell = provider.cell_at(rec.log_date, rec.position)
-        with_wx, _ = encode_features([rec], cells=[cell])
+        values = provider.cell_at(rec.log_date, rec.position).values
+        with_wx, _ = encode_features([rec], cells=[values])
         without, _ = encode_features([rec])
         assert "precip_mmh" in with_wx.columns and "precip_mmh" not in without.columns
         assert with_wx.schema_hash != without.schema_hash
         with pytest.raises(ValueError, match="cells"):
-            encode_features([rec, rec], cells=[cell])
+            encode_features([rec, rec], cells=[values])
+
+    def test_a_gap_row_is_never_encoded(self):
+        rec = record(alt=2000.0)
+        with pytest.raises(ValueError, match="gap"):
+            encode_features([rec, rec], cells=[[0.0, 50.0, 15.0, 4.0], [math.nan] * 4])
 
 
 def reference_encode_features(records, vocab=None, cells=None, for_prediction=False):
@@ -654,8 +659,7 @@ def reference_encode_features(records, vocab=None, cells=None, for_prediction=Fa
             fraction,
         ]
         if cells is not None:
-            c = cells[i]
-            row += [c.precipitation_mmh, c.cloud_cover_pct, c.temperature_c, c.wind_speed_mps]
+            row += list(cells[i])
         row += [float(vocab.encode(col, getattr(r, col))) for col in CATEGORICAL_COLUMNS]
         X[i] = row
     if for_prediction:
@@ -709,16 +713,14 @@ def encode_cases(draw):
             satellite_id=draw(tokens),
             cnr_db=draw(st.one_of(st.sampled_from(EDGE_CNR + [0.0, 20.0]), st.floats(0.0, 20.0))),
         ))
-        cells.append(WeatherCell(
-            hour_utc=log_date.replace(minute=0),
-            grid_lat_deg=0.1 * draw(st.integers(-900, 900)),
-            grid_lon_deg=0.1 * draw(st.integers(-1799, 1800)),
-            precipitation_mmh=draw(st.floats(0.0, 50.0)),
-            cloud_cover_pct=draw(st.floats(0.0, 100.0)),
-            temperature_c=draw(st.floats(-60.0, 45.0)),
-            wind_speed_mps=draw(st.floats(0.0, 60.0)),
+        cells.append((
+            draw(st.floats(0.0, 50.0)),
+            draw(st.floats(0.0, 100.0)),
+            draw(st.floats(-60.0, 45.0)),
+            draw(st.floats(0.0, 60.0)),
         ))
     vocab = Vocabulary.build(records[: draw(st.integers(0, n))]) if draw(st.booleans()) else None
+    cells = np.array(cells, dtype=float).reshape(-1, 4)
     return records, vocab, cells if draw(st.booleans()) else None, draw(st.booleans())
 
 
@@ -748,7 +750,7 @@ class TestEncodeMatchesRowReference:
         assert_same_matrix(got, reference_encode_features(records))
         low = [r for r in records if r.altitude_m < 3000.0][:500]
         provider = SyntheticWeather(6.0, 13)
-        cells = [provider.cell_at(r.log_date, r.position) for r in low]
+        cells = [provider.cell_at(r.log_date, r.position).values for r in low]
         got, _ = encode_features(low, vocab=vocab, cells=cells, for_prediction=True)
         assert_same_matrix(got, reference_encode_features(low, vocab, cells, True))
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satlink import weather
 from satlink.geometry import GeoPosition, haversine_m, normalize_lon
 from satlink.weather import (
     CoverageGapError,
@@ -181,6 +182,27 @@ class TestWeatherCell:
         with pytest.raises(ValueError):
             cell(H0, 10.0, 20.0, **kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"precip": math.nan},
+        {"precip": math.inf},
+        {"cloud": math.nan},
+        {"temp": math.nan},
+        {"temp": -math.inf},
+        {"wind": math.nan},
+        {"wind": math.inf},
+    ])
+    def test_rejects_non_finite_variables(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            cell(H0, 10.0, 20.0, **kwargs)
+
+    def test_rejects_non_finite_coordinates(self):
+        for lat, lon in ((math.nan, 20.0), (math.inf, 20.0), (10.0, math.nan), (10.0, -math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                cell(H0, lat, lon)
+
+    def test_values_are_in_provider_column_order(self):
+        assert cell(H0, 10.0, 20.0, 1.5, 60.0, -3.0, 7.0).values == (1.5, 60.0, -3.0, 7.0)
+
     def test_rejects_duplicate_keys(self):
         with pytest.raises(ValueError, match="duplicate"):
             WeatherField([cell(H0, 10.0, 20.0), cell(H0, 10.0, 20.0, precip=1.0)])
@@ -229,7 +251,7 @@ class TestSyntheticWeather:
         for _ in range(100):
             p = GeoPosition(rng.uniform(40.0, 40.94), rng.uniform(5.0, 5.94))
             at = H0 + timedelta(minutes=int(rng.integers(0, 150)))
-            assert field.lookup_nearest(at, p) == provider.cell_at(at, p)
+            assert field.cell_at(at, p) == provider.cell_at(at, p)
 
 
 class TestMatchesScalarReference:
@@ -244,7 +266,9 @@ class TestMatchesScalarReference:
             reference_cell_at(density, seed, datetime.fromtimestamp(t, timezone.utc), GeoPosition(lat, lon))
             for t, lat, lon in points
         ]
-        assert provider.cells_at(ts, lats, lons) == want
+        got = provider.cells_at(ts, lats, lons)
+        assert got.dtype == np.float64 and got.shape == (len(points), 4)
+        assert got.tobytes() == np.array([c.values for c in want]).tobytes()
         # The one-row case, on a fresh provider so no cache is shared.
         single = SyntheticWeather(density, seed)
         assert [
@@ -313,22 +337,51 @@ class TestSynthField:
         assert digest == "387a993993d67b57e00cf2eb7ebb7b32accaa8609835769fb4dbbac82d0dca40"
 
 
+@st.composite
+def fields_and_queries(draw):
+    """A field of 1-3 hours, not always consecutive, each holding a random
+    part of a 5 x 5 cell patch, and query points near its hours and cell
+    centers: exactly on them, halfway between them, and outside coverage.
+    Each cell's values name its hour and center, so a row shows which cell
+    a point got."""
+    base = 19421 * 24
+    hours = sorted(draw(st.sets(st.integers(base, base + 5), min_size=1, max_size=3)))
+    patch = [(ilat, ilon) for ilat in range(400, 405) for ilon in range(50, 55)]
+    cells = []
+    for hour in hours:
+        for ilat, ilon in draw(st.lists(st.sampled_from(patch), min_size=1, max_size=25, unique=True)):
+            cells.append(WeatherCell(
+                datetime.fromtimestamp(hour * 3600, timezone.utc),
+                ilat / 10.0,
+                ilon / 10.0,
+                float(hour - base), float(ilat - 400), float(ilon - 50), draw(st.floats(0.0, 50.0)),
+            ))
+    offsets_s = st.sampled_from([-5400, -3601, -3600, -1800, -1799, 0, 1799, 1800, 1801, 3600, 3601])
+    steps = st.sampled_from([-3.0, -2.5, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.5, 3.0])
+    points = st.tuples(
+        st.builds(lambda h, off: float(h * 3600 + off), st.sampled_from(hours), offsets_s),
+        st.builds(lambda i, k: (i + k) / 10.0, st.integers(400, 404), steps),
+        st.builds(lambda i, k: (i + k) / 10.0, st.integers(50, 54), steps),
+    )
+    return WeatherField(cells), draw(st.lists(points, min_size=1, max_size=20))
+
+
 class TestLookupNearest:
     def field(self):
         return synth_weather_field((40.0, 42.0, 5.0, 8.0), (H0, H0 + timedelta(hours=3)), 25.0, 11)
 
     def test_exact_hit(self):
         field = self.field()
-        got = field.lookup_nearest(H0 + timedelta(hours=1), GeoPosition(41.2, 6.7))
+        got = field.cell_at(H0 + timedelta(hours=1), GeoPosition(41.2, 6.7))
         assert got.hour_utc == H0 + timedelta(hours=1)
         assert (got.grid_lat_deg, got.grid_lon_deg) == (41.2, 6.7)
 
     def test_hour_rounding_with_tie_to_earlier(self):
         field = self.field()
         p = GeoPosition(41.0, 6.0)
-        assert field.lookup_nearest(H0 + timedelta(minutes=29), p).hour_utc == H0
-        assert field.lookup_nearest(H0 + timedelta(minutes=31), p).hour_utc == H0 + timedelta(hours=1)
-        assert field.lookup_nearest(H0 + timedelta(minutes=30), p).hour_utc == H0
+        assert field.cell_at(H0 + timedelta(minutes=29), p).hour_utc == H0
+        assert field.cell_at(H0 + timedelta(minutes=31), p).hour_utc == H0 + timedelta(hours=1)
+        assert field.cell_at(H0 + timedelta(minutes=30), p).hour_utc == H0
 
     def test_matches_brute_force_oracle(self):
         field = synth_weather_field((40.0, 41.5, 5.0, 6.5), (H0, H0 + timedelta(hours=3)), 25.0, 11)
@@ -336,14 +389,14 @@ class TestLookupNearest:
         for _ in range(250):
             p = GeoPosition(rng.uniform(40.0, 41.45), rng.uniform(5.0, 6.45))
             at = H0 + timedelta(seconds=int(rng.integers(0, 3 * 3600)))
-            assert field.lookup_nearest(at, p) == brute_force_nearest(field, at, p)
+            assert field.cell_at(at, p) == brute_force_nearest(field, at, p)
 
     def test_attached_center_within_half_cell_diagonal(self):
         field = self.field()
         rng = np.random.default_rng(9)
         for _ in range(300):
             p = GeoPosition(rng.uniform(40.0, 41.95), rng.uniform(5.0, 7.95))
-            got = field.lookup_nearest(H0, p)
+            got = field.cell_at(H0, p)
             center = GeoPosition(got.grid_lat_deg, got.grid_lon_deg)
             assert haversine_m(p, center) <= 7_900.0
 
@@ -360,30 +413,71 @@ class TestLookupNearest:
         ]
         for at, p in queries:
             want = brute_force_nearest(field, at, p)
-            assert shuffled.lookup_nearest(at, p) == want
-            assert field.lookup_nearest(at, p) == want
+            assert shuffled.cell_at(at, p) == want
+            assert field.cell_at(at, p) == want
 
-    def test_cells_at_gives_none_for_gaps(self):
+    def test_cells_at_gives_nan_rows_for_gaps(self):
         field = self.field()
         inside = (H0 + timedelta(minutes=40), GeoPosition(41.23, 6.71))
         ts = [inside[0].timestamp(), (H0 + timedelta(hours=5)).timestamp(), H0.timestamp(), H0.timestamp()]
         lats = [41.23, 41.0, 45.0, 41.0]
         lons = [6.71, 6.0, 6.0, 12.0]
         got = field.cells_at(np.array(ts), np.array(lats), np.array(lons))
-        assert got == [field.lookup_nearest(*inside), None, None, None]
+        assert got.shape == (4, 4)
+        assert got[0].tolist() == list(field.cell_at(*inside).values)
+        assert np.isnan(got[1:]).all()
+
+    def test_cells_at_rejects_bad_coordinates(self):
+        field = self.field()
+        for ts, lat, lon in ((H0.timestamp(), 90.5, 6.0), (H0.timestamp(), 41.0, math.inf), (math.nan, 41.0, 6.0)):
+            with pytest.raises(ValueError, match="no weather"):
+                field.cells_at([ts], [lat], [lon])
+
+    def test_empty_field_rejects_lookups(self):
+        with pytest.raises(ValueError, match="empty"):
+            WeatherField([]).cells_at([H0.timestamp()], [41.0], [6.0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=fields_and_queries(), max_pairs=st.sampled_from([1, 16, 60]))
+    def test_batch_rows_match_brute_force_oracle_across_chunks(self, case, max_pairs):
+        field, points = case
+        cells = list(field)
+        want = []
+        for ts, lat, lon in points:
+            at, p = datetime.fromtimestamp(ts, timezone.utc), GeoPosition(lat, lon)
+            # In a gap: more than one hour from every hour, or more than one
+            # grid cell outside the box of cell centers.
+            gap = (
+                min(abs(ts - c.hour_utc.timestamp()) for c in cells) > 3600
+                or not min(c.grid_lat_deg for c in cells) - 0.15 <= lat <= max(c.grid_lat_deg for c in cells) + 0.15
+                or not min(c.grid_lon_deg for c in cells) - 0.15 <= lon <= max(c.grid_lon_deg for c in cells) + 0.15
+            )
+            if gap:
+                with pytest.raises(CoverageGapError):
+                    field.cell_at(at, p)
+                want.append([math.nan] * 4)
+            else:
+                nearest = brute_force_nearest(field, at, p)
+                assert field.cell_at(at, p) == nearest
+                want.append(list(nearest.values))
+        # A small bound splits a batch of one hour into several chunks.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weather, "_MAX_PAIRS", max_pairs)
+            got = field.cells_at(*(np.array(column) for column in zip(*points)))
+        np.testing.assert_array_equal(got, np.array(want))
 
     def test_coverage_gap_errors(self):
         field = self.field()
         with pytest.raises(CoverageGapError, match="h from"):
-            field.lookup_nearest(H0 + timedelta(hours=4, minutes=1), GeoPosition(41.0, 6.0))
+            field.cell_at(H0 + timedelta(hours=4, minutes=1), GeoPosition(41.0, 6.0))
         with pytest.raises(CoverageGapError, match="latitude"):
-            field.lookup_nearest(H0, GeoPosition(42.5, 6.0))
+            field.cell_at(H0, GeoPosition(42.5, 6.0))
         with pytest.raises(CoverageGapError, match="longitude"):
-            field.lookup_nearest(H0, GeoPosition(41.0, 9.0))
+            field.cell_at(H0, GeoPosition(41.0, 9.0))
         # Within one hour / one grid cell of the edge still resolves
         # (last materialized hour is H0+2h).
-        assert field.lookup_nearest(H0 + timedelta(hours=3), GeoPosition(41.0, 6.0))
-        assert field.lookup_nearest(H0, GeoPosition(42.03, 6.0))
+        assert field.cell_at(H0 + timedelta(hours=3), GeoPosition(41.0, 6.0))
+        assert field.cell_at(H0, GeoPosition(42.03, 6.0))
 
 
 class TestWeatherCsv:
@@ -438,6 +532,21 @@ class TestWeatherCsv:
             load_weather_csv(path)
         lines = [ln for ln, _ in err.value.errors]
         assert lines == [3, 4]
+
+    def test_non_finite_values_are_bad_lines(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text(
+            "hour_utc,grid_lat,grid_lon,precip_mmh,cloud_pct,temp_c,wind_mps\n"
+            "2023-03-05T12:00:00Z,40.0,5.0,0.0,50.0,15.0,4.0\n"
+            "2023-03-05T12:00:00Z,40.1,5.0,nan,50.0,15.0,4.0\n"
+            "2023-03-05T12:00:00Z,40.2,5.0,0.0,50.0,inf,4.0\n"
+            "2023-03-05T12:00:00Z,40.3,5.0,0.0,50.0,15.0,NaN\n"
+            "2023-03-05T12:00:00Z,40.4,5.0,0.0,50.0,-inf,4.0\n"
+        )
+        with pytest.raises(WeatherCsvError) as err:
+            load_weather_csv(path)
+        assert [ln for ln, _ in err.value.errors] == [3, 4, 5, 6]
+        assert all("finite" in message for _, message in err.value.errors)
 
     def test_duplicate_rows_name_both_lines(self, tmp_path):
         path = tmp_path / "dup.csv"
