@@ -349,7 +349,11 @@ def _policy_from_dict(data: dict) -> HoPolicy:
     _reject_unknown("policy", data, {f.name for f in dataclasses.fields(HoPolicy)})
     kwargs = dict(data)
     if "degrade_threshold" in kwargs:
-        kwargs["degrade_threshold"] = CnrCategory[str(kwargs["degrade_threshold"]).upper()]
+        name = str(kwargs["degrade_threshold"]).upper()
+        if name not in CnrCategory.__members__:
+            valid = ", ".join(c.label for c in CnrCategory)
+            raise ValueError(f"unknown degrade_threshold {kwargs['degrade_threshold']!r}; expected one of {valid}")
+        kwargs["degrade_threshold"] = CnrCategory[name]
     return HoPolicy(**kwargs)
 
 

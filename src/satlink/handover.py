@@ -51,9 +51,10 @@ class HoPolicy:
     horizon_min: int = 10
 
     def __post_init__(self) -> None:
-        k = self.consecutive_k
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-            raise ValueError(f"consecutive_k must be an int >= 1: {k!r}")
+        for name in ("consecutive_k", "horizon_min"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1: {value!r}")
         dwell = self.min_dwell_s
         if isinstance(dwell, bool) or not isinstance(dwell, numbers.Real) or not dwell >= 0:  # NaN as well
             raise ValueError(f"min_dwell_s must be a number >= 0: {dwell!r}")

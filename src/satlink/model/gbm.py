@@ -11,6 +11,9 @@ chosen split maximizes
 
 with leaf weight -G/(H+lambda) scaled by the learning rate.  With enough
 bins for every distinct value this reduces to exact greedy splitting.
+Scores, gradients and hessians are class-major, (outputs, rows), in
+training and in prediction, so the softmax reduces over four contiguous
+rows and each tree reads its output's gradients without a copy.
 
 Trees grow one depth level at a time, as XGBoost's depth-wise ``hist``
 method does.  Bin codes are offset by ``f * width`` (the largest bin
@@ -25,9 +28,12 @@ nodes are one (nodes, features, width - 1) array whose row-major argmax
 per node keeps the tie rule (lowest feature, then lowest bin).
 Subtraction adds in another order than a direct histogram, so a near-tie
 split may differ from a per-node search; node sums, and so leaf values,
-always come from the node's own rows.  Trees are renumbered to preorder
-once grown, and identical data and hyperparameters give byte-identical
-serialized models.
+always come from the node's own rows.  A node whose hessian sum is below
+``min_child_weight`` (XGBoost's rule) cannot split, so it becomes a leaf
+before any split search, and a level with no node to search builds no
+histograms: the tree of a class absent from the rows builds none at all.
+Trees are renumbered to preorder once grown, and identical data and
+hyperparameters give byte-identical serialized models.
 
 Prediction walks every tree at once over flat node arrays (see
 :class:`_FlatEnsemble`).  Trees are held deepest first, so each depth
@@ -262,15 +268,17 @@ def _bin_features(X: np.ndarray, n_bins: int) -> _Bins:
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    """Per-column distribution of class-major (classes, rows) scores."""
+    shifted = scores - scores.max(axis=0)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=0)
 
 
 def _log_loss(scores: np.ndarray, y: np.ndarray) -> float:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1))
-    return float(np.mean(lse - shifted[np.arange(len(y)), y]))
+    """Mean softmax cross-entropy of class-major (classes, rows) scores."""
+    shifted = scores - scores.max(axis=0)
+    lse = np.log(np.exp(shifted).sum(axis=0))
+    return float(np.mean(lse - shifted[y, np.arange(len(y))]))
 
 
 def _histograms(
@@ -358,25 +366,35 @@ def _build_tree(
     """Grow one tree on (g, h) one depth level at a time; returns it plus
     the score update per row.
 
-    The root's histograms are built from all rows.  Each later level gets
-    its histograms from :func:`_child_histograms` and its splits from one
-    :func:`_best_splits` call.  Node sums, and so leaf values, always come
-    from the node's own rows.  Nodes are numbered breadth-first while
-    growing and renumbered to preorder at the end.
+    A node is searched only if it is above ``max_depth``, has two rows or
+    more, and its hessian sum reaches ``min_child_weight``; any other node
+    is a leaf at once.  The last rule is exact: below it, a candidate with
+    ``hl >= min_child_weight`` leaves ``h_sum - hl < 0`` on its right, so
+    :func:`_best_splits` would reject every candidate anyway.  A level's
+    histograms are built only when one of its nodes is searched: the
+    root's from all rows, a later level's by :func:`_child_histograms`
+    from the level above.  So a tree whose root cannot split, such as one
+    for a class absent from the rows, builds no histogram.  Node sums, and
+    so leaf values, always come from the node's own rows.  Nodes are
+    numbered breadth-first while growing and renumbered to preorder at the
+    end.
     """
     nodes: list[list] = []  # breadth-first [feature, threshold, left, right, value]
     update = np.zeros(g.size)
     level = [np.arange(g.size)]  # rows of each node of the level, ascending
-    hist = _histograms(bins, g, h)  # one row per node of the level
     for depth in range(hp.max_depth + 1):
         g_sum = np.array([float(g[rows].sum()) for rows in level])
         h_sum = np.array([float(h[rows].sum()) for rows in level])
         split_f = np.full(len(level), -1)
         split_b = np.zeros(len(level), dtype=np.intp)
-        if depth < hp.max_depth:
-            grown = np.array([rows.size >= 2 for rows in level])
-            if grown.any():
-                split_f[grown], split_b[grown] = _best_splits(bins, hist[grown], g_sum[grown], h_sum[grown], hp)
+        searched = np.array([rows.size >= 2 for rows in level]) & (h_sum >= hp.min_child_weight)
+        if depth < hp.max_depth and searched.any():
+            # One row per node of the level: the root's from all rows, a
+            # later level's from the histograms of the split nodes above.
+            hist = _histograms(bins, g, h) if depth == 0 else _child_histograms(bins, g, h, hist[split_nodes], children)
+            split_f[searched], split_b[searched] = _best_splits(
+                bins, hist[searched], g_sum[searched], h_sum[searched], hp
+            )
         children = []
         for i, rows in enumerate(level):
             f, b = int(split_f[i]), int(split_b[i])
@@ -398,8 +416,7 @@ def _build_tree(
             children.append((rows[mask], rows[~mask]))
         if not children:
             break
-        if depth + 1 < hp.max_depth:
-            hist = _child_histograms(bins, g, h, hist[split_f >= 0], children)
+        split_nodes = split_f >= 0
         level = [rows for pair in children for rows in pair]
     return _preorder(nodes), update
 
@@ -429,7 +446,8 @@ def _clipped_log_priors(counts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Loss:
-    """What the boosting loop needs from a loss; scores are (rows, outputs)."""
+    """What the boosting loop needs from a loss; scores are class-major,
+    (outputs, rows), as are the gradients and hessians."""
 
     kind: str
     base: np.ndarray  # base score per output; one tree per output per round
@@ -440,7 +458,7 @@ class _Loss:
 def _boost(train: FeatureMatrix, hp: GbmHyperParams, loss: _Loss) -> GbmModel:
     """The boosting loop shared by the classifier and the regressor."""
     bins = _bin_features(train.X, hp.n_bins)
-    scores = np.tile(loss.base, (train.n_rows, 1))
+    scores = np.repeat(loss.base[:, None], train.n_rows, axis=1)
     losses = [loss.value(scores)]
     all_trees: list[list[Tree]] = []
     for _ in range(hp.n_rounds):
@@ -448,7 +466,7 @@ def _boost(train: FeatureMatrix, hp: GbmHyperParams, loss: _Loss) -> GbmModel:
         round_trees = []
         for k in range(loss.base.size):
             tree, update = _build_tree(bins, grad[k], hess[k], hp)
-            scores[:, k] += update
+            scores[k] += update
             round_trees.append(tree)
         all_trees.append(round_trees)
         losses.append(loss.value(scores))
@@ -474,12 +492,12 @@ def train_gbm(train: FeatureMatrix, hp: GbmHyperParams = GbmHyperParams()) -> Gb
     counts = np.bincount(y, minlength=N_CATEGORIES).astype(float)
     if (counts > 0).sum() < 2:
         raise ValueError("training labels contain a single class")
-    one_hot = np.zeros((train.n_rows, N_CATEGORIES))
-    one_hot[np.arange(train.n_rows), y] = 1.0
+    one_hot = np.zeros((N_CATEGORIES, train.n_rows))
+    one_hot[y, np.arange(train.n_rows)] = 1.0
 
     def grad_hess(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         proba = _softmax(scores)
-        return (proba - one_hot).T.copy(), (proba * (1.0 - proba)).T.copy()
+        return proba - one_hot, proba * (1.0 - proba)
 
     loss = _Loss("classifier", _clipped_log_priors(counts), grad_hess, lambda s: _log_loss(s, y))
     return _boost(train, hp, loss)
@@ -496,8 +514,8 @@ def train_regressor(train: FeatureMatrix, hp: GbmHyperParams = GbmHyperParams())
     loss = _Loss(
         "regressor",
         np.array([float(y.mean())]),
-        lambda s: ((s[:, 0] - y)[None, :], hess),
-        lambda s: float(np.mean((s[:, 0] - y) ** 2)),
+        lambda s: (s - y, hess),
+        lambda s: float(np.mean((s[0] - y) ** 2)),
     )
     return _boost(train, hp, loss)
 
@@ -538,11 +556,12 @@ _BLOCK_PAIRS = 2**18
 
 
 def raw_scores(model: GbmModel, matrix: FeatureMatrix) -> np.ndarray:
-    """Base scores plus summed leaf values, shape (n_rows, n_classes).
+    """Base scores plus summed leaf values, class-major: shape (n_classes,
+    n_rows).
 
     Rows walk every tree at once in blocks of
     :attr:`_FlatEnsemble.rows_per_block`; leaf values are added round by
-    round, in training order, to class-major scores.
+    round, in training order.
     """
     _check_schema(model, matrix)
     if matrix.X.shape[1] != len(model.columns):
@@ -558,14 +577,15 @@ def raw_scores(model: GbmModel, matrix: FeatureMatrix) -> np.ndarray:
             leaves = flat.leaf_values(X[block]).reshape(len(model.trees), model.n_classes, -1)
             for round_leaves in leaves:
                 scores[:, block] += round_leaves
-    return scores.T
+    return scores
 
 
 def predict_proba(model: GbmModel, rows: FeatureMatrix) -> np.ndarray:
-    """Per-row category distribution (rows sum to 1)."""
+    """Per-row category distribution, shape (n_rows, n_classes); rows sum
+    to 1.  The softmax runs over class-major scores."""
     if model.kind != "classifier":
         raise ValueError(f"predict_proba needs a classifier, got {model.kind!r}")
-    return _softmax(raw_scores(model, rows))
+    return _softmax(raw_scores(model, rows)).T
 
 
 def predict_labels(model: GbmModel, rows: FeatureMatrix) -> np.ndarray:
@@ -582,7 +602,7 @@ def predict_value(model: GbmModel, rows: FeatureMatrix) -> np.ndarray:
     """Regression output in dB, one value per row."""
     if model.kind != "regressor":
         raise ValueError(f"predict_value needs a regressor, got {model.kind!r}")
-    return raw_scores(model, rows)[:, 0]
+    return raw_scores(model, rows)[0]
 
 
 def _tree_to_jsonable(tree: Tree) -> dict:

@@ -311,6 +311,9 @@ class TestForecastHosim:
         ({"consecutive_k": 3, "min_dwel_s": 600}, "min_dwel_s"),
         ({"min_dwell_s": "600"}, "min_dwell_s must be a number"),
         ({"min_dwell_s": None}, "min_dwell_s must be a number"),
+        ({"horizon_min": "10"}, "horizon_min must be an int"),
+        ({"horizon_min": 10.5}, "horizon_min must be an int"),
+        ({"degrade_threshold": "terrible"}, "expected one of Bad, Weak, Medium, Good"),
     ])
     def test_hosim_reports_a_bad_policy_as_an_error(self, policy, named, trained_model, small_corpus, tmp_path, capsys):
         config = self.models_config(trained_model, tmp_path)

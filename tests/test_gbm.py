@@ -1,6 +1,7 @@
 import hashlib
 import json
 import platform
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from satlink.model import (
     train_regressor,
 )
 from satlink.model import gbm
-from satlink.model.gbm import GbmModel, Tree, model_to_jsonable
+from satlink.model.gbm import N_CATEGORIES, GbmModel, Tree, model_to_jsonable
 
 from conftest import make_matrix, separable_toy
 
@@ -316,6 +317,123 @@ class TestEmptyChildren:
         assert np.array_equal(update, tree.value[leaves])
 
 
+def node_depths(tree):
+    """Depth of every node of a preorder tree."""
+    depth = np.zeros(tree.feature.size, dtype=int)
+    for i in np.flatnonzero(tree.feature >= 0):
+        depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+    return depth
+
+
+@st.composite
+def light_hessian_cases(draw):
+    """Data whose hessians are small next to ``min_child_weight`` 1, so
+    that many nodes above the last level fall below it."""
+    X, g, h, hp = draw(growth_cases())
+    scale = draw(st.sampled_from([0.01, 0.05, 0.25]))
+    return X, g, h * scale, GbmHyperParams(max_depth=hp.max_depth, n_bins=hp.n_bins, min_child_weight=1.0)
+
+
+class TestUnsplittableNodes:
+    @staticmethod
+    def histogram_calls(monkeypatch):
+        calls = []
+        histograms = gbm._histograms
+
+        def spy(*args):
+            calls.append(args)
+            return histograms(*args)
+
+        monkeypatch.setattr(gbm, "_histograms", spy)
+        return calls
+
+    def test_trees_of_an_absent_class_build_no_histogram(self, monkeypatch):
+        matrix, hp = tie_free_case(n_classes=3)
+        calls = self.histogram_calls(monkeypatch)
+        per_tree = []
+        build_tree = gbm._build_tree
+
+        def counting_build_tree(*args):
+            before = len(calls)
+            out = build_tree(*args)
+            per_tree.append(len(calls) - before)
+            return out
+
+        monkeypatch.setattr(gbm, "_build_tree", counting_build_tree)
+        model = train_gbm(matrix, hp)
+        per_round = np.array(per_tree).reshape(hp.n_rounds, N_CATEGORIES)
+        assert (per_round[:, :3] > 0).all()
+        assert (per_round[:, 3] == 0).all()
+        assert all(trees[3].feature.tolist() == [-1] for trees in model.trees)
+
+    def test_a_node_at_exactly_min_child_weight_is_searched(self, monkeypatch):
+        bins = gbm._bin_features(np.arange(4.0)[:, None], 64)
+        g = np.array([-1.0, -1.0, 1.0, 1.0])
+        calls = self.histogram_calls(monkeypatch)
+        # Four hessians of 0.25 sum to 1.0 exactly: searched, though no
+        # split leaves 1.0 on both sides.
+        tree, _ = gbm._build_tree(bins, g, np.full(4, 0.25), GbmHyperParams(min_child_weight=1.0))
+        assert len(calls) == 1 and tree.feature.tolist() == [-1]
+        # Zero hessians with min_child_weight 0: searched, and split.
+        tree, _ = gbm._build_tree(bins, g, np.zeros(4), GbmHyperParams(max_depth=1, min_child_weight=0.0))
+        assert len(calls) == 2 and tree.feature.tolist() == [0, -1, -1]
+
+    def test_a_node_just_below_min_child_weight_is_a_leaf_without_search(self, monkeypatch):
+        bins = gbm._bin_features(np.arange(4.0)[:, None], 64)
+        g, h = np.array([-1.0, -1.0, 1.0, 2.0]), np.full(4, 0.25)
+        hp = GbmHyperParams(min_child_weight=np.nextafter(1.0, 2.0))
+        calls = self.histogram_calls(monkeypatch)
+        tree, update = gbm._build_tree(bins, g, h, hp)
+        assert calls == []
+        want, want_update = reference_build_tree(bins, g, h, hp)
+        assert gbm._tree_to_jsonable(tree) == gbm._tree_to_jsonable(want)
+        assert update.tobytes() == want_update.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(light_hessian_cases())
+    def test_every_early_leaf_would_have_found_no_split(self, case):
+        X, g, h, hp = case
+        bins = gbm._bin_features(X, hp.n_bins)
+        tree, update = gbm._build_tree(bins, g, h, hp)
+        leaves = reference_leaves(tree, X)
+        assert np.array_equal(update, tree.value[leaves])
+        depth = node_depths(tree)
+        for leaf in np.flatnonzero(tree.feature < 0):
+            rows = np.flatnonzero(leaves == leaf)
+            if depth[leaf] == hp.max_depth or rows.size < 2:
+                continue
+            g_sum, h_sum = np.array([g[rows].sum()]), np.array([h[rows].sum()])
+            hist = gbm._histograms(bins, g, h, [rows])
+            with np.errstate(invalid="ignore", over="ignore"):
+                features, _ = gbm._best_splits(bins, hist, g_sum, h_sum, hp)
+            assert features.tolist() == [-1], (leaf, h_sum)
+
+    @settings(max_examples=60, deadline=None)
+    @given(growth_cases())
+    def test_with_min_child_weight_zero_every_node_of_two_rows_is_searched(self, case):
+        X, g, h, hp = case
+        hp = GbmHyperParams(max_depth=hp.max_depth, n_bins=hp.n_bins, min_child_weight=0.0)
+        bins = gbm._bin_features(X, hp.n_bins)
+        searched = []
+        best_splits = gbm._best_splits
+
+        def spy(bins_, hist, g_sum, h_sum, hp_):
+            searched.append(hist.shape[0])
+            return best_splits(bins_, hist, g_sum, h_sum, hp_)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gbm, "_best_splits", spy)
+            tree, _ = gbm._build_tree(bins, g, h, hp)
+        leaves = reference_leaves(tree, X)
+        depth = node_depths(tree)
+        sizes = np.bincount(leaves, minlength=tree.feature.size)
+        leaf = tree.feature < 0
+        # Every split node, and every leaf above the last level with two
+        # rows or more, went through the search.
+        want = int((~leaf).sum() + (leaf & (depth < hp.max_depth) & (sizes >= 2)).sum())
+        assert sum(searched) == want
+
+
 def reference_leaves(tree, X):
     """Leaf id of one tree for every row; rows go left when x <= threshold.
 
@@ -337,10 +455,11 @@ def reference_apply(tree, X):
 
 
 def reference_raw_scores(model, X):
-    scores = np.tile(model.base_score, (X.shape[0], 1))
+    """Class-major (classes, rows) scores, one tree at a time."""
+    scores = np.repeat(model.base_score[:, None], X.shape[0], axis=1)
     for round_trees in model.trees:
         for k, tree in enumerate(round_trees):
-            scores[:, k] += reference_apply(tree, X)
+            scores[k] += reference_apply(tree, X)
     return scores
 
 
@@ -441,7 +560,7 @@ class TestRawScores:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(gbm, "_BLOCK_PAIRS", block_pairs)
             got = gbm.raw_scores(model, matrix)
-        assert got.shape == (matrix.n_rows, model.n_classes)
+        assert got.shape == (model.n_classes, matrix.n_rows)
         assert got.tobytes() == reference_raw_scores(model, matrix.X).tobytes()
 
     def test_block_boundaries_at_the_real_block_size(self):
@@ -502,7 +621,7 @@ class TestRawScores:
         model = gbm.model_from_jsonable(json.loads(json.dumps(model_to_jsonable(built))))
         assert model.trees[0][0].depth == depth
         got = gbm.raw_scores(model, matrix)
-        assert got[:, 0].tolist() == [0.0, 1.0, 701.0, 1499.0, -1.0, -1.0]
+        assert got[0].tolist() == [0.0, 1.0, 701.0, 1499.0, -1.0, -1.0]
         assert got.tobytes() == reference_raw_scores(model, matrix.X).tobytes()
 
     def test_threshold_goes_left_and_nan_goes_right(self):
@@ -523,7 +642,7 @@ class TestRawScores:
     def test_zero_round_model_scores_its_base(self):
         matrix = make_matrix(np.zeros((513, 2)), y=[0, 1, 2] * 171)
         model = baseline_majority(matrix)
-        assert np.array_equal(gbm.raw_scores(model, matrix), np.tile(model.base_score, (matrix.n_rows, 1)))
+        assert np.array_equal(gbm.raw_scores(model, matrix), np.repeat(model.base_score[:, None], matrix.n_rows, axis=1))
 
     def test_trained_models_match_reference(self, c9_train):
         matrix, hp = c9_train[0], GbmHyperParams(n_rounds=5)
@@ -598,27 +717,32 @@ class TestModelBytes:
         assert hashlib.sha256(text.encode()).hexdigest() == C9_REPORT_SHA256, c9_mismatch("the report hash")
 
     @pytest.mark.parametrize("train_fn", [train_gbm, train_regressor])
-    def test_same_trees_as_reference_builder_on_tie_free_data(self, train_fn, monkeypatch):
-        matrix, hp = tie_free_case()
-        fast = train_fn(matrix, hp)
-        monkeypatch.setattr(gbm, "_build_tree", reference_build_tree)
-        reference = train_fn(matrix, hp)
-        assert sum(t.feature.size for trees in fast.trees for t in trees) > 10 * len(fast.trees)
-        for fast_trees, reference_trees in zip(fast.trees, reference.trees, strict=True):
-            for tree, want in zip(fast_trees, reference_trees, strict=True):
-                for key in ("feature", "threshold", "left", "right"):
-                    assert np.array_equal(getattr(tree, key), getattr(want, key)), key
-                assert np.abs(tree.value - want.value).max() <= 1e-12
+    def test_same_trees_as_reference_builder_on_tie_free_data(self, train_fn):
+        # With 3 classes, the classifier's trees of the fourth are leaves
+        # made before any histogram; the reference searches them.
+        for n_classes in (4, 3):
+            matrix, hp = tie_free_case(n_classes)
+            fast = train_fn(matrix, hp)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(gbm, "_build_tree", reference_build_tree)
+                reference = train_fn(matrix, hp)
+            assert sum(t.feature.size for trees in fast.trees for t in trees) > 10 * len(fast.trees)
+            for fast_trees, reference_trees in zip(fast.trees, reference.trees, strict=True):
+                for tree, want in zip(fast_trees, reference_trees, strict=True):
+                    for key in ("feature", "threshold", "left", "right"):
+                        assert np.array_equal(getattr(tree, key), getattr(want, key)), key
+                    assert np.abs(tree.value - want.value).max() <= 1e-12
 
 
-def tie_free_case():
+def tie_free_case(n_classes=4):
     """Continuous, distinct feature values and labels that depend on all
     features, with few bins and many rows in every node of a depth-4
-    tree, so that no node's best split ties with another candidate."""
+    tree, so that no node's best split ties with another candidate.
+    Labels take the first ``n_classes`` categories; the rest are absent."""
     rng = np.random.default_rng(2024)
     X = rng.normal(size=(3000, 4))
     score = X @ np.array([1.0, -0.7, 0.4, 0.2]) + 0.3 * rng.normal(size=3000)
-    y = np.searchsorted(np.quantile(score, [0.25, 0.5, 0.75]), score)
+    y = np.searchsorted(np.quantile(score, np.arange(1, n_classes) / n_classes), score)
     matrix = make_matrix(X, y=y, y_cnr=5.0 * score)
     return matrix, GbmHyperParams(n_rounds=6, max_depth=4, n_bins=16)
 
@@ -748,6 +872,93 @@ class TestPrediction:
         uniform = make_matrix(np.zeros((8, 1)), y=[0, 1, 2, 3] * 2)
         tied = train_gbm(uniform, GbmHyperParams(n_rounds=0))
         assert set(predict_labels(tied, uniform)) == {int(CnrCategory.BAD)}
+
+
+def reference_softmax(scores):
+    """Row-major softmax over (rows, classes) scores."""
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_log_loss(scores, y):
+    """Row-major mean cross-entropy over (rows, classes) scores."""
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    return float(np.mean(lse - shifted[np.arange(len(y)), y]))
+
+
+@st.composite
+def row_major_scores(draw, min_rows=0):
+    """(rows, 4) scores with 0, 1 or many rows.  Each class is ordinary,
+    absent (the clipped log prior of a class never seen), huge in either
+    direction, or tied with class 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([0, 1, 2, 37, 1000]).filter(lambda k: k >= min_rows))
+    scores = rng.normal(size=(n, N_CATEGORIES)) * draw(st.sampled_from([1.0, 30.0]))
+    for k in range(N_CATEGORIES):
+        kind = draw(st.sampled_from(["ordinary", "absent", "huge", "tied"]))
+        if kind == "absent":
+            scores[:, k] = np.log(1e-12) + rng.normal(size=n) * 1e-3
+        elif kind == "huge":
+            scores[:, k] = rng.choice([-1e308, -800.0, 800.0, 1e308], size=n)
+        elif kind == "tied":
+            scores[:, k] = scores[:, 0]
+    y = rng.integers(0, N_CATEGORIES, size=n)
+    return scores, y
+
+
+class TestClassMajorScores:
+    """The boosting loop and prediction keep scores (classes, rows); every
+    result must equal the row-major computation bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(row_major_scores())
+    def test_softmax_and_log_loss_match_row_major(self, case):
+        scores, y = case
+        class_major = np.ascontiguousarray(scores.T)
+        # Huge scores overflow in the shift, and no rows leave an empty mean.
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert gbm._softmax(class_major).T.tobytes() == reference_softmax(scores).tobytes()
+            got, want = gbm._log_loss(class_major, y), reference_log_loss(scores, y)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(row_major_scores(min_rows=2))
+    def test_gradients_and_hessians_match_row_major(self, case):
+        scores, y = case
+        y[:2] = [0, 1]  # a single class is rejected
+        losses = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gbm, "_boost", lambda train, hp, loss: losses.append(loss))
+            train_gbm(make_matrix(np.zeros((y.size, 1)), y=y))
+        with np.errstate(all="ignore"):
+            grad, hess = losses[0].grad_hess(np.ascontiguousarray(scores.T))
+            proba = reference_softmax(scores)
+        one_hot = np.eye(N_CATEGORIES)[y]
+        assert grad.shape == hess.shape == (N_CATEGORIES, y.size)
+        assert grad.T.tobytes() == (proba - one_hot).tobytes()
+        assert hess.T.tobytes() == (proba * (1.0 - proba)).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ensemble_cases(), st.sampled_from([0.0, 1.0, 1e3, 1e300]),
+        st.sets(st.integers(0, N_CATEGORIES - 1), max_size=N_CATEGORIES - 1),
+    )
+    def test_predict_proba_and_labels_match_row_major(self, case, spread, absent):
+        model, matrix, _ = case
+        if model.kind != "classifier":
+            return
+        model.base_score = model.base_score * spread
+        model.base_score[list(absent)] = np.log(1e-12)
+        want = reference_softmax(reference_raw_scores(model, matrix.X).T)
+        with np.errstate(all="ignore"):
+            got = predict_proba(model, matrix)
+            labels = predict_labels(model, matrix)
+        assert got.shape == (matrix.n_rows, N_CATEGORIES)
+        assert got.tobytes() == want.tobytes()
+        assert labels.tolist() == np.argmax(want, axis=1).tolist()
 
 
 class TestBaseline:

@@ -251,6 +251,9 @@ class TestStep:
                 HoPolicy(consecutive_k=k)
         with pytest.raises(ValueError, match="min_dwell_s"):
             HoPolicy(min_dwell_s=float("nan"))
+        for horizon in ("10", 10.0, None, True, 0):
+            with pytest.raises(ValueError, match="horizon_min must be an int"):
+                HoPolicy(horizon_min=horizon)
 
 
 @st.composite
