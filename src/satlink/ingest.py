@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 from dataclasses import dataclass, fields
@@ -330,31 +331,47 @@ def parse_logs(paths: Sequence[str]) -> LogColumns:
     return LogColumns(*(np.concatenate([getattr(part, f.name) for part in parts]) for f in fields(LogColumns)))
 
 
+def _csv_fields(values: list) -> list[str]:
+    """Each value as ``csv.writer`` writes it as one field of a row, quoted
+    where it must be.  The csv module quotes each distinct value once."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    texts = {}
+    for value in set(values):
+        # A second field, so an empty value is not the lone field csv quotes.
+        writer.writerow((value, ""))
+        texts[value] = buffer.getvalue()[: -len(",\r\n")]
+        buffer.seek(0)
+        buffer.truncate()
+    return list(map(texts.__getitem__, values))
+
+
 def save_logs(records: LogColumns | Iterable[FlightLogRecord], path: str) -> list[str]:
     """Check the rows, then write them as a flight-log CSV in the canonical
-    formats.  Returns the ``cnr_db`` cells as written."""
+    formats.  Each row is joined as text, with the bytes ``csv.writer``
+    would write; no whole-file string is built.  Returns the ``cnr_db``
+    cells as written."""
     log = _columns(records)
     _check_log(log)
     cnr_cells = ["" if math.isnan(v) else f"{v:.3f}" for v in log.cnr_db.tolist()]
     rows = zip(
         _format_utc(log.epoch_s),
-        log.flight_id.tolist(),
-        log.tail_number.tolist(),
-        log.airline_code.tolist(),
-        log.departure_airport.tolist(),
-        log.arrival_airport.tolist(),
+        _csv_fields(log.flight_id.tolist()),
+        _csv_fields(log.tail_number.tolist()),
+        _csv_fields(log.airline_code.tolist()),
+        _csv_fields(log.departure_airport.tolist()),
+        _csv_fields(log.arrival_airport.tolist()),
         _format_utc(log.flight_start_s),
         _format_utc(log.flight_end_s),
         [f"{v:.6f}" for v in log.latitude_deg.tolist()],
         [f"{v:.6f}" for v in log.longitude_deg.tolist()],
         [f"{v:.1f}" for v in log.altitude_m.tolist()],
-        log.satellite_id.tolist(),
+        _csv_fields(log.satellite_id.tolist()),
         cnr_cells,
     )
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOG_CSV_COLUMNS)
-        writer.writerows(rows)
+        fh.write(",".join(LOG_CSV_COLUMNS) + "\r\n")
+        fh.writelines(map("{}\r\n".format, map(",".join, rows)))
     return cnr_cells
 
 

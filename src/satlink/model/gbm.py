@@ -27,7 +27,9 @@ as parent − child (LightGBM's subtraction trick).  The gains of a level's
 nodes are one (nodes, features, width - 1) array whose row-major argmax
 per node keeps the tie rule (lowest feature, then lowest bin).
 Subtraction adds in another order than a direct histogram, so a near-tie
-split may differ from a per-node search; node sums, and so leaf values,
+split may differ from a per-node search, and a split must gain more than
+``1e-10`` times the node's term G^2/(H+lambda), so a gain of rounding
+noise splits no node in either search.  Node sums, and so leaf values,
 always come from the node's own rows.  A node whose hessian sum is below
 ``min_child_weight`` (XGBoost's rule) cannot split, so it becomes a leaf
 before any split search, and a level with no node to search builds no
@@ -328,11 +330,19 @@ def _child_histograms(
     return hist.reshape((-1,) + parents.shape[1:])
 
 
+#: The least gain of a split, as a share of its node's term
+#: G^2 / (H + lambda).  A smaller gain is rounding noise: a node's
+#: histograms built from its rows and as parent − sibling can give it
+#: opposite signs.
+_MIN_GAIN = 1e-10
+
+
 def _best_splits(
     bins: _Bins, hist: np.ndarray, g_sum: np.ndarray, h_sum: np.ndarray, hp: GbmHyperParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best (feature, bin) of each node from its histograms and row sums;
-    the feature is -1 where no split has a positive gain.
+    the feature is -1 where no split gains more than :data:`_MIN_GAIN`
+    times the node's own term ``G^2 / (H + lambda)``.
 
     All nodes share one (nodes, features, width - 1) gain array.  Each
     node's row-major argmax resolves ties to the lowest feature id, then
@@ -357,7 +367,7 @@ def _best_splits(
     gains = gains.reshape(n_nodes, -1)
     best = np.argmax(gains, axis=1)
     feature, bin_ = np.divmod(best, n_slots)
-    return np.where(gains[np.arange(n_nodes), best] > 0.0, feature, -1), bin_
+    return np.where(gains[np.arange(n_nodes), best] > _MIN_GAIN * parent.ravel(), feature, -1), bin_
 
 
 def _build_tree(

@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import itertools
 import json
 import platform
 import warnings
@@ -63,13 +65,14 @@ def reference_find_split(codes, rows, g, h, g_sum, h_sum, edges_per_feature, hp)
     """Per-feature histogram split search over row-major ``codes``.
 
     Two ``bincount`` calls per feature; the reference for the per-level
-    search over all features and nodes in ``gbm._best_splits``.  Returns
+    search over all features and nodes in ``gbm._best_splits``.  A split
+    must gain more than 1e-10 times the parent term, as there.  Returns
     (feature, bin, gain).
     """
     lam = hp.l2_lambda
     parent = g_sum * g_sum / (h_sum + lam) if h_sum + lam > 0 else 0.0
     best = None
-    best_gain = 0.0
+    best_gain = 1e-10 * parent  # a smaller gain is rounding noise
     g_rows = g[rows]
     h_rows = h[rows]
     for f, edges in enumerate(edges_per_feature):
@@ -719,19 +722,30 @@ class TestModelBytes:
     @pytest.mark.parametrize("train_fn", [train_gbm, train_regressor])
     def test_same_trees_as_reference_builder_on_tie_free_data(self, train_fn):
         # With 3 classes, the classifier's trees of the fourth are leaves
-        # made before any histogram; the reference searches them.
-        for n_classes in (4, 3):
+        # made before any histogram; the reference searches them.  With
+        # min_child_weight 0, some nodes' best gain is rounding noise (see
+        # TestSplitNoise).
+        for n_classes, min_child_weight in itertools.product((4, 3), (1.0, 0.0)):
             matrix, hp = tie_free_case(n_classes)
-            fast = train_fn(matrix, hp)
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(gbm, "_build_tree", reference_build_tree)
-                reference = train_fn(matrix, hp)
+            hp = dataclasses.replace(hp, min_child_weight=min_child_weight)
+            fast = assert_same_trees_as_reference(train_fn, matrix, hp)
             assert sum(t.feature.size for trees in fast.trees for t in trees) > 10 * len(fast.trees)
-            for fast_trees, reference_trees in zip(fast.trees, reference.trees, strict=True):
-                for tree, want in zip(fast_trees, reference_trees, strict=True):
-                    for key in ("feature", "threshold", "left", "right"):
-                        assert np.array_equal(getattr(tree, key), getattr(want, key)), key
-                    assert np.abs(tree.value - want.value).max() <= 1e-12
+
+
+def assert_same_trees_as_reference(train_fn, matrix, hp):
+    """Train with the fast builder and with :func:`reference_build_tree`;
+    assert the same tree shapes and splits, and leaf values within 1e-12.
+    Returns the fast model."""
+    fast = train_fn(matrix, hp)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gbm, "_build_tree", reference_build_tree)
+        reference = train_fn(matrix, hp)
+    for fast_trees, reference_trees in zip(fast.trees, reference.trees, strict=True):
+        for tree, want in zip(fast_trees, reference_trees, strict=True):
+            for key in ("feature", "threshold", "left", "right"):
+                assert np.array_equal(getattr(tree, key), getattr(want, key)), key
+            assert np.abs(tree.value - want.value).max() <= 1e-12
+    return fast
 
 
 def tie_free_case(n_classes=4):
@@ -745,6 +759,36 @@ def tie_free_case(n_classes=4):
     y = np.searchsorted(np.quantile(score, np.arange(1, n_classes) / n_classes), score)
     matrix = make_matrix(X, y=y, y_cnr=5.0 * score)
     return matrix, GbmHyperParams(n_rounds=6, max_depth=4, n_bins=16)
+
+
+@st.composite
+def tie_free_cases(draw):
+    """:func:`tie_free_case` with drawn data, weights, class count and
+    tree size, keeping its many rows per node and few bins."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1500, 3000))
+    n_features = draw(st.integers(2, 4))
+    n_classes = draw(st.integers(2, 4))
+    X = rng.normal(size=(n, n_features))
+    score = X @ rng.uniform(0.2, 1.0, n_features) + 0.3 * rng.normal(size=n)
+    y = np.searchsorted(np.quantile(score, np.arange(1, n_classes) / n_classes), score)
+    hp = GbmHyperParams(
+        n_rounds=draw(st.integers(1, 3)), max_depth=draw(st.integers(1, 4)), n_bins=draw(st.sampled_from([8, 16]))
+    )
+    return make_matrix(X, y=y), hp
+
+
+class TestSplitNoise:
+    """A split must gain more than 1e-10 times its node's term: with
+    ``min_child_weight`` 0, some nodes' best gain is rounding noise (about
+    1e-13 against a node term of about 300 on :func:`tie_free_case`), and
+    a direct and a subtracted histogram give it opposite signs."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(tie_free_cases(), st.sampled_from([0.0, 1.0]))
+    def test_same_trees_as_reference_builder_at_any_min_child_weight(self, case, min_child_weight):
+        matrix, hp = case
+        assert_same_trees_as_reference(train_gbm, matrix, dataclasses.replace(hp, min_child_weight=min_child_weight))
 
 
 class TestHyperParams:

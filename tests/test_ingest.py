@@ -1,4 +1,6 @@
+import csv
 import math
+import tempfile
 import time
 from dataclasses import fields, replace
 from datetime import datetime, timedelta, timezone
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satlink.cli import load_records
@@ -39,6 +41,7 @@ from satlink.ingest import (
 from satlink.weather import (
     SyntheticWeather,
     WeatherCsvError,
+    _format_utc,
     _parse_utc,
     load_weather_csv,
     synth_weather_field,
@@ -243,6 +246,75 @@ def tokyo_time(monkeypatch):
     yield
     monkeypatch.undo()
     time.tzset()
+
+
+#: The text columns of a log, in CSV order.
+TEXT_COLUMNS = ("flight_id", "tail_number", "airline_code", "departure_airport", "arrival_airport", "satellite_id")
+#: Texts csv must quote (a comma, a quote, CR, LF) or must not (spaces,
+#: non-ASCII, the empty string).
+csv_texts = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "Z", "7", "é", "航"]), max_size=5)
+
+
+def text_log(texts: dict) -> LogColumns:
+    """A valid log of one minute per row with the given text columns."""
+    n = len(texts["flight_id"])
+    epoch_s = int(T0.timestamp()) + 60 * np.arange(n, dtype=np.int64)
+    return LogColumns(
+        epoch_s=epoch_s,
+        flight_start_s=np.full(n, epoch_s[0] if n else 0),
+        flight_end_s=np.full(n, epoch_s[-1] if n else 0),
+        # Values that their formats write exactly, so they read back equal.
+        latitude_deg=-45.5 + 10.25 * np.arange(n),
+        longitude_deg=-179.75 + 60.5 * np.arange(n),
+        altitude_m=1000.5 * np.arange(n),
+        cnr_db=np.where(np.arange(n) % 3 == 1, math.nan, 8.125),
+        **{name: np.array(texts[name], dtype=object) for name in TEXT_COLUMNS},
+    )
+
+
+def reference_save_logs(log: LogColumns, path) -> None:
+    """The flight-log CSV as ``csv.writer`` writes it, one row at a time."""
+    rows = zip(
+        _format_utc(log.epoch_s),
+        *(getattr(log, name).tolist() for name in TEXT_COLUMNS[:5]),
+        _format_utc(log.flight_start_s),
+        _format_utc(log.flight_end_s),
+        [f"{v:.6f}" for v in log.latitude_deg.tolist()],
+        [f"{v:.6f}" for v in log.longitude_deg.tolist()],
+        [f"{v:.1f}" for v in log.altitude_m.tolist()],
+        log.satellite_id.tolist(),
+        ["" if math.isnan(v) else f"{v:.3f}" for v in log.cnr_db.tolist()],
+    )
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LOG_CSV_COLUMNS)
+        writer.writerows(rows)
+
+
+class TestLogWriter:
+    """``save_logs`` joins its rows as text; the bytes are those of
+    ``csv.writer``, and a parse reads back the same columns."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 6).flatmap(
+        lambda n: st.fixed_dictionaries({name: st.lists(csv_texts, min_size=n, max_size=n) for name in TEXT_COLUMNS})
+    ))
+    @example({
+        "flight_id": ["F,1", "F,1"],
+        "tail_number": ['Z"1', ""],
+        "airline_code": ["", " "],
+        "departure_airport": ["A\rB", "A\r\nB"],
+        "arrival_airport": ["B\nA", '"'],
+        "satellite_id": ["航 é", ","],
+    })
+    def test_bytes_of_csv_writer_and_read_back_equal(self, texts):
+        log = text_log(texts)
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = Path(tmp, "got.csv"), Path(tmp, "want.csv")
+            save_logs(log, got)
+            reference_save_logs(log, want)
+            assert got.read_bytes() == want.read_bytes()
+            assert parse_logs([str(got)]) == log
 
 
 class TestTimeRules:

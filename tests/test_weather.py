@@ -302,6 +302,76 @@ class TestMatchesScalarReference:
                 provider.cells_at([ts], [lat], [lon])
 
 
+#: A (tile lat, tile lon, day) storm-table key.
+tile_days = st.tuples(st.integers(-9, 8), st.integers(-18, 17), _DAYS)
+
+
+class TestStormTables:
+    """Storm tables built in batches, and the 10:00 cut of the day before."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        keys=st.lists(tile_days, min_size=1, max_size=12, unique=True),
+        density=densities,
+        seed=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_batches_match_reference_whatever_the_split_and_order(self, keys, density, seed, data):
+        whole = SyntheticWeather(density, seed)
+        whole._build_storms(keys)
+        shuffled = data.draw(st.permutations(keys))
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(keys) - 1)) if len(keys) > 1 else st.just(set())))
+        split = SyntheticWeather(density, seed)
+        for start, stop in zip([0, *cuts], [*cuts, len(keys)]):
+            split._build_storms(shuffled[start:stop])
+        for key in keys:
+            want = reference_storms(density, seed, *key)
+            for provider in (whole, split):
+                table = provider._storm_cache[key]
+                assert table.shape == (len(want), 9)
+                assert table[:, :8].tobytes() == np.array(want, dtype=float).reshape(-1, 8).tobytes()
+                assert table[:, 8].tolist() == [(3.0 * radius) ** 2 for *_, radius, _ in want]
+
+    def test_no_storm_lives_past_10_00_of_the_next_day(self):
+        day = 19421
+        last = np.full((1, 8), np.nextafter(1.0, 0.0))
+        storm = weather._storm_table(np.array([[0.0, 0.0, day]]), last)[0]
+        assert storm[3] <= weather._LONGEST_LIFE_H == 10
+        assert storm[2] <= (day + 1) * 24  # born on its own day at the latest
+
+    def test_precipitation_matches_reference_on_both_sides_of_the_cut(self):
+        density, seed, day = 40.0, 6, 19420
+        # Storms of the day before that are still alive at 09:00, so hour 9
+        # needs the day before's tables.
+        late = [
+            storm
+            for ty in range(3, 6)
+            for tx in range(-1, 2)
+            for storm in reference_storms(density, seed, ty, tx, day - 1)
+            if day * 24 + 9 - storm[2] < storm[3]
+        ]
+        assert late
+        rng = np.random.default_rng(3)
+        points = [(round(v, 1), round(w, 1)) for v, w in zip(rng.uniform(40.0, 50.0, 200), rng.uniform(0.0, 10.0, 200))]
+        for lat0, lon0, birth, _, vlat, vlon, *_ in late:
+            age = day * 24 + 9 - birth
+            lat, lon = lat0 + vlat * age, lon0 + vlon * age
+            points += [(round(lat + dy, 1), round(lon + dx, 1)) for dy in (-0.5, 0.0, 0.5) for dx in (-0.5, 0.0, 0.5)]
+        lats, lons = (list(column) for column in zip(*points))
+        for hour in (9, 10):
+            hours = [day * 24 + hour] * len(points)
+            got = SyntheticWeather(density, seed)._storm_precip(hours, lats, lons)
+            assert got == [reference_storm_precip(density, seed, *p) for p in zip(hours, lats, lons)]
+            assert sum(v > 0.0 for v in got) > 20
+
+    @pytest.mark.parametrize("hour", [0, 9, 10, 23])
+    def test_a_view_from_10_00_on_builds_no_table_of_the_day_before(self, hour):
+        day = 19421
+        provider = SyntheticWeather(8.0, 1)
+        provider._storm_precip([day * 24 + hour] * 3, [40.0, 45.0, 49.9], [5.0, 5.0, 5.0])
+        assert {key[2] for key in provider._storm_cache} == ({day - 1, day} if hour < 10 else {day})
+
+
 class TestSynthField:
     def test_cell_count_is_grid_arithmetic(self):
         field = synth_weather_field((40.0, 50.0, 0.0, 10.0), (H0, H0 + timedelta(hours=2)), 5.0, 3)
