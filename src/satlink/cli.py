@@ -32,7 +32,6 @@ from .flightsim import ConfigError, GenerationConfig, generate_dataset
 from .handover import HoPolicy, forecast_route, simulate_handover
 from .ingest import (
     CnrCategory,
-    FlightLogRecord,
     LogColumns,
     encode_features,
     filter_altitude,
@@ -67,6 +66,14 @@ def _reject_unknown(what: str, data: dict, known) -> None:
         raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
 
 
+def _object(what: str, value) -> dict:
+    """``value`` when it is a JSON object; ``ValueError`` naming ``what``
+    otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One row of the experiment matrix: dataset selection, stratification,
@@ -94,12 +101,10 @@ class ExperimentSpec:
             raise ValueError(f'dataset must be "all" or {{"top_routes": k}}, got {dataset!r}')
         weather = data.get("weather")
         if weather is not None and not (
-            ("storm_density" in weather and "seed" in weather) or "csv" in weather
+            isinstance(weather, dict) and (("storm_density" in weather and "seed" in weather) or "csv" in weather)
         ):
             raise ValueError(f"weather must name a synthetic source or a csv: {weather!r}")
-        hyperparams = data.get("hyperparams", {})
-        if not isinstance(hyperparams, dict):
-            raise ValueError(f"hyperparams must be an object: {hyperparams!r}")
+        hyperparams = _object("hyperparams", data.get("hyperparams", {}))
         _reject_unknown("hyperparams", hyperparams, {f.name for f in dataclasses.fields(GbmHyperParams)})
         return cls(
             name=data.get("name", ""),
@@ -155,13 +160,14 @@ def weather_provider_from_spec(weather: Optional[dict]) -> Optional[WeatherProvi
 
 
 def select_rows(
-    records: LogColumns | Sequence[FlightLogRecord], spec: ExperimentSpec, provider: Optional[WeatherProvider]
+    log: LogColumns, spec: ExperimentSpec, provider: Optional[WeatherProvider]
 ) -> tuple[LogColumns, Optional[np.ndarray]]:
-    """The spec's row selection, shared by training and evaluation: route
-    cut, altitude cut, satellite, labeled rows, then a weather join when
-    ``provider`` is given.  Returns the rows and their weather value rows
-    (``None`` without a join); raises ``ValueError`` when no row is left."""
-    selected = records
+    """The spec's row selection over parsed columns, shared by training and
+    evaluation: route cut, altitude cut, satellite, labeled rows, then a
+    weather join when ``provider`` is given.  Returns the selected columns
+    and their weather value rows (``None`` without a join); raises
+    ``ValueError`` when no row is left."""
+    selected = log
     if spec.top_routes is not None:
         _, selected = top_routes(selected, spec.top_routes)
     selected = filter_altitude(selected, spec.min_altitude_m, spec.max_altitude_m)
@@ -177,18 +183,16 @@ def select_rows(
     return selected, cells
 
 
-def build_experiment_dataset(records: LogColumns | Sequence[FlightLogRecord], spec: ExperimentSpec):
+def build_experiment_dataset(log: LogColumns, spec: ExperimentSpec):
     """Apply the spec's selection pipeline; returns (matrix, vocab)."""
-    selected, cells = select_rows(records, spec, weather_provider_from_spec(spec.weather))
+    selected, cells = select_rows(log, spec, weather_provider_from_spec(spec.weather))
     return encode_features(selected, cells=cells)
 
 
-def run_experiment(
-    records: LogColumns | Sequence[FlightLogRecord], spec: ExperimentSpec
-) -> tuple[ExperimentReport, GbmModel]:
+def run_experiment(log: LogColumns, spec: ExperimentSpec) -> tuple[ExperimentReport, GbmModel]:
     """Filter, split per flight, train, and evaluate one experiment row."""
     started = time.perf_counter()
-    matrix, _ = build_experiment_dataset(records, spec)
+    matrix, _ = build_experiment_dataset(log, spec)
     train, test = split_by_flight(matrix, spec.test_fraction, spec.seed)
     model = train_gbm(train, spec.hyperparams)
     report = evaluate_classifier(model, test)
@@ -217,7 +221,7 @@ def load_records(data_dir: str) -> LogColumns:
 
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return _object(path, json.load(fh))
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
@@ -246,11 +250,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         raw["seed"] = args.seed
     config = GenerationConfig.from_dict(raw)
-    manifest = generate_dataset(config, args.out)
     export = raw.get("weather_export")
     if export is not None:
+        _object("weather_export", export)
         if config.weather is None:
             raise ValueError("weather_export requires a weather block in the config")
+    manifest = generate_dataset(config, args.out)
+    if export is not None:
         field = synth_weather_field(
             tuple(export["bounds"]),
             (config.start_date, config.start_date + timedelta(hours=int(export["hours"]))),
@@ -296,7 +302,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_matrix(args: argparse.Namespace) -> int:
     config = _load_json(args.config)
-    specs = [ExperimentSpec.from_dict(row) for row in config.get("rows", [])]
+    specs = [ExperimentSpec.from_dict(_object(f"rows[{i}]", row)) for i, row in enumerate(config.get("rows", []))]
     if args.seed is not None:
         specs = [dataclasses.replace(spec, seed=args.seed) for spec in specs]
     records = load_records(args.data) if specs else []
@@ -308,12 +314,19 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _models_from_config(config: dict) -> tuple[dict, dict, Optional[WeatherProvider]]:
+    # One config serves forecast and hosim, so both accept every key.
+    _reject_unknown("hosim/forecast config", config, ("models", "weather_models", "weather", "policy"))
+    paths = _object("models", config.get("models", {}))
+    wx_paths = _object("weather_models", config.get("weather_models", {}))
+    for sat, path in [*paths.items(), *wx_paths.items()]:
+        if not isinstance(path, str):
+            raise ValueError(f"model path for {sat} must be a string: {path!r}")
     # One model per file: satellites that name the same file share its predictions.
-    paths, wx_paths = config.get("models", {}), config.get("weather_models", {})
     loaded = {path: load_model(path) for path in dict.fromkeys([*paths.values(), *wx_paths.values()])}
     model_by_sat = {sat: loaded[path] for sat, path in paths.items()}
     weather_model_by_sat = {sat: loaded[path] for sat, path in wx_paths.items()}
-    provider = weather_provider_from_spec(config.get("weather"))
+    weather = config.get("weather")
+    provider = None if weather is None else weather_provider_from_spec(_object("weather", weather))
     return model_by_sat, weather_model_by_sat, provider
 
 
@@ -360,12 +373,15 @@ def _policy_from_dict(data: dict) -> HoPolicy:
 def cmd_hosim(args: argparse.Namespace) -> int:
     config = _load_json(args.config)
     model_by_sat, weather_model_by_sat, provider = _models_from_config(config)
-    policy = _policy_from_dict(config.get("policy", {}))
+    policy = _policy_from_dict(_object("policy", config.get("policy", {})))
     records = parse_logs([args.data])
     truth = None
     if args.truth:
-        raw = _load_json(args.truth)
-        truth = {sat: [None if v is None else float(v) for v in vals] for sat, vals in raw.items()}
+        truth = {}
+        for sat, values in _load_json(args.truth).items():
+            if not isinstance(values, list):
+                raise ValueError(f"truth for {sat} must be a list of CNR values or null")
+            truth[sat] = [None if v is None else float(v) for v in values]
     report = simulate_handover(
         records,
         model_by_sat=model_by_sat,

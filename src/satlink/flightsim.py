@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta, timezone
 from typing import Optional, Sequence
 
@@ -29,7 +29,7 @@ from .geometry import (
     haversine_m,
     slerp_track,
 )
-from .ingest import CATEGORY_EDGES_DB, CnrCategory, FlightLogRecord, LogColumns, save_logs
+from .ingest import CATEGORY_EDGES_DB, CnrCategory, LogColumns, save_logs
 from .weather import CoverageGapError, SyntheticWeather, WeatherCell, WeatherProvider, _format_utc, _parse_utc
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "DEFAULT_LINK_PARAMS",
     "CNR_MIN_DB",
     "CNR_MAX_DB",
-    "great_circle_path",
     "synth_cnr",
     "generate_flight",
     "GenerationConfig",
@@ -134,12 +133,15 @@ def _path(
     """The route as arrays: seconds since takeoff, latitude, longitude and
     altitude.
 
-    The flight time is rounded up to a whole number of ``step_s`` steps.
-    Without ``fractions`` the samples are every step from takeoff to
-    landing; with them, at those fractions of the flight time.  Longitudes
-    are as :func:`slerp_track` gives them, in [-180, 180].  Altitude climbs
-    linearly to cruise, holds, and descends linearly to the arrival
-    elevation.
+    The track is the spherical great circle between the endpoints, flown
+    at uniform speed.  The flight time is rounded up to a whole number of
+    ``step_s`` steps, so without ``fractions`` the samples are every step
+    from takeoff to the exact arrival point; with them, at those fractions
+    of the flight time.  Longitudes are as :func:`slerp_track` gives them,
+    in [-180, 180].  Altitude climbs linearly to cruise, holds, and
+    descends linearly to the arrival elevation.  Raises ``ValueError`` for
+    coincident endpoints and :class:`AntipodalRouteError` for antipodal
+    ones.
     """
     if step_s <= 0.0:
         raise ValueError(f"step_s must be > 0: {step_s}")
@@ -163,31 +165,6 @@ def _path(
         ]
     )
     return times, lats, lons, alts
-
-
-def great_circle_path(
-    route: RouteSpec,
-    step_s: float = 60.0,
-    climb_rate_mps: float = DEFAULT_CLIMB_RATE_MPS,
-    descent_rate_mps: float = DEFAULT_DESCENT_RATE_MPS,
-) -> list[tuple[float, GeoPosition]]:
-    """Sample the route every ``step_s`` seconds from takeoff to landing.
-
-    The track is the spherical great circle between the endpoints, flown at
-    uniform speed; the flight time is rounded up to a whole number of steps
-    so the final sample lands exactly on the arrival point.  Altitude
-    climbs linearly to cruise, holds, and descends linearly to the arrival
-    elevation.
-
-    Returns a list of (seconds since takeoff, position) pairs.  Raises
-    ``ValueError`` for coincident endpoints and
-    :class:`AntipodalRouteError` for antipodal ones.
-    """
-    times, lats, lons, alts = _path(route, step_s, climb_rate_mps, descent_rate_mps)
-    return [
-        (t, GeoPosition(lat, lon, alt))
-        for t, lat, lon, alt in zip(times.tolist(), lats.tolist(), lons.tolist(), alts.tolist())
-    ]
 
 
 def _link_cnr(params: LinkModelParams, sin_elevation, rain_mmh, noise_db):
@@ -232,19 +209,28 @@ def synth_cnr(
     return min(CNR_MAX_DB, max(CNR_MIN_DB, cnr))
 
 
-def _simulate_flight(
+def generate_flight(
     route: RouteSpec,
     sats: Sequence[GeoSatellite],
     weather: Optional[WeatherProvider],
     params: LinkModelParams,
     seed: int,
     departure_time: datetime,
-    flight_id: Optional[str],
-    min_log_altitude_m: float,
-    climb_rate_mps: float,
-    descent_rate_mps: float,
+    flight_id: Optional[str] = None,
+    min_log_altitude_m: float = DEFAULT_MIN_LOG_ALTITUDE_M,
+    climb_rate_mps: float = DEFAULT_CLIMB_RATE_MPS,
+    descent_rate_mps: float = DEFAULT_DESCENT_RATE_MPS,
 ) -> LogColumns:
-    """:func:`generate_flight` as columns, in one array pass over the path."""
+    """Simulate one flight and return its minute-resolution log as columns,
+    in one array pass over the path.
+
+    Logging starts once the climb first reaches ``min_log_altitude_m`` and
+    runs through landing.  Each row's serving satellite is the one with
+    the highest elevation at that position (ties resolved by satellite id).
+    Minutes below the troposphere ceiling take their rain from one batch
+    weather lookup, which raises :class:`CoverageGapError` on a gap.  The
+    same seed always reproduces the same rows.
+    """
     if not sats:
         raise ValueError("at least one satellite is required")
     ids = [s.satellite_id for s in sats]
@@ -313,33 +299,6 @@ def _simulate_flight(
     )
 
 
-def generate_flight(
-    route: RouteSpec,
-    sats: Sequence[GeoSatellite],
-    weather: Optional[WeatherProvider],
-    params: LinkModelParams,
-    seed: int,
-    departure_time: datetime,
-    flight_id: Optional[str] = None,
-    min_log_altitude_m: float = DEFAULT_MIN_LOG_ALTITUDE_M,
-    climb_rate_mps: float = DEFAULT_CLIMB_RATE_MPS,
-    descent_rate_mps: float = DEFAULT_DESCENT_RATE_MPS,
-) -> list[FlightLogRecord]:
-    """Simulate one flight and return its minute-resolution log.
-
-    Logging starts once the climb first reaches ``min_log_altitude_m`` and
-    runs through landing.  Each record's serving satellite is the one with
-    the highest elevation at that position (ties resolved by satellite id).
-    Minutes below the troposphere ceiling take their rain from one batch
-    weather lookup, which raises :class:`CoverageGapError` on a gap.  The
-    same seed always reproduces the same records.
-    """
-    log = _simulate_flight(
-        route, sats, weather, params, seed, departure_time, flight_id, min_log_altitude_m, climb_rate_mps, descent_rate_mps
-    )
-    return log.to_records()
-
-
 class ConfigError(ValueError):
     """A generation config failed validation; ``errors`` lists the problems."""
 
@@ -366,6 +325,20 @@ class WeatherSpec:
 
     storm_density: float
     seed: int
+
+
+#: The keys of one route entry of a generation config.
+_ROUTE_KEYS = (
+    "departure_airport",
+    "arrival_airport",
+    "departure",
+    "arrival",
+    "cruise_altitude_m",
+    "ground_speed_mps",
+    "airline_code",
+    "tail_number",
+    "tail_numbers",
+)
 
 
 @dataclass(frozen=True)
@@ -400,6 +373,13 @@ class GenerationConfig:
                 return None
             return value
 
+        def reject_unknown(where: str, entry, known) -> None:
+            unknown = sorted(set(entry) - set(known)) if isinstance(entry, dict) else []
+            if unknown:
+                errors.append(f"{where}unknown key(s): {', '.join(unknown)}")
+
+        # weather_export is read by ``satlink generate``, not here.
+        reject_unknown("", data, [f.name for f in fields(cls)] + ["weather_export"])
         seed = need("seed", int)
         flights = need("flights_per_route", int)
         start_raw = need("start_date", str)
@@ -419,6 +399,7 @@ class GenerationConfig:
 
         plans: list[RoutePlan] = []
         for i, entry in enumerate(routes_raw or []):
+            reject_unknown(f"routes[{i}]: ", entry, _ROUTE_KEYS)
             try:
                 dep = entry["departure"]
                 arr = entry["arrival"]
@@ -443,6 +424,7 @@ class GenerationConfig:
 
         satellites: list[GeoSatellite] = []
         for i, entry in enumerate(sats_raw or []):
+            reject_unknown(f"satellites[{i}]: ", entry, ("satellite_id", "slot_longitude_deg"))
             try:
                 satellites.append(
                     GeoSatellite(entry["satellite_id"], float(entry["slot_longitude_deg"]))
@@ -459,6 +441,7 @@ class GenerationConfig:
 
         weather = None
         if data.get("weather") is not None:
+            reject_unknown("weather: ", data["weather"], [f.name for f in fields(WeatherSpec)])
             try:
                 weather = WeatherSpec(
                     storm_density=float(data["weather"]["storm_density"]),
@@ -528,7 +511,7 @@ def generate_dataset(config: GenerationConfig, out_dir: str) -> dict:
             )
             route = replace(plan.route, tail_number=plan.tail_numbers[j % len(plan.tail_numbers)])
             flight_id = f"F{flight_index:05d}"
-            log = _simulate_flight(
+            log = generate_flight(
                 route,
                 config.satellites,
                 provider,

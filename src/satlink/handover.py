@@ -32,7 +32,6 @@ from .ingest import (
     FlightLogRecord,
     LogColumns,
     Vocabulary,
-    _columns,
     encode_features,
 )
 from .model.gbm import GbmModel, predict_labels
@@ -82,7 +81,8 @@ def _forecast_codes(
     """:func:`forecast_route` as the sorted satellites and an ``int8`` grid."""
     if not model_by_sat:
         raise ValueError("at least one satellite model is required")
-    waypoints = _columns(waypoints)
+    if not isinstance(waypoints, LogColumns):
+        waypoints = LogColumns.from_records(waypoints)
     if (np.diff(waypoints.epoch_s) <= 0).any():
         raise ValueError("waypoints must be strictly time-ordered")
     sats = sorted(model_by_sat)

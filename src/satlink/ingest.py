@@ -204,11 +204,6 @@ class LogColumns:
         return iter(self.to_records())
 
 
-def _columns(records: LogColumns | Iterable[FlightLogRecord]) -> LogColumns:
-    """``records`` as columns: converted once when they are records."""
-    return records if isinstance(records, LogColumns) else LogColumns.from_records(records)
-
-
 def _bad_rows(log: LogColumns) -> dict[int, str]:
     """The rules every log row keeps, parsed or built by hand, on whole
     columns: each row that breaks one, with the message of the first it
@@ -346,12 +341,11 @@ def _csv_fields(values: list) -> list[str]:
     return list(map(texts.__getitem__, values))
 
 
-def save_logs(records: LogColumns | Iterable[FlightLogRecord], path: str) -> list[str]:
+def save_logs(log: LogColumns, path: str) -> list[str]:
     """Check the rows, then write them as a flight-log CSV in the canonical
     formats.  Each row is joined as text, with the bytes ``csv.writer``
     would write; no whole-file string is built.  Returns the ``cnr_db``
     cells as written."""
-    log = _columns(records)
     _check_log(log)
     cnr_cells = ["" if math.isnan(v) else f"{v:.3f}" for v in log.cnr_db.tolist()]
     rows = zip(
@@ -375,24 +369,18 @@ def save_logs(records: LogColumns | Iterable[FlightLogRecord], path: str) -> lis
     return cnr_cells
 
 
-def labeled(records: LogColumns | Iterable[FlightLogRecord]) -> LogColumns:
+def labeled(log: LogColumns) -> LogColumns:
     """Only the rows that carry a CNR measurement."""
-    log = _columns(records)
     return log.take(~np.isnan(log.cnr_db))
 
 
-def filter_altitude(
-    records: LogColumns | Iterable[FlightLogRecord],
-    min_m: Optional[float] = None,
-    max_m: Optional[float] = None,
-) -> LogColumns:
+def filter_altitude(log: LogColumns, min_m: Optional[float] = None, max_m: Optional[float] = None) -> LogColumns:
     """Keep rows with min_m < altitude < max_m (both strict).
 
     Rows exactly at a threshold belong to neither side of the cut.
     """
     if min_m is not None and max_m is not None and not min_m < max_m:
         raise ValueError(f"min_m must be < max_m, got {min_m} >= {max_m}")
-    log = _columns(records)
     keep = np.ones(len(log), dtype=bool)
     if min_m is not None:
         keep &= log.altitude_m > min_m
@@ -401,9 +389,7 @@ def filter_altitude(
     return log.take(keep)
 
 
-def top_routes(
-    records: LogColumns | Iterable[FlightLogRecord], k: int
-) -> tuple[list[tuple[str, str]], LogColumns]:
+def top_routes(log: LogColumns, k: int) -> tuple[list[tuple[str, str]], LogColumns]:
     """The k directional (departure, arrival) routes with the most rows.
 
     Ties rank lexicographically by route key.  Returns the winning keys and
@@ -411,7 +397,6 @@ def top_routes(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    log = _columns(records)
     dep, arr = log.departure_airport.tolist(), log.arrival_airport.tolist()
     deps, arrs = sorted(set(dep)), sorted(set(arr))
     dep_id = {token: i for i, token in enumerate(deps)}
@@ -442,16 +427,13 @@ class JoinCoverageError(ValueError):
     """More than 10% of records fell outside the weather field's coverage."""
 
 
-def join_weather(
-    records: LogColumns | Iterable[FlightLogRecord], provider: WeatherProvider
-) -> JoinResult:
+def join_weather(log: LogColumns, provider: WeatherProvider) -> JoinResult:
     """Attach the nearest weather cell's values to every row in one lookup.
 
     Rows hitting a coverage gap are dropped and counted; losing more than
     10% of the input raises :class:`JoinCoverageError`, which usually means
     the weather field does not belong to this dataset.
     """
-    log = _columns(records)
     values = provider.cells_at(log.epoch_s.astype(float), log.latitude_deg, log.longitude_deg)
     hit = ~np.isnan(values).any(axis=1)
     cells = values[hit]
@@ -493,8 +475,7 @@ class Vocabulary:
     mappings: dict[str, dict[str, int]]
 
     @classmethod
-    def build(cls, records: LogColumns | Iterable[FlightLogRecord]) -> "Vocabulary":
-        log = _columns(records)
+    def build(cls, log: LogColumns) -> "Vocabulary":
         mappings = {}
         for column in CATEGORICAL_COLUMNS:
             tokens = sorted(set(getattr(log, column).tolist()))
@@ -552,7 +533,7 @@ class FeatureMatrix:
 
 
 def encode_features(
-    records: LogColumns | Iterable[FlightLogRecord],
+    log: LogColumns,
     vocab: Optional[Vocabulary] = None,
     cells: Optional[np.ndarray] = None,
     for_prediction: bool = False,
@@ -568,7 +549,6 @@ def encode_features(
     tokens map to the reserved unknown id.  Numeric features pass through
     unscaled; trees do not care about monotone rescaling.
     """
-    log = _columns(records)
     if for_prediction and vocab is None:
         raise ValueError("prediction mode requires a stored vocabulary")
     if cells is not None:

@@ -8,7 +8,6 @@ from .gbm import (
     Tree,
     baseline_majority,
     load_model,
-    predict_category,
     predict_labels,
     predict_proba,
     predict_value,
@@ -32,7 +31,6 @@ __all__ = [
     "Tree",
     "baseline_majority",
     "load_model",
-    "predict_category",
     "predict_labels",
     "predict_proba",
     "predict_value",

@@ -30,10 +30,13 @@ Subtraction adds in another order than a direct histogram, so a near-tie
 split may differ from a per-node search, and a split must gain more than
 ``1e-10`` times the node's term G^2/(H+lambda), so a gain of rounding
 noise splits no node in either search.  Node sums, and so leaf values,
-always come from the node's own rows.  A node whose hessian sum is below
-``min_child_weight`` (XGBoost's rule) cannot split, so it becomes a leaf
-before any split search, and a level with no node to search builds no
-histograms: the tree of a class absent from the rows builds none at all.
+always come from the node's own rows.  A child's hessian sum must reach
+``min_child_weight`` (XGBoost's rule) less ``1e-10`` times its node's, so
+a child whose sum rounds just below the bound in one search and just
+above it in the other is taken by both.  A node below its own bound
+cannot split, so it becomes a leaf before any split search, and a level
+with no node to search builds no histograms: the tree of a class absent
+from the rows builds none at all.
 Trees are renumbered to preorder once grown, and identical data and
 hyperparameters give byte-identical serialized models.
 
@@ -336,13 +339,25 @@ def _child_histograms(
 #: opposite signs.
 _MIN_GAIN = 1e-10
 
+#: The share of its node's hessian sum H by which a child's hessian sum may
+#: fall short of ``min_child_weight``.  A child's sum taken from its rows
+#: and as parent − sibling can round to opposite sides of the bound.
+_WEIGHT_SLACK = 1e-10
+
+
+def _least_child_weight(h_node: np.ndarray, min_child_weight: float) -> np.ndarray:
+    """The least hessian sum a child of a node of hessian sum ``h_node`` may
+    have: ``min_child_weight - _WEIGHT_SLACK * h_node``."""
+    return min_child_weight - _WEIGHT_SLACK * h_node
+
 
 def _best_splits(
     bins: _Bins, hist: np.ndarray, g_sum: np.ndarray, h_sum: np.ndarray, hp: GbmHyperParams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best (feature, bin) of each node from its histograms and row sums;
     the feature is -1 where no split gains more than :data:`_MIN_GAIN`
-    times the node's own term ``G^2 / (H + lambda)``.
+    times the node's own term ``G^2 / (H + lambda)``.  Each child's hessian
+    sum must reach :func:`_least_child_weight` of the node's.
 
     All nodes share one (nodes, features, width - 1) gain array.  Each
     node's row-major argmax resolves ties to the lowest feature id, then
@@ -360,7 +375,8 @@ def _best_splits(
     left_term = np.divide(gl * gl, hl + lam, out=np.zeros_like(gl), where=(hl + lam) > 0)
     right_term = np.divide(gr * gr, hr + lam, out=np.zeros_like(gr), where=(hr + lam) > 0)
     gains = 0.5 * (left_term + right_term - parent)
-    gains[~bins.candidate | (hl < hp.min_child_weight) | (hr < hp.min_child_weight)] = -np.inf
+    least = _least_child_weight(h_sum, hp.min_child_weight)
+    gains[~bins.candidate | (hl < least) | (hr < least)] = -np.inf
     # A NaN gain rules out its whole feature, as in a per-feature search
     # whose argmax lands on the NaN and then fails the `> 0` test.
     gains[np.isnan(gains).any(axis=2)] = -np.inf
@@ -377,17 +393,17 @@ def _build_tree(
     the score update per row.
 
     A node is searched only if it is above ``max_depth``, has two rows or
-    more, and its hessian sum reaches ``min_child_weight``; any other node
-    is a leaf at once.  The last rule is exact: below it, a candidate with
-    ``hl >= min_child_weight`` leaves ``h_sum - hl < 0`` on its right, so
-    :func:`_best_splits` would reject every candidate anyway.  A level's
-    histograms are built only when one of its nodes is searched: the
-    root's from all rows, a later level's by :func:`_child_histograms`
-    from the level above.  So a tree whose root cannot split, such as one
-    for a class absent from the rows, builds no histogram.  Node sums, and
-    so leaf values, always come from the node's own rows.  Nodes are
-    numbered breadth-first while growing and renumbered to preorder at the
-    end.
+    more, and its hessian sum H reaches its own :func:`_least_child_weight`
+    ``m``; any other node is a leaf at once.  The last rule is exact: with
+    H < m, a candidate whose left side reaches ``m`` leaves ``H - hl < 0``
+    on its right, and ``m > H >= 0``, so :func:`_best_splits` would reject
+    every candidate anyway.  A level's histograms are built only when one
+    of its nodes is searched: the root's from all rows, a later level's by
+    :func:`_child_histograms` from the level above.  So a tree whose root
+    cannot split, such as one for a class absent from the rows, builds no
+    histogram.  Node sums, and so leaf values, always come from the node's
+    own rows.  Nodes are numbered breadth-first while growing and
+    renumbered to preorder at the end.
     """
     nodes: list[list] = []  # breadth-first [feature, threshold, left, right, value]
     update = np.zeros(g.size)
@@ -397,7 +413,8 @@ def _build_tree(
         h_sum = np.array([float(h[rows].sum()) for rows in level])
         split_f = np.full(len(level), -1)
         split_b = np.zeros(len(level), dtype=np.intp)
-        searched = np.array([rows.size >= 2 for rows in level]) & (h_sum >= hp.min_child_weight)
+        searched = np.array([rows.size >= 2 for rows in level])
+        searched &= h_sum >= _least_child_weight(h_sum, hp.min_child_weight)
         if depth < hp.max_depth and searched.any():
             # One row per node of the level: the root's from all rows, a
             # later level's from the histograms of the split nodes above.
@@ -602,10 +619,6 @@ def predict_labels(model: GbmModel, rows: FeatureMatrix) -> np.ndarray:
     """Integer category per row; probability ties resolve to the worse
     category so downstream switching logic errs on the safe side."""
     return np.argmax(predict_proba(model, rows), axis=1)
-
-
-def predict_category(model: GbmModel, rows: FeatureMatrix) -> list[CnrCategory]:
-    return [CnrCategory(int(k)) for k in predict_labels(model, rows)]
 
 
 def predict_value(model: GbmModel, rows: FeatureMatrix) -> np.ndarray:

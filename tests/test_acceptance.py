@@ -28,6 +28,7 @@ from satlink.geometry import GeoPosition, GeoSatellite, geo_look_angles, haversi
 from satlink.handover import HoPolicy, simulate_handover
 from satlink.ingest import (
     CnrCategory,
+    LogColumns,
     bin_cnr,
     join_weather,
     split_by_flight,
@@ -278,7 +279,7 @@ def test_c07_weather_join_oracle():
         )
         for i in range(1000)
     ]
-    result = join_weather(records, field)
+    result = join_weather(LogColumns.from_records(records), field)
     assert result.report.dropped == 0
     worst_m = 0.0
     for rec, values in zip(result.records, result.cells.tolist()):

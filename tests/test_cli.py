@@ -324,6 +324,20 @@ class TestForecastHosim:
         err = capsys.readouterr().err
         assert err.startswith("error:") and named in err
 
+    @pytest.mark.parametrize("truth, named", [
+        ([1.0], "must be an object, got list"),
+        ({"I5F1": 7.5}, "truth for I5F1 must be a list"),
+    ])
+    def test_hosim_truth_must_map_satellites_to_lists(self, truth, named, trained_model, small_corpus, tmp_path, capsys):
+        config = self.models_config(trained_model, tmp_path)
+        flight = sorted(Path(small_corpus["dir"], "flights").glob("*.csv"))[0]
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(truth))
+        code = main(["hosim", "--config", str(config), "--data", str(flight), "--truth", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+
     def test_policy_keeps_horizon_min(self):
         assert _policy_from_dict({"horizon_min": 12}).horizon_min == 12
 
@@ -335,6 +349,68 @@ class TestForecastHosim:
         code = main(["forecast", "--config", str(config), "--plan", str(plan)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestConfigShapes:
+    """A config of the wrong JSON shape is one ``error:`` line and exit 1."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--data", "--out"]),
+        ("matrix", ["--data"]),
+        ("generate", ["--out"]),
+        ("forecast", ["--plan"]),
+        ("hosim", ["--data"]),
+    ])
+    def test_a_config_that_is_not_an_object_is_an_error(self, command, flags, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]")
+        paths = [arg for flag in flags for arg in (flag, str(tmp_path / flag.strip("-")))]
+        assert main([command, "--config", str(config), *paths]) == 1
+        assert capsys.readouterr().err == f"error: {config} must be an object, got list\n"
+
+    @pytest.mark.parametrize("command, config, named", [
+        *(
+            (command, config, named)
+            for command in ("hosim", "forecast")
+            for config, named in [
+                ({"models": ["x"]}, "models must be an object, got list"),
+                ({"weather_models": "x"}, "weather_models must be an object, got str"),
+                ({"weather": [1]}, "weather must be an object, got list"),
+                ({"models": {"I5F1": 5}}, "model path for I5F1 must be a string: 5"),
+                ({"model": {}}, "unknown hosim/forecast config key(s): model"),
+            ]
+        ),
+        ("hosim", {"policy": [3]}, "policy must be an object, got list"),
+    ])
+    def test_models_config_parts_must_have_their_shape(self, command, config, named, tmp_path, capsys):
+        path = tmp_path / "models.json"
+        path.write_text(json.dumps(config))
+        flag = "--data" if command == "hosim" else "--plan"
+        assert main([command, "--config", str(path), flag, str(tmp_path / "flight.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+
+    def test_matrix_rows_must_be_objects(self, tmp_path, capsys):
+        config = tmp_path / "matrix.json"
+        config.write_text(json.dumps({"rows": [{"name": "ok"}, ["min_altitude_m", 6000]]}))
+        code = main(["matrix", "--config", str(config), "--data", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: rows[1] must be an object, got list\n"
+
+    def test_weather_export_must_be_an_object_and_is_checked_before_generating(self, gen_config, tmp_path, capsys):
+        raw = json.loads(gen_config.read_text())
+        gen_config.write_text(json.dumps({**raw, "weather_export": [51.0, 51.5]}))
+        out = tmp_path / "data"
+        code = main(["generate", "--config", str(gen_config), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: weather_export must be an object, got list\n"
+        assert not out.exists()
+
+    def test_generate_names_a_misspelt_key(self, gen_config, tmp_path, capsys):
+        raw = json.loads(gen_config.read_text())
+        gen_config.write_text(json.dumps({**raw, "climb_rate": 3.0}))
+        code = main(["generate", "--config", str(gen_config), "--out", str(tmp_path / "data")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown key(s): climb_rate\n"
 
 
 class TestExperimentSpec:
@@ -352,8 +428,9 @@ class TestExperimentSpec:
             ExperimentSpec.from_dict({"dataset": "some"})
 
     def test_rejects_malformed_weather(self):
-        with pytest.raises(ValueError, match="weather"):
-            ExperimentSpec.from_dict({"weather": {"wrong": 1}})
+        for weather in ({"wrong": 1}, ["storm_density", "seed"]):
+            with pytest.raises(ValueError, match="weather"):
+                ExperimentSpec.from_dict({"weather": weather})
 
     def test_rejects_unknown_hyperparams_key_by_name(self):
         with pytest.raises(ValueError, match="unknown hyperparams key.*n_round"):

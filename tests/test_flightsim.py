@@ -2,7 +2,6 @@ import collections
 import hashlib
 import json
 import math
-import tempfile
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -27,7 +26,6 @@ from satlink.flightsim import (
     demo_satellites,
     generate_dataset,
     generate_flight,
-    great_circle_path,
     sample_cnr_population,
     synth_cnr,
 )
@@ -155,15 +153,6 @@ def assert_same_flight(got, want):
             assert f"{g.cnr_db:.3f}" == f"{w.cnr_db:.3f}"
 
 
-def write_both(log, records) -> tuple[bytes, bytes]:
-    """save_logs's bytes for a flight's columns and for its records."""
-    with tempfile.TemporaryDirectory() as tmp:
-        columnar, per_row = Path(tmp, "columnar.csv"), Path(tmp, "per_row.csv")
-        save_logs(log, str(columnar))
-        save_logs(records, per_row)
-        return columnar.read_bytes(), per_row.read_bytes()
-
-
 ZERO_NOISE = replace(DEFAULT_LINK_PARAMS, noise_sigma_db=0.0)
 SATELLITE_POOL = [GeoSatellite("I5F1", 62.6), GeoSatellite("I5F2", -55.0), GeoSatellite("I5F3", 179.6), GeoSatellite("X", 0.0)]
 
@@ -206,12 +195,11 @@ def flights(draw):
 
 
 def run_both(case):
-    """(columnar log, its records, the per-minute reference's records)."""
+    """(the columnar log's records, the per-minute reference's records)."""
     weather = case["weather"]
     new_args = dict(case, weather=None if weather is None else SyntheticWeather(*weather))
     ref_args = dict(case, weather=None if weather is None else ReferenceWeather(*weather))
-    log = flightsim._simulate_flight(**new_args)
-    return log, generate_flight(**new_args), reference_generate_flight(**ref_args)
+    return generate_flight(**new_args).to_records(), reference_generate_flight(**ref_args)
 
 
 class TestColumnarGeneration:
@@ -220,11 +208,8 @@ class TestColumnarGeneration:
     @settings(max_examples=120, deadline=None)
     @given(case=flights())
     def test_matches_per_minute_reference(self, case):
-        log, records, want = run_both(case)
+        records, want = run_both(case)
         assert_same_flight(records, want)
-        assert len(log.epoch_s) == len(want)
-        columnar, per_row = write_both(log, want)
-        assert columnar == per_row
 
     @pytest.mark.parametrize(
         "name, sats, dep, arr, weather, params",
@@ -250,11 +235,9 @@ class TestColumnarGeneration:
             climb_rate_mps=3.0,
             descent_rate_mps=2.5,
         )
-        log, records, want = run_both(case)
+        records, want = run_both(case)
         assert want
         assert_same_flight(records, want)
-        columnar, per_row = write_both(log, want)
-        assert columnar == per_row
         if name == "out of view":
             assert all(r.cnr_db is None for r in records)
         if name == "comes into view":
@@ -285,16 +268,18 @@ class TestColumnarGeneration:
             climb_rate_mps=10.0,
             descent_rate_mps=8.0,
         )
-        log, records, want = run_both(case)
-        assert -180.0 in log.longitude_deg.tolist()
+        records, want = run_both(case)
+        assert -180.0 in [r.longitude_deg for r in records]
         assert_same_flight(records, want)
-        columnar, per_row = write_both(log, want)
-        assert columnar == per_row
 
     def test_great_circle_path_matches_reference(self):
         for plan in demo_route_plans():
             for rates in ((10.0, 8.0), (3.0, 2.5)):
-                assert great_circle_path(plan.route, 60.0, *rates) == reference_great_circle_path(plan.route, 60.0, *rates)
+                times, lats, lons, alts = flightsim._path(plan.route, 60.0, *rates)
+                want = reference_great_circle_path(plan.route, 60.0, *rates)
+                assert times.tolist() == [t for t, _ in want]
+                positions = map(GeoPosition, lats.tolist(), lons.tolist(), alts.tolist())
+                assert list(positions) == [p for _, p in want]
 
     def test_weather_gap_raises_during_generation(self):
         field = synth_weather_field((0.0, 3.0, 102.0, 106.0), (T0 - timedelta(hours=1), T0 + timedelta(hours=20)), 8.0, 2)
@@ -310,13 +295,12 @@ class TestColumnarGeneration:
         provider = SyntheticWeather(30.0, 2)
         got = generate_flight(r, demo_satellites(), field, ZERO_NOISE, 1, T0, "FX")
         assert got == generate_flight(r, demo_satellites(), provider, ZERO_NOISE, 1, T0, "FX")
-        assert_same_flight(got, reference_generate_flight(r, demo_satellites(), field, ZERO_NOISE, 1, T0, "FX"))
+        want = reference_generate_flight(r, demo_satellites(), field, ZERO_NOISE, 1, T0, "FX")
+        assert_same_flight(got.to_records(), want)
 
 
 def valid_log():
-    return flightsim._simulate_flight(
-        demo_route_plans()[3].route, demo_satellites(), None, DEFAULT_LINK_PARAMS, 5, T0, "FX", 1000.0, 10.0, 8.0
-    )
+    return generate_flight(demo_route_plans()[3].route, demo_satellites(), None, DEFAULT_LINK_PARAMS, 5, T0, "FX")
 
 
 def with_value(column, index, value):
@@ -350,22 +334,19 @@ class TestLogColumnChecks:
             save_logs(bad(), str(path))
         assert not path.exists()
 
-    def test_valid_log_writes_the_bytes_save_logs_writes(self):
-        log = valid_log()
-        columnar, per_row = write_both(log, log.to_records())
-        assert columnar == per_row
-
 
 class TestGreatCirclePath:
+    """``flightsim._path``, the generator's route sampler."""
+
     def test_identical_endpoints_rejected(self):
         r = route(GeoPosition(1.0, 2.0, 10.0), GeoPosition(1.0, 2.0, 10.0))
         with pytest.raises(ValueError, match="coincide"):
-            great_circle_path(r)
+            flightsim._path(r, 60.0, 10.0, 8.0)
 
     def test_antipodal_endpoints_rejected(self):
         r = route(GeoPosition(10.0, 20.0, 0.0), GeoPosition(-10.0, -160.0, 0.0))
         with pytest.raises(AntipodalRouteError):
-            great_circle_path(r)
+            flightsim._path(r, 60.0, 10.0, 8.0)
 
     def test_singapore_london_length_and_count(self):
         # Independent oracle: spherical law of cosines on the endpoints.
@@ -379,41 +360,33 @@ class TestGreatCirclePath:
         distance = sloc_m((1.359, 103.989), (51.470, -0.454))
         assert distance == pytest.approx(10_881_650.0, rel=1e-4)  # ~10,880 km
 
-        path = great_circle_path(r, step_s=60.0)
-        assert len(path) == math.ceil(distance / 250.0 / 60.0) + 1
+        times, lats, lons, _ = flightsim._path(r, 60.0, 10.0, 8.0)
+        assert len(times) == math.ceil(distance / 250.0 / 60.0) + 1
 
-        hop = sum(
-            sloc_m(
-                (path[i][1].latitude_deg, path[i][1].longitude_deg),
-                (path[i + 1][1].latitude_deg, path[i + 1][1].longitude_deg),
-            )
-            for i in range(len(path) - 1)
-        )
+        points = list(zip(lats.tolist(), lons.tolist()))
+        hop = sum(sloc_m(a, b) for a, b in zip(points, points[1:]))
         assert hop == pytest.approx(distance, rel=1e-6)
 
     def test_endpoints_spacing_and_trapezoid_profile(self):
         r = route(GeoPosition(1.359, 103.989, 7.0), GeoPosition(51.470, -0.454, 25.0))
-        path = great_circle_path(r, climb_rate_mps=10.0, descent_rate_mps=8.0)
-        times = [t for t, _ in path]
+        times, lats, lons, alts = flightsim._path(r, 60.0, 10.0, 8.0)
         assert times[0] == 0.0
-        assert all(b - a == 60.0 for a, b in zip(times, times[1:]))
+        assert (np.diff(times) == 60.0).all()
 
-        first, last = path[0][1], path[-1][1]
-        assert (first.latitude_deg, first.longitude_deg) == pytest.approx((1.359, 103.989), abs=1e-9)
-        assert (last.latitude_deg, last.longitude_deg) == pytest.approx((51.470, -0.454), abs=1e-9)
-        assert first.altitude_m == 7.0
-        assert last.altitude_m == 25.0
+        assert (lats[0], lons[0]) == pytest.approx((1.359, 103.989), abs=1e-9)
+        assert (lats[-1], lons[-1]) == pytest.approx((51.470, -0.454), abs=1e-9)
+        assert alts[0] == 7.0
+        assert alts[-1] == 25.0
 
-        alts = [p.altitude_m for _, p in path]
-        assert max(alts) == r.cruise_altitude_m
+        assert alts.max() == r.cruise_altitude_m
         # 10 m/s climb and 8 m/s descent over 60 s steps.
         assert alts[1] - alts[0] == pytest.approx(600.0)
         assert alts[-2] - alts[-1] == pytest.approx(480.0)
 
     def test_short_hop_never_reaches_cruise(self):
         r = route(GeoPosition(0.0, 0.0, 0.0), GeoPosition(0.0, 2.0, 0.0), cruise=12000.0, speed=200.0)
-        path = great_circle_path(r)
-        assert max(p.altitude_m for _, p in path) < 12000.0
+        _, _, _, alts = flightsim._path(r, 60.0, 10.0, 8.0)
+        assert alts.max() < 12000.0
 
 
 class TestSynthCnr:
@@ -475,8 +448,9 @@ class TestSynthCnr:
         population = sample_cnr_population([plans[0].route], sats, params, 500, seed=1)
         # Spot-check scalar path at the route midpoint against the population range.
         r = plans[0].route
-        path = great_circle_path(r)
-        mid = path[len(path) // 2][1]
+        _, lats, lons, alts = flightsim._path(r, 60.0, 10.0, 8.0)
+        m = len(lats) // 2
+        mid = GeoPosition(float(lats[m]), float(lons[m]), float(alts[m]))
         best = max(sats, key=lambda s: geo_look_angles(mid, s).elevation_deg)
         scalar = synth_cnr(mid, best, None, params)
         assert population.min() - 1e-9 <= scalar <= population.max() + 1e-9
@@ -510,20 +484,15 @@ class TestGenerateFlight:
 
     def test_minute_grid_and_expected_count(self):
         r = demo_route_plans()[0].route  # SIN-LHR, ~12.1 h
-        records = generate_flight(r, demo_satellites(), None, DEFAULT_LINK_PARAMS, 1, T0)
-        path = great_circle_path(r)
-        first_logged = next(i for i, (_, p) in enumerate(path) if p.altitude_m >= 1000.0)
-        assert len(records) == len(path) - first_logged
-        deltas = {
-            (b.log_date - a.log_date).total_seconds() for a, b in zip(records, records[1:])
-        }
-        assert deltas == {60.0}
-        assert records[0].flight_start_time == T0
-        assert all(r_.flight_start_time <= r_.log_date <= r_.flight_end_time for r_ in records)
+        log = generate_flight(r, demo_satellites(), None, DEFAULT_LINK_PARAMS, 1, T0)
+        _, _, _, alts = flightsim._path(r, 60.0, 10.0, 8.0)
+        first_logged = int(np.argmax(alts >= 1000.0))
+        assert len(log) == len(alts) - first_logged
+        assert set(np.diff(log.epoch_s).tolist()) == {60}
+        assert (log.flight_start_s == int(T0.timestamp())).all()
+        assert ((log.flight_start_s <= log.epoch_s) & (log.epoch_s <= log.flight_end_s)).all()
 
     def test_same_seed_reproduces_byte_identical_records(self, tmp_path):
-        from satlink.ingest import save_logs
-
         r = demo_route_plans()[3].route
         sats = demo_satellites()
         a = generate_flight(r, sats, None, DEFAULT_LINK_PARAMS, 77, T0, "FX")
@@ -539,7 +508,7 @@ class TestGenerateFlight:
     def test_serving_satellite_has_max_elevation(self):
         r = demo_route_plans()[0].route
         sats = demo_satellites()
-        records = generate_flight(r, sats, None, DEFAULT_LINK_PARAMS, 5, T0)
+        records = generate_flight(r, sats, None, DEFAULT_LINK_PARAMS, 5, T0).to_records()
         for rec in records[::37]:
             elevations = {
                 s.satellite_id: geo_look_angles(rec.position, s).elevation_deg for s in sats
@@ -554,18 +523,16 @@ class TestGenerateFlight:
             speed=220.0,
         )
         far_side = [GeoSatellite("I5F3", 179.6)]
-        records = generate_flight(r, far_side, None, DEFAULT_LINK_PARAMS, 3, T0)
-        assert records
-        assert all(rec.cnr_db is None for rec in records)
+        log = generate_flight(r, far_side, None, DEFAULT_LINK_PARAMS, 3, T0)
+        assert len(log)
+        assert np.isnan(log.cnr_db).all()
 
     def test_leading_low_altitude_records_dropped(self):
         r = demo_route_plans()[0].route
-        records = generate_flight(
-            r, demo_satellites(), None, DEFAULT_LINK_PARAMS, 5, T0, min_log_altitude_m=1000.0
-        )
-        assert records[0].altitude_m >= 1000.0
+        log = generate_flight(r, demo_satellites(), None, DEFAULT_LINK_PARAMS, 5, T0, min_log_altitude_m=1000.0)
+        assert log.altitude_m[0] >= 1000.0
         # Descent below the gate is still logged through landing.
-        assert records[-1].altitude_m == r.arrival_pos.altitude_m
+        assert log.altitude_m[-1] == r.arrival_pos.altitude_m
 
     def test_rainy_low_altitude_rows_are_attenuated(self):
         r = demo_route_plans()[0].route
@@ -575,14 +542,10 @@ class TestGenerateFlight:
         dry = generate_flight(r, sats, None, params, 5, T0, "F")
         rain = generate_flight(r, sats, wet, params, 5, T0, "F")
         assert len(dry) == len(rain)
-        low = [
-            (d.cnr_db, w.cnr_db)
-            for d, w in zip(dry, rain)
-            if d.altitude_m < 6000.0 and d.cnr_db is not None
-        ]
-        assert any(wv < dv for dv, wv in low)
-        high = [(d.cnr_db, w.cnr_db) for d, w in zip(dry, rain) if d.altitude_m >= 6000.0]
-        assert all(dv == wv for dv, wv in high)
+        low = (dry.altitude_m < 6000.0) & ~np.isnan(dry.cnr_db)
+        assert (rain.cnr_db[low] < dry.cnr_db[low]).any()
+        high = dry.altitude_m >= 6000.0
+        assert np.array_equal(rain.cnr_db[high], dry.cnr_db[high], equal_nan=True)
 
 
 def tiny_config(tmp_seed=1234, flights=2):
@@ -683,26 +646,7 @@ class TestGenerateDataset:
             generate_dataset(tiny_config(flights=1), str(blocker / "nested"))
 
     def test_config_parsing_round_trip_and_validation(self):
-        raw = {
-            "seed": 5,
-            "flights_per_route": 1,
-            "start_date": "2023-03-01T00:00:00Z",
-            "span_days": 10,
-            "routes": [
-                {
-                    "departure_airport": "SIN",
-                    "arrival_airport": "LHR",
-                    "departure": [1.359, 103.989, 7.0],
-                    "arrival": [51.470, -0.454, 25.0],
-                    "cruise_altitude_m": 11000,
-                    "ground_speed_mps": 250,
-                    "airline_code": "SQ",
-                    "tail_numbers": ["9V-SKA"],
-                }
-            ],
-            "satellites": [{"satellite_id": "I5F1", "slot_longitude_deg": 62.6}],
-            "weather": {"storm_density": 4.0, "seed": 9},
-        }
+        raw = one_route_config()
         config = GenerationConfig.from_dict(raw)
         assert config.routes[0].route.departure_airport == "SIN"
         assert config.weather == WeatherSpec(4.0, 9)
@@ -762,6 +706,54 @@ class TestGenerateDataset:
         config = GenerationConfig.from_dict(raw)
         assert (config.climb_rate_mps, config.descent_rate_mps, config.min_log_altitude_m) == (3.0, 2.5, 0.0)
         assert isinstance(config.climb_rate_mps, float) and isinstance(config.min_log_altitude_m, float)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda raw: raw.update(climb_rate=3.0), "unknown key(s): climb_rate"),
+            (lambda raw: raw["routes"][0].update(tail="9V-SKB"), "routes[0]: unknown key(s): tail"),
+            (lambda raw: raw["satellites"][0].update(slot=1.0, id="X"), "satellites[0]: unknown key(s): id, slot"),
+            (lambda raw: raw["weather"].update(density=2.0), "weather: unknown key(s): density"),
+        ],
+    )
+    def test_config_names_unknown_keys_next_to_other_errors(self, edit, message):
+        raw = one_route_config()
+        edit(raw)
+        with pytest.raises(ConfigError) as err:
+            GenerationConfig.from_dict(raw)
+        assert err.value.errors == [message]
+        raw["span_days"] = -1
+        with pytest.raises(ConfigError) as err:
+            GenerationConfig.from_dict(raw)
+        assert err.value.errors == [message, "span_days must be > 0"]
+
+    def test_config_allows_the_weather_export_block(self):
+        raw = dict(one_route_config(), weather_export={"bounds": [0.0, 1.0, 100.0, 101.0], "hours": 2})
+        assert GenerationConfig.from_dict(raw).weather == WeatherSpec(4.0, 9)
+
+
+def one_route_config() -> dict:
+    """A generation config with one route, one satellite and weather."""
+    return {
+        "seed": 5,
+        "flights_per_route": 1,
+        "start_date": "2023-03-01T00:00:00Z",
+        "span_days": 10,
+        "routes": [
+            {
+                "departure_airport": "SIN",
+                "arrival_airport": "LHR",
+                "departure": [1.359, 103.989, 7.0],
+                "arrival": [51.470, -0.454, 25.0],
+                "cruise_altitude_m": 11000,
+                "ground_speed_mps": 250,
+                "airline_code": "SQ",
+                "tail_numbers": ["9V-SKA"],
+            }
+        ],
+        "satellites": [{"satellite_id": "I5F1", "slot_longitude_deg": 62.6}],
+        "weather": {"storm_density": 4.0, "seed": 9},
+    }
 
 
 def config_starting(text: str) -> dict:

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satlink.cli import ExperimentSpec, build_experiment_dataset, load_records, run_experiment
@@ -18,12 +18,11 @@ from satlink.flightsim import (
     generate_dataset,
     generate_flight,
 )
-from satlink.ingest import CnrCategory, encode_features, labeled, split_by_flight
+from satlink.ingest import CnrCategory, LogColumns, encode_features, labeled, split_by_flight
 from satlink.model import (
     GbmHyperParams,
     baseline_majority,
     eval_regressor,
-    predict_category,
     predict_labels,
     predict_proba,
     predict_value,
@@ -66,11 +65,13 @@ def reference_find_split(codes, rows, g, h, g_sum, h_sum, edges_per_feature, hp)
 
     Two ``bincount`` calls per feature; the reference for the per-level
     search over all features and nodes in ``gbm._best_splits``.  A split
-    must gain more than 1e-10 times the parent term, as there.  Returns
-    (feature, bin, gain).
+    must gain more than 1e-10 times the parent term, and each child's
+    hessian sum must reach ``min_child_weight`` less 1e-10 times the
+    node's, as there.  Returns (feature, bin, gain).
     """
     lam = hp.l2_lambda
     parent = g_sum * g_sum / (h_sum + lam) if h_sum + lam > 0 else 0.0
+    least = hp.min_child_weight - 1e-10 * h_sum  # a shortfall below is rounding noise
     best = None
     best_gain = 1e-10 * parent  # a smaller gain is rounding noise
     g_rows = g[rows]
@@ -89,7 +90,7 @@ def reference_find_split(codes, rows, g, h, g_sum, h_sum, edges_per_feature, hp)
         left_term = np.divide(gl * gl, hl + lam, out=np.zeros_like(gl), where=(hl + lam) > 0)
         right_term = np.divide(gr * gr, hr + lam, out=np.zeros_like(gr), where=(hr + lam) > 0)
         gains = 0.5 * (left_term + right_term - parent)
-        gains[(hl < hp.min_child_weight) | (hr < hp.min_child_weight)] = -np.inf
+        gains[(hl < least) | (hr < least)] = -np.inf
         b = int(np.argmax(gains))
         if gains[b] > best_gain:
             best_gain = float(gains[b])
@@ -100,7 +101,9 @@ def reference_find_split(codes, rows, g, h, g_sum, h_sum, edges_per_feature, hp)
 def reference_build_tree(bins, g, h, hp):
     """Drop-in for ``gbm._build_tree`` that grows the tree depth first with
     :func:`reference_find_split` on row-major codes, every node's
-    histograms built directly from its rows."""
+    histograms built directly from its rows.  It searches every node above
+    ``max_depth`` with two rows or more, with no early leaf for a light
+    node, so the child-weight rule of the search alone decides."""
     codes = bins.codes.T
     feature, threshold, left, right, value = [], [], [], [], []
     update = np.zeros(codes.shape[0])
@@ -337,6 +340,17 @@ def light_hessian_cases(draw):
     return X, g, h * scale, GbmHyperParams(max_depth=hp.max_depth, n_bins=hp.n_bins, min_child_weight=1.0)
 
 
+def rounding_boundary_case():
+    """138 rows with hessians of 0.05, ``min_child_weight`` 1 and 4 bins.
+    A leaf at depth 2 has a split whose left side sums to
+    1.0000000000000002 from its own rows but to 0.9999999999999992 from the
+    subtracted histogram the builder searches."""
+    rng = np.random.default_rng(59)
+    X = rng.integers(0, 3, size=(138, 3)).astype(float)
+    g = rng.choice([-1.0, -0.5, 0.5, 1.0], size=138)
+    return X, g, np.full(138, 0.05), GbmHyperParams(max_depth=6, n_bins=4, min_child_weight=1.0)
+
+
 class TestUnsplittableNodes:
     @staticmethod
     def histogram_calls(monkeypatch):
@@ -377,14 +391,19 @@ class TestUnsplittableNodes:
         # split leaves 1.0 on both sides.
         tree, _ = gbm._build_tree(bins, g, np.full(4, 0.25), GbmHyperParams(min_child_weight=1.0))
         assert len(calls) == 1 and tree.feature.tolist() == [-1]
+        # One ulp short of the bound is within its slack of 1e-10 times the
+        # node's 1.0: searched too.
+        tree, _ = gbm._build_tree(bins, g, np.full(4, 0.25), GbmHyperParams(min_child_weight=np.nextafter(1.0, 2.0)))
+        assert len(calls) == 2 and tree.feature.tolist() == [-1]
         # Zero hessians with min_child_weight 0: searched, and split.
         tree, _ = gbm._build_tree(bins, g, np.zeros(4), GbmHyperParams(max_depth=1, min_child_weight=0.0))
-        assert len(calls) == 2 and tree.feature.tolist() == [0, -1, -1]
+        assert len(calls) == 3 and tree.feature.tolist() == [0, -1, -1]
 
     def test_a_node_just_below_min_child_weight_is_a_leaf_without_search(self, monkeypatch):
         bins = gbm._bin_features(np.arange(4.0)[:, None], 64)
         g, h = np.array([-1.0, -1.0, 1.0, 2.0]), np.full(4, 0.25)
-        hp = GbmHyperParams(min_child_weight=np.nextafter(1.0, 2.0))
+        # Short of the bound by twice the slack of 1e-10 times the node's 1.0.
+        hp = GbmHyperParams(min_child_weight=1.0 + 2e-10)
         calls = self.histogram_calls(monkeypatch)
         tree, update = gbm._build_tree(bins, g, h, hp)
         assert calls == []
@@ -394,6 +413,7 @@ class TestUnsplittableNodes:
 
     @settings(max_examples=100, deadline=None)
     @given(light_hessian_cases())
+    @example(rounding_boundary_case())
     def test_every_early_leaf_would_have_found_no_split(self, case):
         X, g, h, hp = case
         bins = gbm._bin_features(X, hp.n_bins)
@@ -910,8 +930,8 @@ class TestPrediction:
         matrix = separable_toy()
         model = train_gbm(matrix, GbmHyperParams(n_rounds=5))
         proba = predict_proba(model, matrix)
-        cats = predict_category(model, matrix)
-        assert all(int(c) == int(np.argmax(p)) for c, p in zip(cats, proba))
+        labels = predict_labels(model, matrix)
+        assert all(int(c) == int(np.argmax(p)) for c, p in zip(labels, proba))
 
         uniform = make_matrix(np.zeros((8, 1)), y=[0, 1, 2, 3] * 2)
         tied = train_gbm(uniform, GbmHyperParams(n_rounds=0))
@@ -1044,10 +1064,10 @@ class TestRegressor:
         )
         # Several departures per route so every route stays represented on
         # the training side of the per-flight split.
-        records = []
+        flights = []
         for i, plan in enumerate(config.routes):
             for j in range(5):
-                records.extend(
+                flights.append(
                     generate_flight(
                         plan.route,
                         list(config.satellites),
@@ -1058,7 +1078,8 @@ class TestRegressor:
                         flight_id=f"F{i}x{j}",
                     )
                 )
-        matrix, _ = encode_features(labeled(records))
+        log = LogColumns(*(np.concatenate([getattr(f, c.name) for f in flights]) for c in dataclasses.fields(LogColumns)))
+        matrix, _ = encode_features(labeled(log))
         train, test = split_by_flight(matrix, 0.2, seed=3)
         model = train_regressor(train, GbmHyperParams(n_rounds=150, learning_rate=0.15))
         mse, mae = eval_regressor(model, test)

@@ -29,10 +29,10 @@ from satlink.ingest import (
     labeled,
     parse_logs,
 )
-from satlink.model import GbmHyperParams, predict_category, predict_labels, train_gbm
+from satlink.model import GbmHyperParams, predict_labels, train_gbm
 from satlink.weather import CoverageGapError, SyntheticWeather
 
-from test_ingest import record
+from test_ingest import as_log, record
 
 T0 = datetime(2023, 3, 5, 8, 0, tzinfo=timezone.utc)
 
@@ -505,7 +505,7 @@ def sat_models():
                     duration_min=600,
                 )
             )
-    matrix, _ = encode_features(records)
+    matrix, _ = encode_features(as_log(records))
     model = train_gbm(matrix, GbmHyperParams(n_rounds=30, max_depth=3))
     return {"A": model, "B": model}
 
@@ -519,7 +519,7 @@ def blind_model():
         lat = float(rng.uniform(-40, 60))
         cnr = 4.0 + (12.0 if lat > 10.0 else 3.0) + float(rng.uniform(0, 0.5))
         records.append(record(minute=i, flight_id=f"F{i % 6}", lat=lat, sat="A", cnr=cnr, duration_min=600))
-    return train_gbm(encode_features(records)[0], GbmHyperParams(n_rounds=10, max_depth=3))
+    return train_gbm(encode_features(as_log(records))[0], GbmHyperParams(n_rounds=10, max_depth=3))
 
 
 def reference_forecast_route(model_by_sat, waypoints, weather=None, weather_model_by_sat=None):
@@ -545,7 +545,7 @@ def reference_forecast_route(model_by_sat, waypoints, weather=None, weather_mode
             if not index:
                 continue
             matrix, _ = encode_features(
-                [rows[i] for i in index], vocab=model.vocab, cells=part_cells, for_prediction=True
+                as_log([rows[i] for i in index]), vocab=model.vocab, cells=part_cells, for_prediction=True
             )
             for i, label in zip(index, predict_labels(model, matrix)):
                 grid[i][sat] = CnrCategory(int(label))
@@ -580,7 +580,7 @@ def demo_forecast_setup(small_corpus):
     hp = GbmHyperParams(n_rounds=10, max_depth=4, learning_rate=0.5)
 
     def fit(flight_ids, weather=None):
-        rows = labeled([r for r in records if r.flight_id in flight_ids])
+        rows = labeled(as_log([r for r in records if r.flight_id in flight_ids]))
         cells = None
         if weather is not None:
             rows = filter_altitude(rows, max_m=3000.0)
@@ -609,9 +609,8 @@ class TestForecastRoute:
         grid = forecast_route(sat_models, waypoints)
         for sat in ("A", "B"):
             rows = [replace(wp, satellite_id=sat) for wp in waypoints]
-            matrix, _ = encode_features(rows, vocab=sat_models[sat].vocab, for_prediction=True)
-            expected = predict_category(sat_models[sat], matrix)
-            assert [g[sat] for g in grid] == expected
+            matrix, _ = encode_features(as_log(rows), vocab=sat_models[sat].vocab, for_prediction=True)
+            assert [g[sat] for g in grid] == predict_labels(sat_models[sat], matrix).tolist()
 
     def test_waypoints_must_be_time_ordered(self, sat_models):
         waypoints = [record(minute=1, cnr=None), record(minute=0, cnr=None)]
@@ -638,7 +637,7 @@ class TestForecastRoute:
             )
             train_rows.append(r)
             cells.append(provider.cell_at(r.log_date, r.position).values)
-        matrix, _ = encode_features(train_rows, cells=cells)
+        matrix, _ = encode_features(as_log(train_rows), cells=cells)
         wx_model = train_gbm(matrix, GbmHyperParams(n_rounds=10, max_depth=3))
         wx_models = {"A": wx_model, "B": wx_model}
 
@@ -656,13 +655,13 @@ class TestForecastRoute:
         # the uncovered one the base model's.
         cell = field.cell_at(inside.log_date, inside.position)
         m_in, _ = encode_features(
-            [replace(inside, satellite_id="A")], vocab=wx_model.vocab, cells=[cell.values], for_prediction=True
+            as_log([replace(inside, satellite_id="A")]), vocab=wx_model.vocab, cells=[cell.values], for_prediction=True
         )
-        assert grid[0]["A"] == predict_category(wx_model, m_in)[0]
+        assert grid[0]["A"] == predict_labels(wx_model, m_in)[0]
         m_out, _ = encode_features(
-            [replace(outside, satellite_id="A")], vocab=sat_models["A"].vocab, for_prediction=True
+            as_log([replace(outside, satellite_id="A")]), vocab=sat_models["A"].vocab, for_prediction=True
         )
-        assert grid[1]["A"] == predict_category(sat_models["A"], m_out)[0]
+        assert grid[1]["A"] == predict_labels(sat_models["A"], m_out)[0]
 
     def test_matches_copy_per_satellite_reference(self, demo_forecast_setup):
         models, _, _, waypoints = demo_forecast_setup

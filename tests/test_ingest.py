@@ -82,6 +82,11 @@ def record(
     )
 
 
+def as_log(records) -> LogColumns:
+    """Records built by hand as the columns that selection takes."""
+    return LogColumns.from_records(records)
+
+
 class TestBinCnr:
     @pytest.mark.parametrize(
         "value,expected",
@@ -118,13 +123,11 @@ class TestBinCnr:
 class TestParseLogs:
     def test_flight_file_round_trips_bit_exactly(self, tmp_path):
         plans = demo_route_plans()
-        records = generate_flight(
-            plans[0].route, demo_satellites(), None, DEFAULT_LINK_PARAMS, 42, T0, "F0"
-        )
+        log = generate_flight(plans[0].route, demo_satellites(), None, DEFAULT_LINK_PARAMS, 42, T0, "F0")
         first = tmp_path / "f0.csv"
-        save_logs(records, first)
+        save_logs(log, first)
         parsed = parse_logs([str(first)])
-        assert len(parsed) == len(records)
+        assert len(parsed) == len(log)
         second = tmp_path / "f0_again.csv"
         save_logs(parsed, second)
         assert first.read_bytes() == second.read_bytes()
@@ -136,7 +139,7 @@ class TestParseLogs:
 
     def test_empty_cnr_cell_parses_as_missing(self, tmp_path):
         path = tmp_path / "gap.csv"
-        save_logs([record(cnr=None)], path)
+        save_logs(as_log([record(cnr=None)]), path)
         parsed = parse_logs([str(path)])
         assert parsed[0].cnr_db is None
         assert parsed[0].category is None
@@ -150,7 +153,7 @@ class TestParseLogs:
     def test_row_errors_reported_with_lines(self, tmp_path):
         good = record()
         path = tmp_path / "rows.csv"
-        save_logs([good, good], path)
+        save_logs(as_log([good, good]), path)
         lines = path.read_text().splitlines()
         lines[2] = lines[2].replace("T08:00:00Z", "T08:00:30Z")  # not minute-aligned
         lines.append("only,three,fields")
@@ -176,7 +179,7 @@ class TestParseLogs:
             for m in (0, 61, 120)
         ]
         path = tmp_path / "old.csv"
-        save_logs(rows, path)
+        save_logs(as_log(rows), path)
         assert path.read_text().splitlines()[1].startswith("0999-12-31T23:00:00Z,F1,")
         assert parse_logs([str(path)]).to_records() == rows
 
@@ -185,7 +188,7 @@ class TestParseLogs:
         headless = tmp_path / "a.csv"
         headless.write_text("not,a,header\n")
         rows = tmp_path / "b.csv"
-        save_logs([record(minute=0), record(minute=1), record(minute=2)], rows)
+        save_logs(as_log([record(minute=0), record(minute=1), record(minute=2)]), rows)
         lines = rows.read_text().splitlines()
         lines[1] = lines[1].replace(",10.000000,", ",north,")  # latitude is no number
         lines[2] = lines[2] + ",extra"
@@ -199,7 +202,7 @@ class TestParseLogs:
 
     def test_nan_cnr_cell_is_a_bad_line_and_empty_cell_is_missing(self, tmp_path):
         path = tmp_path / "f.csv"
-        save_logs([record(minute=0, cnr=None), record(minute=1)], path)
+        save_logs(as_log([record(minute=0, cnr=None), record(minute=1)]), path)
         lines = path.read_text().splitlines()
         lines[2] = lines[2].rsplit(",", 1)[0] + ",nan"
         path.write_text("\n".join(lines) + "\n")
@@ -210,7 +213,7 @@ class TestParseLogs:
     def test_longitudes_wrap_as_a_record_wraps_them(self, tmp_path):
         path = tmp_path / "f.csv"
         lons = [180.0, 190.0, -190.5, 540.0, float(np.nextafter(-180.0, -181.0)), -180.0, 179.5]
-        save_logs([record(minute=i) for i in range(len(lons))], path)
+        save_logs(as_log([record(minute=i) for i in range(len(lons))]), path)
         lines = path.read_text().splitlines()
         lines[1:] = [line.replace(",20.000000,", f",{lon!r},") for line, lon in zip(lines[1:], lons)]
         path.write_text("\n".join(lines) + "\n")
@@ -227,7 +230,7 @@ class TestParseLogs:
     def test_row_access_matches_the_records(self, tmp_path):
         recs = [record(minute=i, alt=float(1000 * i), cnr=None if i == 2 else 8.5) for i in range(5)]
         path = tmp_path / "f.csv"
-        save_logs(recs, path)
+        save_logs(as_log(recs), path)
         log = parse_logs([str(path)])
         assert len(log) == 5
         assert list(log) == recs
@@ -322,7 +325,7 @@ class TestTimeRules:
 
     def test_zoneless_time_is_a_bad_line_not_host_time(self, tmp_path, tokyo_time):
         path = tmp_path / "f.csv"
-        save_logs([record(minute=0), record(minute=1)], path)
+        save_logs(as_log([record(minute=0), record(minute=1)]), path)
         text = path.read_text()
         path.write_text(text.replace("2023-03-05T08:01:00Z", "2023-03-05T08:01:00", 1))
         with pytest.raises(LogParseError) as err:
@@ -344,7 +347,7 @@ class TestTimeRules:
 
     def test_file_with_zones_reads_the_same_under_any_host_zone(self, tmp_path, monkeypatch):
         path = tmp_path / "f.csv"
-        save_logs([record(minute=i) for i in range(3)], path)
+        save_logs(as_log([record(minute=i) for i in range(3)]), path)
         path.write_text(path.read_text().replace("T08:02:00Z", "T17:02:00+09:00"))
         columns = {}
         for zone in ("UTC", "Asia/Tokyo"):
@@ -361,7 +364,7 @@ class TestTimeRules:
         # Each distinct time text is parsed once for all files.
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
-            save_logs([record(minute=0), record(minute=1)], path)
+            save_logs(as_log([record(minute=0), record(minute=1)]), path)
             path.write_text(path.read_text().replace("T08:01:00Z", "T08:01:00"))
         with pytest.raises(LogParseError) as err:
             parse_logs([str(p) for p in paths])
@@ -370,7 +373,7 @@ class TestTimeRules:
     @pytest.mark.parametrize("column", [0, 6, 7])
     def test_sub_second_log_time_is_a_bad_line(self, tmp_path, column):
         path = tmp_path / "f.csv"
-        save_logs([record(minute=1)], path)
+        save_logs(as_log([record(minute=1)]), path)
         header, row = path.read_text().splitlines()
         cells = row.split(",")
         cells[column] = cells[column].replace(":00Z", ":00.5Z")
@@ -476,7 +479,7 @@ class TestOneRuleSet:
             replace(good, **{field: value})
         assert str(built.value) == f"flight F1 row 0: {message}"
         path = tmp_path / "f.csv"
-        save_logs([good], path)
+        save_logs(as_log([good]), path)
         header, row = path.read_text().splitlines()
         cells = row.split(",")
         cells[column] = cell
@@ -524,44 +527,44 @@ class TestFilterAltitude:
         return [record(minute=i, alt=a) for i, a in enumerate([500, 2999, 3000, 4500, 6000, 6001, 11000])]
 
     def test_strict_bounds(self):
-        recs = self.recs()
-        assert [r.altitude_m for r in filter_altitude(recs, min_m=6000)] == [6001, 11000]
-        assert [r.altitude_m for r in filter_altitude(recs, max_m=3000)] == [500, 2999]
-        assert [r.altitude_m for r in filter_altitude(recs, 3000, 6000)] == [4500]
+        log = as_log(self.recs())
+        assert filter_altitude(log, min_m=6000).altitude_m.tolist() == [6001, 11000]
+        assert filter_altitude(log, max_m=3000).altitude_m.tolist() == [500, 2999]
+        assert filter_altitude(log, 3000, 6000).altitude_m.tolist() == [4500]
 
     def test_cruise_only_flight_kept_entirely(self):
-        recs = [record(minute=i, alt=11000.0) for i in range(10)]
-        assert filter_altitude(recs, min_m=6000).to_records() == recs
+        log = as_log([record(minute=i, alt=11000.0) for i in range(10)])
+        assert filter_altitude(log, min_m=6000) == log
 
     def test_partition_arithmetic(self):
         recs = self.recs()
-        high = len(filter_altitude(recs, min_m=6000))
-        low = len(filter_altitude(recs, max_m=3000))
+        high = len(filter_altitude(as_log(recs), min_m=6000))
+        low = len(filter_altitude(as_log(recs), max_m=3000))
         middle = len([r for r in recs if 3000 <= r.altitude_m <= 6000])
         assert high + low + middle == len(recs)
 
     def test_composition_equals_max_of_mins(self):
         rng = np.random.default_rng(0)
-        recs = [record(minute=i, alt=float(a)) for i, a in enumerate(rng.uniform(0, 12000, 200))]
-        twice = filter_altitude(filter_altitude(recs, min_m=2000), min_m=5000)
-        assert twice.to_records() == filter_altitude(recs, min_m=5000).to_records()
+        log = as_log([record(minute=i, alt=float(a)) for i, a in enumerate(rng.uniform(0, 12000, 200))])
+        twice = filter_altitude(filter_altitude(log, min_m=2000), min_m=5000)
+        assert twice == filter_altitude(log, min_m=5000)
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValueError):
-            filter_altitude([], min_m=5000, max_m=1000)
+            filter_altitude(as_log([]), min_m=5000, max_m=1000)
 
 
 class TestTopRoutes:
     def test_single_route_corpus(self):
-        recs = [record(minute=i) for i in range(4)]
-        keys, kept = top_routes(recs, 5)
+        log = as_log([record(minute=i) for i in range(4)])
+        keys, kept = top_routes(log, 5)
         assert keys == [("AAA", "BBB")]
-        assert kept.to_records() == recs
+        assert kept == log
 
     def test_tie_breaks_lexicographically(self):
         recs = [record(minute=i, dep="CCC", arr="DDD", flight_id="F2") for i in range(3)]
         recs += [record(minute=i, dep="AAA", arr="BBB") for i in range(3)]
-        keys, _ = top_routes(recs, 1)
+        keys, _ = top_routes(as_log(recs), 1)
         assert keys == [("AAA", "BBB")]
 
     def test_matches_count_sort_oracle(self):
@@ -571,7 +574,7 @@ class TestTopRoutes:
         for i in range(300):
             dep, arr = rng.choice(airports, size=2, replace=False)
             recs.append(record(minute=i % 500, dep=str(dep), arr=str(arr), flight_id=f"F{i}"))
-        keys, kept = top_routes(recs, 3)
+        keys, kept = top_routes(as_log(recs), 3)
         counts = {}
         for r in recs:
             counts[(r.departure_airport, r.arrival_airport)] = counts.get(
@@ -582,13 +585,13 @@ class TestTopRoutes:
         assert len(kept) == sum(counts[k] for k in oracle)
 
     def test_k_at_least_route_count_returns_input(self):
-        recs = [record(minute=i, dep=d, arr=a, flight_id=f"F{i}") for i, (d, a) in enumerate([("AAA", "BBB"), ("CCC", "DDD")])]
-        _, kept = top_routes(recs, 10)
-        assert kept.to_records() == recs
+        log = as_log([record(minute=i, dep=d, arr=a, flight_id=f"F{i}") for i, (d, a) in enumerate([("AAA", "BBB"), ("CCC", "DDD")])])
+        _, kept = top_routes(log, 10)
+        assert kept == log
 
     def test_record_set_shrinks_as_k_decreases(self):
         recs = [record(minute=i, dep=d, arr="XXX", flight_id=f"F{i}") for i, d in enumerate(["AAA"] * 5 + ["BBB"] * 3 + ["CCC"] * 2)]
-        sizes = [len(top_routes(recs, k)[1]) for k in (3, 2, 1)]
+        sizes = [len(top_routes(as_log(recs), k)[1]) for k in (3, 2, 1)]
         assert sizes == sorted(sizes, reverse=True)
 
 
@@ -604,15 +607,15 @@ class TestJoinWeather:
     def test_exact_hit_attaches_cell_values(self):
         field = self.field()
         rec = record(minute=0, lat=10.0, lon=20.0)
-        result = join_weather([rec], field)
+        result = join_weather(as_log([rec]), field)
         assert result.report.attached == 1
         cell = field.cell_at(rec.log_date, rec.position)
         assert (cell.grid_lat_deg, cell.grid_lon_deg) == (10.0, 20.0)
         assert result.cells.tolist() == [list(cell.values)]
 
     def test_empty_input_is_empty_success(self):
-        result = join_weather([], self.field())
-        assert result.records.to_records() == [] and result.cells.shape == (0, 4)
+        result = join_weather(as_log([]), self.field())
+        assert len(result.records) == 0 and result.cells.shape == (0, 4)
         assert result.report.total == 0
 
     def test_matches_brute_force_oracle(self):
@@ -629,7 +632,7 @@ class TestJoinWeather:
             )
             for i in range(200)
         ]
-        result = join_weather(recs, field)
+        result = join_weather(as_log(recs), field)
         assert result.report.dropped == 0
         for rec, values in zip(result.records, result.cells.tolist()):
             assert values == list(brute_force_nearest(field, rec.log_date, rec.position).values)
@@ -638,7 +641,7 @@ class TestJoinWeather:
         field = self.field()
         recs = [record(minute=i, flight_id=f"F{i}") for i in range(19)]
         recs.append(record(minute=19, flight_id="F19", lat=50.0))  # 5% outside
-        result = join_weather(recs, field)
+        result = join_weather(as_log(recs), field)
         assert result.report.dropped == 1
         assert len(result.records) == 19
         assert result.cells.shape == (19, 4) and not np.isnan(result.cells).any()
@@ -647,19 +650,19 @@ class TestJoinWeather:
         field = self.field()
         recs = [record(minute=i, flight_id=f"F{i}", lat=50.0) for i in range(10)]
         with pytest.raises(JoinCoverageError):
-            join_weather(recs, field)
+            join_weather(as_log(recs), field)
 
     def test_join_does_not_alter_records(self):
         field = self.field()
         rec = record()
-        result = join_weather([rec], field)
+        result = join_weather(as_log([rec]), field)
         assert result.records[0] == rec
 
 
 class TestEncodeFeatures:
     def test_start_of_flight_fraction_zero_and_passthrough(self):
         rec = record(minute=0, lat=12.5, lon=-30.0, alt=9000.0)
-        matrix, vocab = encode_features([rec])
+        matrix, vocab = encode_features(as_log([rec]))
         cols = dict(zip(matrix.columns, matrix.X[0]))
         assert cols["flight_fraction"] == 0.0
         assert cols["latitude"] == 12.5
@@ -671,50 +674,50 @@ class TestEncodeFeatures:
         assert vocab.encode("departure_airport", "AAA") == 1
 
     def test_unseen_token_maps_to_unknown_id(self):
-        matrix, vocab = encode_features([record()])
+        matrix, vocab = encode_features(as_log([record()]))
         other = record(dep="ZZZ")
-        pred, _ = encode_features([other], vocab=vocab, for_prediction=True)
+        pred, _ = encode_features(as_log([other]), vocab=vocab, for_prediction=True)
         dep_col = matrix.columns.index("departure_airport")
         assert pred.X[0, dep_col] == 0.0
         assert pred.y is None
 
     def test_vocab_reapplication_is_idempotent(self):
         recs = [record(minute=i, flight_id=f"F{i%3}", dep=d) for i, d in enumerate(["AAA", "CCC", "AAA", "BBB"])]
-        m1, vocab = encode_features(recs)
-        m2, _ = encode_features(recs, vocab=vocab)
+        m1, vocab = encode_features(as_log(recs))
+        m2, _ = encode_features(as_log(recs), vocab=vocab)
         assert np.array_equal(m1.X, m2.X)
         assert m1.schema_hash == m2.schema_hash
 
     def test_prediction_mode_requires_vocab(self):
         with pytest.raises(ValueError, match="vocabulary"):
-            encode_features([record()], for_prediction=True)
+            encode_features(as_log([record()]), for_prediction=True)
 
     def test_training_mode_rejects_unlabeled_rows(self):
         with pytest.raises(ValueError, match="without CNR"):
-            encode_features([record(cnr=None)])
+            encode_features(as_log([record(cnr=None)]))
 
     def test_weather_columns_appended_only_with_cells(self):
         provider = SyntheticWeather(0.0, 1)
         rec = record(alt=2000.0)
         values = provider.cell_at(rec.log_date, rec.position).values
-        with_wx, _ = encode_features([rec], cells=[values])
-        without, _ = encode_features([rec])
+        with_wx, _ = encode_features(as_log([rec]), cells=[values])
+        without, _ = encode_features(as_log([rec]))
         assert "precip_mmh" in with_wx.columns and "precip_mmh" not in without.columns
         assert with_wx.schema_hash != without.schema_hash
         with pytest.raises(ValueError, match="cells"):
-            encode_features([rec, rec], cells=[values])
+            encode_features(as_log([rec, rec]), cells=[values])
 
     def test_a_gap_row_is_never_encoded(self):
         rec = record(alt=2000.0)
         with pytest.raises(ValueError, match="gap"):
-            encode_features([rec, rec], cells=[[0.0, 50.0, 15.0, 4.0], [math.nan] * 4])
+            encode_features(as_log([rec, rec]), cells=[[0.0, 50.0, 15.0, 4.0], [math.nan] * 4])
 
 
 def reference_encode_features(records, vocab=None, cells=None, for_prediction=False):
     """Row-at-a-time feature encoding; the reference for the column-wise
     ``encode_features``."""
     if vocab is None:
-        vocab = Vocabulary.build(records)
+        vocab = Vocabulary.build(as_log(records))
     columns = list(NUMERIC_COLUMNS) + (WEATHER_COLUMNS if cells is not None else []) + CATEGORICAL_COLUMNS
     X = np.empty((len(records), len(columns)), dtype=np.float64)
     for i, r in enumerate(records):
@@ -791,7 +794,7 @@ def encode_cases(draw):
             draw(st.floats(-60.0, 45.0)),
             draw(st.floats(0.0, 60.0)),
         ))
-    vocab = Vocabulary.build(records[: draw(st.integers(0, n))]) if draw(st.booleans()) else None
+    vocab = Vocabulary.build(as_log(records[: draw(st.integers(0, n))])) if draw(st.booleans()) else None
     cells = np.array(cells, dtype=float).reshape(-1, 4)
     return records, vocab, cells if draw(st.booleans()) else None, draw(st.booleans())
 
@@ -812,15 +815,15 @@ class TestEncodeMatchesRowReference:
     def test_column_wise_encoder_is_bit_equal(self, case):
         records, vocab, cells, for_prediction = case
         if for_prediction and vocab is None:
-            vocab = Vocabulary.build(records)
-        got, _ = encode_features(records, vocab=vocab, cells=cells, for_prediction=for_prediction)
+            vocab = Vocabulary.build(as_log(records))
+        got, _ = encode_features(as_log(records), vocab=vocab, cells=cells, for_prediction=for_prediction)
         assert_same_matrix(got, reference_encode_features(records, vocab, cells, for_prediction))
 
     def test_corpus_rows_are_bit_equal(self, small_corpus):
         records = labeled(load_records(small_corpus["dir"]))
         got, vocab = encode_features(records)
         assert_same_matrix(got, reference_encode_features(records))
-        low = [r for r in records if r.altitude_m < 3000.0][:500]
+        low = records.take(np.flatnonzero(records.altitude_m < 3000.0)[:500])
         provider = SyntheticWeather(6.0, 13)
         cells = [provider.cell_at(r.log_date, r.position).values for r in low]
         got, _ = encode_features(low, vocab=vocab, cells=cells, for_prediction=True)
@@ -828,7 +831,7 @@ class TestEncodeMatchesRowReference:
 
     def test_labels_match_bin_cnr_at_and_next_to_every_edge(self):
         records = [record(minute=i, cnr=float(v)) for i, v in enumerate(EDGE_CNR)]
-        matrix, _ = encode_features(records)
+        matrix, _ = encode_features(as_log(records))
         assert matrix.y.tolist() == [int(bin_cnr(float(v))) for v in EDGE_CNR]
         assert matrix.y.tolist() == [0, 1, 1, 1, 2, 2, 2, 3, 3]
 
@@ -837,7 +840,7 @@ class TestSplitByFlight:
     def small(self):
         recs = [record(minute=i, flight_id="FA") for i in range(10)]
         recs += [record(minute=i, flight_id="FB") for i in range(7)]
-        matrix, _ = encode_features(recs)
+        matrix, _ = encode_features(as_log(recs))
         return matrix
 
     def test_two_flights_split_one_each(self):
@@ -872,7 +875,7 @@ class TestSplitByFlight:
 
     def test_fewer_than_two_flights_rejected(self):
         recs = [record(minute=i) for i in range(5)]
-        matrix, _ = encode_features(recs)
+        matrix, _ = encode_features(as_log(recs))
         with pytest.raises(ValueError, match="2 flights"):
             split_by_flight(matrix, 0.5, seed=0)
 
@@ -883,17 +886,17 @@ class TestSplitByFlight:
 
 class TestLabeledHelper:
     def test_filters_missing_cnr(self):
-        recs = [record(minute=0), record(minute=1, cnr=None)]
-        assert labeled(recs).to_records() == [recs[0]]
+        log = as_log([record(minute=0), record(minute=1, cnr=None)])
+        assert labeled(log) == log.take([0])
 
 
 class TestVocabulary:
     def test_sorted_ids_start_at_one(self):
         recs = [record(dep=d, minute=i, flight_id=f"F{i}") for i, d in enumerate(["CCC", "AAA", "BBB", "AAA"])]
-        vocab = Vocabulary.build(recs)
+        vocab = Vocabulary.build(as_log(recs))
         assert vocab.mappings["departure_airport"] == {"AAA": 1, "BBB": 2, "CCC": 3}
 
     def test_json_round_trip(self):
-        vocab = Vocabulary.build([record()])
+        vocab = Vocabulary.build(as_log([record()]))
         again = Vocabulary.from_jsonable(vocab.to_jsonable())
         assert again == vocab

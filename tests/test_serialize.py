@@ -56,10 +56,10 @@ class TestRoundTrip:
         assert np.array_equal(predict_value(model, matrix), predict_value(loaded, matrix))
 
     def test_vocab_survives_round_trip(self, tmp_path):
-        from test_ingest import record
+        from test_ingest import as_log, record
 
         matrix, vocab = encode_features(
-            [record(minute=m, flight_id=f"F{m % 2}", cnr=4.0 + 2.0 * m) for m in range(6)]
+            as_log([record(minute=m, flight_id=f"F{m % 2}", cnr=4.0 + 2.0 * m) for m in range(6)])
         )
         model = train_gbm(matrix, GbmHyperParams(n_rounds=0))
         path = tmp_path / "vocab.json"
