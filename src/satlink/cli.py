@@ -66,6 +66,11 @@ def _reject_unknown(what: str, data: dict, known) -> None:
         raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _object(what: str, value) -> dict:
     """``value`` when it is a JSON object; ``ValueError`` naming ``what``
     otherwise."""
@@ -106,6 +111,13 @@ class ExperimentSpec:
             raise ValueError(f"weather must name a synthetic source or a csv: {weather!r}")
         hyperparams = _object("hyperparams", data.get("hyperparams", {}))
         _reject_unknown("hyperparams", hyperparams, {f.name for f in dataclasses.fields(GbmHyperParams)})
+        for key in ("min_altitude_m", "max_altitude_m"):
+            if data.get(key) is not None and not _is_number(data[key]):
+                raise ValueError(f"{key} must be a number or null, got {data[key]!r}")
+        if not isinstance(data.get("name", ""), str):
+            raise ValueError(f"name must be a string, got {data['name']!r}")
+        if not isinstance(data.get("satellite", ""), (str, type(None))):
+            raise ValueError(f"satellite must be a string or null, got {data['satellite']!r}")
         return cls(
             name=data.get("name", ""),
             top_routes=top_k,
@@ -251,18 +263,25 @@ def cmd_generate(args: argparse.Namespace) -> int:
         raw["seed"] = args.seed
     config = GenerationConfig.from_dict(raw)
     export = raw.get("weather_export")
+    field = None
     if export is not None:
-        _object("weather_export", export)
+        # The whole export is checked, and built, before the dataset is written.
+        _reject_unknown("weather_export", _object("weather_export", export), ("bounds", "hours"))
+        bounds, hours = export.get("bounds"), export.get("hours")
+        if not (isinstance(bounds, list) and len(bounds) == 4 and all(map(_is_number, bounds))):
+            raise ValueError(f"weather_export bounds must be 4 numbers (lat, lat, lon, lon), got {bounds!r}")
+        if isinstance(hours, bool) or not isinstance(hours, int) or hours < 1:
+            raise ValueError(f"weather_export hours must be a positive integer, got {hours!r}")
         if config.weather is None:
             raise ValueError("weather_export requires a weather block in the config")
-    manifest = generate_dataset(config, args.out)
-    if export is not None:
         field = synth_weather_field(
-            tuple(export["bounds"]),
-            (config.start_date, config.start_date + timedelta(hours=int(export["hours"]))),
+            tuple(bounds),
+            (config.start_date, config.start_date + timedelta(hours=hours)),
             config.weather.storm_density,
             config.weather.seed,
         )
+    manifest = generate_dataset(config, args.out)
+    if field is not None:
         save_weather_csv(field, os.path.join(args.out, "weather.csv"))
         print(f"wrote weather.csv with {len(field)} cells", file=sys.stderr)
     _emit(manifest, None)
@@ -379,7 +398,7 @@ def cmd_hosim(args: argparse.Namespace) -> int:
     if args.truth:
         truth = {}
         for sat, values in _load_json(args.truth).items():
-            if not isinstance(values, list):
+            if not (isinstance(values, list) and all(v is None or _is_number(v) for v in values)):
                 raise ValueError(f"truth for {sat} must be a list of CNR values or null")
             truth[sat] = [None if v is None else float(v) for v in values]
     report = simulate_handover(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -253,7 +254,7 @@ def _parse_column(texts: Sequence[str], parse, dtype, bad: dict[int, str], memo=
     (values, errors) carries what earlier calls parsed.  A text ``parse``
     rejects is 0 and marks its rows in ``bad``."""
     values, errors = ({}, {}) if memo is None else memo
-    for text in {text for text in texts if text not in values}:
+    for text in set(texts).difference(values):
         try:
             values[text] = parse(text)
         except ValueError as exc:
@@ -586,7 +587,7 @@ def encode_features(
         X[:, len(NUMERIC_COLUMNS) : len(NUMERIC_COLUMNS) + len(WEATHER_COLUMNS)] = cells
     for column in CATEGORICAL_COLUMNS:
         ids = vocab.mappings[column]
-        out[column][:] = [ids.get(token, UNKNOWN_ID) for token in getattr(log, column).tolist()]
+        out[column][:] = list(map(ids.get, getattr(log, column).tolist(), itertools.repeat(UNKNOWN_ID)))
 
     if for_prediction:
         y = y_cnr = None

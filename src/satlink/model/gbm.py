@@ -40,11 +40,12 @@ from the rows builds none at all.
 Trees are renumbered to preorder once grown, and identical data and
 hyperparameters give byte-identical serialized models.
 
-Prediction walks every tree at once over flat node arrays (see
-:class:`_FlatEnsemble`).  Trees are held deepest first, so each depth
-level steps only the leading trees that still split there, and every
-tree costs a row only as many steps as the tree is deep.  Leaf values
-come back in training order and are added round by round, so scores are
+Prediction finds every tree's exit leaf with QuickScorer's bitvectors
+(Lucchese et al., SIGIR 2015; see :class:`_FlatEnsemble`): a row's rank
+among one feature's sorted split thresholds picks one precomputed leaf
+mask per tree, the AND of those masks over the features keeps the leaves
+the row can reach, and the lowest bit left is its leaf.  Leaf values come
+back in training order and are added round by round, so scores are
 bit-identical to walking one tree at a time.
 """
 
@@ -163,79 +164,224 @@ class GbmModel:
 
     @functools.cached_property
     def _flat(self) -> "_FlatEnsemble":
-        """All trees as flat arrays, built on first prediction; trees are
-        not changed after training or loading."""
+        """All trees as bitvector tables, built on first prediction; trees
+        are not changed after training or loading."""
         return _FlatEnsemble.build([tree for round_trees in self.trees for tree in round_trees])
+
+
+#: ``_LOW_BITS[k]`` has the lowest ``k`` bits of a word set, k in 0..64.
+_LOW_BITS = np.array([(1 << k) - 1 for k in range(65)], dtype=np.uint64)
+
+#: ``_EXPONENT_BIT[frexp(w)[1]]`` is the bit of a one-bit word ``w``; for
+#: ``w == 0`` it is past every leaf, so an empty piece is no exit leaf.
+_EXPONENT_BIT = np.array([2**62, *range(64)], dtype=np.int64)
+
+
+def _leaf_spans(tree: Tree) -> tuple[np.ndarray, np.ndarray]:
+    """Per node of ``tree``, the number of its first leaf, leaves numbered
+    left to right from 0, and its count of leaves.
+
+    Children follow their parent and every node but the root has one
+    parent (:func:`_check_tree` for loaded trees), so one backward pass
+    counts the leaves below each node and one forward pass numbers them.
+    """
+    feature, left, right = tree.feature.tolist(), tree.left.tolist(), tree.right.tolist()
+    count = [1] * len(feature)
+    for i in reversed(range(len(feature))):
+        if feature[i] >= 0:
+            count[i] = count[left[i]] + count[right[i]]
+    first = [0] * len(feature)
+    for i, f in enumerate(feature):
+        if f >= 0:
+            first[left[i]] = first[i]
+            first[right[i]] = first[i] + count[left[i]]
+    return np.array(first, dtype=np.intp), np.array(count, dtype=np.intp)
+
+
+def _tree_start(end: int, n_leaves: int) -> int:
+    """First bit of a tree of ``n_leaves`` leaves placed after bit ``end``:
+    ``end`` itself when the tree fits in what is left of that bit's word,
+    else the next word's first bit."""
+    return end if end % 64 + n_leaves <= 64 else -(-end // 64) * 64
+
+
+@dataclass(frozen=True)
+class _TableBlock:
+    """QuickScorer tables of some trees with splits (Lucchese et al.,
+    "QuickScorer: a Fast Algorithm to Rank Documents with Additive
+    Ensembles of Regression Trees", SIGIR 2015).
+
+    Each tree's leaves are numbered left to right, which is their preorder
+    order, from the tree's first bit ``start``: leaf ``i`` is bit
+    ``n % 64`` of word ``n // 64``, ``n = start + i``.  Trees follow each
+    other in training order, and a tree starts a new word unless it fits
+    in what is left of the last one (:func:`_tree_start`), so a tree of at
+    most 64 leaves lies in one word.  A split's mask clears the bits of its
+    left subtree's leaves, since a row goes right when ``x > threshold`` or
+    ``x`` is NaN.
+    Row ``offsets[j] + r`` of ``table`` is, for feature ``features[j]``,
+    the AND of the masks of the splits on it whose threshold ranks below
+    ``r`` among ``thresholds[j]``.  A row reads rank
+    ``r = searchsorted(thresholds[j], x, side="left")``, the number of
+    thresholds below ``x`` (all of them for NaN), so the AND of its rows
+    over the features clears every leaf the row cannot reach, and a
+    tree's exit leaf is the lowest bit still set among its own.
+
+    Each word a tree's leaves touch is one of its pieces, and a piece
+    keeps the bits of its word from the tree's first bit up.  The lowest
+    set bit of the piece that holds the exit leaf is the exit leaf; any
+    other piece's is a later leaf, of this tree or of a later one, or the
+    piece is empty.  So the exit leaf is the least lowest set bit over the
+    tree's pieces.  Pieces are held as (rank, tree), rank the piece's
+    place in its tree; a tree of fewer pieces than the widest repeats its
+    first one.
+    """
+
+    trees: np.ndarray  # (trees,) intp place of each tree in training order
+    features: tuple[int, ...]  # columns some tree of the block splits on
+    thresholds: tuple[np.ndarray, ...]  # ascending distinct split thresholds of each feature
+    offsets: tuple[int, ...]  # first table row of each feature
+    table: np.ndarray  # (table rows, words) uint64
+    piece_word: np.ndarray  # (ranks, trees) intp word of each piece
+    piece_keep: np.ndarray  # (ranks, trees, 1) uint64 bits of the word from the tree's first bit up
+    piece_bit: np.ndarray  # (ranks, trees, 1) intp number of bit 0 of the piece's word
+    leaf_value: np.ndarray  # (64 * words,) float64 value of the leaf at each bit
+
+    @classmethod
+    def build(cls, places: list[int], trees: list[Tree]) -> "_TableBlock":
+        spans = [_leaf_spans(tree) for tree in trees]
+        n_leaves = [int(count[0]) for _, count in spans]
+        starts, end = [], 0
+        for n in n_leaves:
+            starts.append(_tree_start(end, n))
+            end = starts[-1] + n
+        # All nodes of the block in one set of arrays; leaf numbers and
+        # child ids count within the block.
+        n_nodes = [tree.feature.size for tree in trees]
+        first, count = (np.concatenate(a) for a in zip(*spans))
+        first += np.repeat(starts, n_nodes)
+        feature, threshold, left, value = (
+            np.concatenate([getattr(tree, k) for tree in trees]) for k in ("feature", "threshold", "left", "value")
+        )
+        left = left + np.repeat(np.cumsum(n_nodes) - n_nodes, n_nodes)
+        leaf = feature < 0
+        leaf_value = np.zeros(64 * -(-end // 64))
+        leaf_value[first[leaf]] = value[leaf]
+        split = ~leaf
+        feature, threshold, lo = feature[split], threshold[split], first[split]
+        hi = lo + count[left[split]]
+        # One (split, word) pair per word its left subtree's leaves touch.
+        pair, word = _word_pairs(lo, hi)
+        bit = 64 * word
+        cleared = _LOW_BITS[np.clip(hi[pair] - bit, 0, 64)] & ~_LOW_BITS[np.clip(lo[pair] - bit, 0, 64)]
+        features = np.unique(feature).tolist()
+        thresholds = tuple(np.unique(threshold[feature == f]) for f in features)
+        sizes = np.array([t.size + 1 for t in thresholds], dtype=np.intp)
+        offsets = np.cumsum(sizes) - sizes
+        # A split's mask joins the table from the row past its threshold's rank.
+        row = np.empty(lo.size, dtype=np.intp)
+        for f, t, offset in zip(features, thresholds, offsets.tolist()):
+            on = feature == f
+            row[on] = offset + 1 + np.searchsorted(t, threshold[on])
+        table = np.full((int(sizes.sum()), leaf_value.size // 64), ~np.uint64(0))
+        np.bitwise_and.at(table, (row[pair], word), ~cleared)
+        for offset, size in zip(offsets.tolist(), sizes.tolist()):
+            np.bitwise_and.accumulate(table[offset : offset + size], axis=0, out=table[offset : offset + size])
+        starts = np.array(starts, dtype=np.intp)
+        tree, word = _word_pairs(starts, starts + np.array(n_leaves, dtype=np.intp))
+        first_piece = np.searchsorted(tree, np.arange(len(trees)))
+        rank = np.arange(tree.size) - first_piece[tree]
+        piece = np.repeat(first_piece[None, :], rank.max() + 1, axis=0)
+        piece[rank, tree] = np.arange(tree.size)
+        keep = ~_LOW_BITS[np.clip(starts[tree] - 64 * word, 0, 64)]
+        return cls(
+            trees=np.array(places, dtype=np.intp), features=tuple(features), thresholds=thresholds,
+            offsets=tuple(offsets.tolist()), table=table, piece_word=word[piece],
+            piece_keep=keep[piece][..., None], piece_bit=64 * word[piece][..., None], leaf_value=leaf_value,
+        )
+
+    def leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """(trees, rows) exit leaf value of every row of ``X`` in each tree."""
+        bits = None
+        for f, thresholds, offset in zip(self.features, self.thresholds, self.offsets):
+            masks = self.table[np.searchsorted(thresholds, X[:, f]) + offset]
+            bits = masks if bits is None else np.bitwise_and(bits, masks, out=bits)
+        pieces = np.ascontiguousarray(bits.T)[self.piece_word] & self.piece_keep
+        # x & -x keeps the lowest set bit, a power of two that frexp reads exactly.
+        leaf = self.piece_bit + np.take(_EXPONENT_BIT, np.frexp(pieces & -pieces)[1])
+        return self.leaf_value[leaf.min(axis=0)]
+
+
+def _word_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(range, word) for every word that each bit range ``[lo, hi)`` touches,
+    range after range and words ascending."""
+    first, n_words = lo // 64, (hi - 1) // 64 - lo // 64 + 1
+    ranges = np.repeat(np.arange(lo.size), n_words)
+    return ranges, np.repeat(first - np.cumsum(n_words) + n_words, n_words) + np.arange(n_words.sum())
 
 
 @dataclass(frozen=True)
 class _FlatEnsemble:
-    """Every tree of a model in one set of node arrays, deepest tree first.
+    """Every tree of a model as QuickScorer bitvectors (see
+    :class:`_TableBlock`), trees with splits in blocks in training order.
 
-    Trees are sorted by depth, deepest first (a stable sort, so trees of
-    equal depth keep training order), and concatenated in that order,
-    each node ``i`` of the concatenation owning the slots ``2i`` and
-    ``2i + 1``.  Walking rows hold doubled ids, so that
-    ``child[2i + went_left]`` is the next node: slot ``2i`` holds the
-    right child, ``2i + 1`` the left one.  A leaf is its own child on
-    both sides, so a row that reaches a leaf early stays there.
-    ``deeper[l]`` trees are deeper than ``l``; they lead the order, so
-    level ``l`` of a walk steps only them, and after as many steps as a
-    tree is deep every row sits at its leaf in that tree.
+    A single-leaf tree gives every row its value and has no table.
     """
 
-    feature: np.ndarray  # (2 * nodes,) intp; 0 at leaves
-    threshold: np.ndarray  # (2 * nodes,) float64
-    child: np.ndarray  # (2 * nodes,) intp doubled ids: right child, then left child
-    value: np.ndarray  # (2 * nodes,) float64
-    roots: np.ndarray  # (trees,) intp doubled id of each tree's root, deepest tree first
-    deeper: tuple[int, ...]  # deeper[l]: trees deeper than level l; non-increasing
-    position: np.ndarray  # (trees,) intp place in the walk of each tree, in training order
+    n_trees: int
+    single: np.ndarray  # (single-leaf trees,) intp place in training order
+    single_value: np.ndarray  # (single-leaf trees,) float64
+    blocks: tuple[_TableBlock, ...]
 
     @classmethod
     def build(cls, trees: list[Tree]) -> "_FlatEnsemble":
-        depths = np.array([tree.depth for tree in trees])
-        order = np.argsort(-depths, kind="stable")
-        trees = [trees[t] for t in order]
-        sizes = np.array([tree.feature.size for tree in trees], dtype=np.intp)
-        offsets = np.cumsum(sizes) - sizes
-        feature = np.concatenate([tree.feature for tree in trees]).astype(np.intp)
-        left = np.concatenate([tree.left + o for tree, o in zip(trees, offsets)]).astype(np.intp)
-        right = np.concatenate([tree.right + o for tree, o in zip(trees, offsets)]).astype(np.intp)
-        leaf = feature < 0
-        left[leaf] = right[leaf] = np.flatnonzero(leaf)
-        feature[leaf] = 0
-        position = np.empty(len(trees), dtype=np.intp)
-        position[order] = np.arange(len(trees))
+        """Blocks of consecutive trees with splits.  A tree joins the open
+        block while the block's table, one row per distinct threshold of
+        each feature plus one per feature by one column per word, stays
+        within :data:`_TABLE_WORDS` words, and starts the next block
+        otherwise."""
+        single = [t for t, tree in enumerate(trees) if tree.feature.size == 1]
+        blocks, places, keys, features, end = [], [], set(), set(), 0
+        for t, tree in enumerate(trees):
+            if tree.feature.size == 1:
+                continue
+            split = tree.feature >= 0
+            tree_keys = set(zip(tree.feature[split].tolist(), tree.threshold[split].tolist()))
+            tree_features = {f for f, _ in tree_keys}
+            n_leaves = (tree.feature.size + 1) // 2
+            rows = len(keys) + len(tree_keys - keys) + len(features) + len(tree_features - features)
+            if places and rows * -(-(_tree_start(end, n_leaves) + n_leaves) // 64) > _TABLE_WORDS:
+                blocks.append(_TableBlock.build(places, [trees[p] for p in places]))
+                places, keys, features, end = [], set(), set(), 0
+            places.append(t)
+            keys |= tree_keys
+            features |= tree_features
+            end = _tree_start(end, n_leaves) + n_leaves
+        if places:
+            blocks.append(_TableBlock.build(places, [trees[p] for p in places]))
         return cls(
-            feature=np.repeat(feature, 2),
-            threshold=np.repeat(np.concatenate([tree.threshold for tree in trees]), 2),
-            child=np.column_stack([2 * right, 2 * left]).ravel(),
-            value=np.repeat(np.concatenate([tree.value for tree in trees]), 2),
-            roots=2 * offsets,
-            deeper=tuple(int((depths > level).sum()) for level in range(int(depths.max()))),
-            position=position,
+            n_trees=len(trees),
+            single=np.array(single, dtype=np.intp),
+            single_value=np.array([trees[t].value[0] for t in single], dtype=np.float64),
+            blocks=tuple(blocks),
         )
 
     @property
     def rows_per_block(self) -> int:
-        """Rows :func:`raw_scores` walks at once: ``_BLOCK_PAIRS`` (row,
-        tree) pairs, and at least one row."""
-        return max(1, _BLOCK_PAIRS // self.roots.size)
+        """Rows :func:`raw_scores` predicts at once: ``_BLOCK_PAIRS`` (row,
+        tree) and (row, piece) pairs, and at least one row."""
+        widest = max([self.n_trees] + [block.piece_word.size for block in self.blocks])
+        return max(1, _BLOCK_PAIRS // widest)
 
     def leaf_values(self, X: np.ndarray) -> np.ndarray:
-        """(trees, rows) leaf value of every row of C-contiguous ``X`` in
-        every tree, trees in training order; rows go left when
-        x <= threshold, so NaN goes right."""
-        n_rows, n_features = X.shape
-        flat_x = X.ravel()
-        row_start = np.arange(n_rows, dtype=np.intp) * n_features
-        node = np.repeat(self.roots[:, None], n_rows, axis=1)
-        for n_trees in self.deeper:
-            walking = node[:n_trees]
-            went_left = flat_x[row_start + self.feature[walking]] <= self.threshold[walking]
-            node[:n_trees] = self.child[walking + went_left]
-        return self.value[node[self.position]]
+        """(trees, rows) leaf value of every row of ``X`` in every tree,
+        trees in training order; rows go left when x <= threshold, so NaN
+        goes right."""
+        out = np.empty((self.n_trees, X.shape[0]))
+        out[self.single] = self.single_value[:, None]
+        for block in self.blocks:
+            out[block.trees] = block.leaf_values(X)
+        return out
 
 
 def _bin_edges(col: np.ndarray, n_bins: int) -> np.ndarray:
@@ -577,16 +723,23 @@ def _check_schema(model: GbmModel, matrix: FeatureMatrix) -> None:
         )
 
 
-#: (row, tree) pairs walked at once; bounds the (trees, rows) temporaries
-#: of a walk while keeping whole flights in one block.
+#: (row, tree) and (row, piece) pairs predicted at once; bounds the
+#: temporaries of a block of rows while keeping whole flights in one block.
 _BLOCK_PAIRS = 2**18
+
+#: Table words (uint64) of one block of trees: 2**16 words, 512 KiB.  A
+#: block outgrows it only when it is one tree whose own tables do; a
+#: trained tree has at most ``n_bins - 1`` distinct thresholds per feature,
+#: so its tables hold at most ``n_bins`` rows per feature of one word per
+#: 64 leaves.
+_TABLE_WORDS = 2**16
 
 
 def raw_scores(model: GbmModel, matrix: FeatureMatrix) -> np.ndarray:
     """Base scores plus summed leaf values, class-major: shape (n_classes,
     n_rows).
 
-    Rows walk every tree at once in blocks of
+    Rows reach every tree at once in blocks of
     :attr:`_FlatEnsemble.rows_per_block`; leaf values are added round by
     round, in training order.
     """
@@ -658,7 +811,8 @@ def model_to_jsonable(model: GbmModel) -> dict:
 
 
 def _check_tree(tree: Tree, n_features: int) -> None:
-    """Reject trees that would mis-predict, or never finish, in :func:`raw_scores`."""
+    """Reject node arrays that are not one tree of valid splits, which
+    :func:`raw_scores` would mis-predict."""
     n, split = tree.feature.size, tree.feature >= 0
     if n == 0 or any(getattr(tree, k).size != n for k in _TREE_DTYPES):
         raise ModelFormatError("tree node arrays are empty or of unequal length")
@@ -671,6 +825,9 @@ def _check_tree(tree: Tree, n_features: int) -> None:
     lo, hi = np.minimum(tree.left, tree.right), np.maximum(tree.left, tree.right)
     if ((lo <= np.arange(n)) | (hi >= n))[split].any():
         raise ModelFormatError("a child index does not point forward within its tree")
+    children = np.concatenate([tree.left[split], tree.right[split]])
+    if not np.array_equal(np.bincount(children, minlength=n), np.arange(n) > 0):
+        raise ModelFormatError("a node other than the root is not the child of exactly one split")
 
 
 def model_from_jsonable(data: dict) -> GbmModel:

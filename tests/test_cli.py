@@ -327,6 +327,8 @@ class TestForecastHosim:
     @pytest.mark.parametrize("truth, named", [
         ([1.0], "must be an object, got list"),
         ({"I5F1": 7.5}, "truth for I5F1 must be a list"),
+        ({"I5F1": [[1.0]]}, "truth for I5F1 must be a list of CNR values or null"),
+        ({"I5F1": [1.0, "2.0"]}, "truth for I5F1 must be a list of CNR values or null"),
     ])
     def test_hosim_truth_must_map_satellites_to_lists(self, truth, named, trained_model, small_corpus, tmp_path, capsys):
         config = self.models_config(trained_model, tmp_path)
@@ -403,6 +405,38 @@ class TestConfigShapes:
         code = main(["generate", "--config", str(gen_config), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == "error: weather_export must be an object, got list\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("export, named", [
+        ({"bounds": [51.0, 51.5, -1.0, 0.0], "hours": None}, "hours must be a positive integer, got None"),
+        ({"bounds": [51.0, 51.5, -1.0, 0.0], "hours": 2.5}, "weather_export hours must be a positive integer, got 2.5"),
+        ({"bounds": [51.0, 51.5, -1.0, 0.0]}, "weather_export hours must be a positive integer, got None"),
+        ({"bounds": [51.0, 51.5], "hours": 2}, "weather_export bounds must be 4 numbers"),
+        ({"bounds": [51.0, "51.5", -1.0, 0.0], "hours": 2}, "weather_export bounds must be 4 numbers"),
+        ({"bounds": [51.5, 51.0, -1.0, 0.0], "hours": 2}, "empty bounds"),
+        ({"bounds": [51.0, 51.5, -1.0, 0.0], "hours": 2, "hour": 3}, "unknown weather_export key(s): hour"),
+    ])
+    def test_weather_export_values_are_checked_before_generating(self, export, named, gen_config, tmp_path, capsys):
+        raw = json.loads(gen_config.read_text())
+        gen_config.write_text(json.dumps({**raw, "weather_export": export}))
+        out = tmp_path / "data"
+        assert main(["generate", "--config", str(gen_config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("min_altitude_m", "6000", "min_altitude_m must be a number or null, got '6000'"),
+        ("max_altitude_m", [1], "max_altitude_m must be a number or null, got [1]"),
+        ("name", 5, "name must be a string, got 5"),
+        ("satellite", 1, "satellite must be a string or null, got 1"),
+    ])
+    def test_train_reports_a_spec_value_of_the_wrong_type(self, key, value, named, small_corpus, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"name": "typed", "hyperparams": SMALL_HP, key: value}))
+        out = tmp_path / "m.json"
+        assert main(["train", "--config", str(spec), "--data", small_corpus["dir"], "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
         assert not out.exists()
 
     def test_generate_names_a_misspelt_key(self, gen_config, tmp_path, capsys):

@@ -473,6 +473,36 @@ def reference_leaves(tree, X):
         node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
 
 
+def left_to_right_leaves(tree, node):
+    """Leaves below ``node``, left subtree before right, by walking the
+    tree; the reference for the leaf numbers of the bitvector tables."""
+    leaves, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        if tree.feature[node] < 0:
+            leaves.append(node)
+        else:
+            stack += (int(tree.right[node]), int(tree.left[node]))
+    return leaves
+
+
+def breadth_first(tree):
+    """``tree`` with its nodes stored breadth-first in place of preorder."""
+    order = [0]
+    for node in order:
+        if tree.feature[node] >= 0:
+            order += (int(tree.left[node]), int(tree.right[node]))
+    new_id = np.empty(len(order), dtype=np.int32)
+    new_id[order] = np.arange(len(order))
+    split = tree.feature[order] >= 0
+    return Tree(
+        feature=tree.feature[order], threshold=tree.threshold[order],
+        left=np.where(split, new_id[tree.left[order]], -1).astype(np.int32),
+        right=np.where(split, new_id[tree.right[order]], -1).astype(np.int32),
+        value=tree.value[order],
+    )
+
+
 def reference_apply(tree, X):
     return tree.value[reference_leaves(tree, X)]
 
@@ -518,17 +548,31 @@ def random_tree(rng, n_features, max_depth, thresholds, split_p=0.75):
     )
 
 
+def wide_tree(rng, n_features, thresholds):
+    """A random tree of more than 64 leaves, so more than one bitvector word."""
+    while True:
+        tree = random_tree(rng, n_features, 8, thresholds, split_p=0.9)
+        if (tree.feature < 0).sum() > 64:
+            return tree
+
+
 def random_trees(draw, rng, n_features, thresholds, n_classes):
-    """[round][class] trees of one of three shapes: mixed depths; whole
-    classes of single leaves among trees of mixed depth; or shallow trees
-    with one tree of depth 5 deeper than all the others."""
+    """[round][class] trees of one of four shapes: mixed depths; whole
+    classes of single leaves among trees of mixed depth; shallow trees
+    with one tree of depth 5 deeper than all the others; or mixed depths
+    with one tree of more than 64 leaves."""
     n_rounds = draw(st.integers(0, 6))
-    shape = draw(st.sampled_from(["mixed", "leaf classes", "one deep"]))
-    if shape == "mixed":
-        return [
+    shape = draw(st.sampled_from(["mixed", "leaf classes", "one deep", "one wide"]))
+    if shape in ("mixed", "one wide"):
+        trees = [
             [random_tree(rng, n_features, draw(st.integers(0, 5)), thresholds) for _ in range(n_classes)]
             for _ in range(n_rounds)
         ]
+        if trees and shape == "one wide":
+            trees[draw(st.integers(0, n_rounds - 1))][draw(st.integers(0, n_classes - 1))] = wide_tree(
+                rng, n_features, thresholds
+            )
+        return trees
     if shape == "leaf classes":
         leaf_classes = set(draw(st.sets(st.integers(0, n_classes - 1), max_size=n_classes)))
         return [
@@ -548,7 +592,9 @@ def random_trees(draw, rng, n_features, thresholds, n_classes):
 def ensemble_cases(draw):
     """A model of random trees, a ``gbm._BLOCK_PAIRS`` small enough for
     short tests, and rows to score that end on, just past or well past a
-    block boundary for that model.
+    block boundary for that model.  The model's tables are built under a
+    ``gbm._TABLE_WORDS`` of one word (a block per tree), a few hundred
+    words, or the real budget.
 
     Feature values come from a few levels that double as thresholds, so
     many values equal a threshold; some values are NaN.
@@ -568,6 +614,7 @@ def ensemble_cases(draw):
     if trees:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(gbm, "_BLOCK_PAIRS", block_pairs)
+            patch.setattr(gbm, "_TABLE_WORDS", draw(st.sampled_from([1, 300, gbm._TABLE_WORDS])))
             per_block = model._flat.rows_per_block
     n_rows = draw(st.sampled_from([0, 1, per_block, per_block + 1, 2 * per_block + 3]))
     X = rng.choice(levels, size=(n_rows, n_features))
@@ -601,19 +648,103 @@ class TestRawScores:
         assert gbm.raw_scores(model, matrix).tobytes() == reference_raw_scores(model, X).tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 30))
-    def test_deeper_counts_the_trees_below_each_level(self, seed, n_trees):
+    @given(st.integers(0, 2**32 - 1))
+    def test_leaf_numbers_run_left_to_right(self, seed):
         rng = np.random.default_rng(seed)
-        trees = [random_tree(rng, 2, int(rng.integers(0, 7)), [0.0]) for _ in range(n_trees)]
-        flat = gbm._FlatEnsemble.build(trees)
-        depths = np.array([tree.depth for tree in trees])
-        assert list(flat.deeper) == [int((depths > level).sum()) for level in range(depths.max())]
-        assert all(a >= b for a, b in zip(flat.deeper, flat.deeper[1:]))
-        # Deepest first in the walk, and equal depths in training order.
-        walk_order = np.argsort(flat.position)
-        assert np.all(np.diff(depths[walk_order]) <= 0)
-        ties = depths[walk_order][1:] == depths[walk_order][:-1]
-        assert np.all(np.diff(walk_order)[ties] > 0)
+        tree = wide_tree(rng, 2, [0.0]) if rng.random() < 0.2 else random_tree(rng, 2, 6, [0.0])
+        first, count = gbm._leaf_spans(tree)
+        leaves = left_to_right_leaves(tree, 0)
+        assert first[leaves].tolist() == list(range(len(leaves)))
+        assert count[leaves].tolist() == [1] * len(leaves)
+        # Each node's leaves are the run that starts at its first leaf.
+        for node in range(tree.feature.size):
+            want = list(range(first[node], first[node] + count[node]))
+            assert first[left_to_right_leaves(tree, node)].tolist() == want
+        # The same numbers when the nodes are stored breadth-first, as a
+        # loaded model may store them.
+        bfs = breadth_first(tree)
+        first_bfs, _ = gbm._leaf_spans(bfs)
+        assert first_bfs[left_to_right_leaves(bfs, 0)].tolist() == list(range(len(leaves)))
+        matrix = make_matrix(rng.choice([-1.0, 0.0, 1.0, np.nan], size=(30, 2)))
+        model = GbmModel(
+            kind="regressor", n_classes=1, hyperparams=GbmHyperParams(), base_score=np.zeros(1),
+            trees=[[tree], [bfs]], columns=matrix.columns, schema_hash=matrix.schema_hash, vocab=None,
+        )
+        assert gbm.raw_scores(model, matrix).tobytes() == reference_raw_scores(model, matrix.X).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    def test_each_split_mask_clears_exactly_its_left_subtree(self, seed, n_trees):
+        """Every table row equals the AND of reference masks, one per split
+        on its feature whose threshold ranks below the row's, each mask
+        clearing exactly the bits of the split's left subtree's leaves at
+        the bits the placement rule gives the tree."""
+        rng = np.random.default_rng(seed)
+        levels = np.round(rng.normal(size=5), 1)
+        trees = [
+            wide_tree(rng, 3, levels) if rng.random() < 0.2 else random_tree(rng, 3, 6, levels, split_p=0.8)
+            for _ in range(n_trees)
+        ]
+        trees = [tree for tree in trees if tree.feature.size > 1] or [random_tree(rng, 3, 1, levels, split_p=1.0)]
+        block = gbm._TableBlock.build(list(range(len(trees))), trees)
+        end, masks = 0, []  # (feature, threshold, mask words) per split
+        for tree in trees:
+            n_leaves = int((tree.feature < 0).sum())
+            start = end if end % 64 + n_leaves <= 64 else -(-end // 64) * 64
+            end = start + n_leaves
+            number = {leaf: start + i for i, leaf in enumerate(left_to_right_leaves(tree, 0))}
+            for node in np.flatnonzero(tree.feature >= 0):
+                mask = [(1 << 64) - 1] * block.table.shape[1]
+                for leaf in left_to_right_leaves(tree, int(tree.left[node])):
+                    mask[number[leaf] // 64] &= ~(1 << (number[leaf] % 64))
+                masks.append((int(tree.feature[node]), float(tree.threshold[node]), mask))
+        assert block.table.shape[1] == -(-end // 64)
+        for f, thresholds, offset in zip(block.features, block.thresholds, block.offsets):
+            assert thresholds.tolist() == sorted({t for g, t, _ in masks if g == f})
+            for r in range(thresholds.size + 1):
+                want = [(1 << 64) - 1] * block.table.shape[1]
+                below = thresholds[r] if r < thresholds.size else np.inf
+                for _, _, mask in [m for m in masks if m[0] == f and m[1] < below]:
+                    want = [a & b for a, b in zip(want, mask)]
+                assert block.table[offset + r].tolist() == want
+
+    def test_many_deep_trees_keep_each_block_within_the_table_budget(self):
+        # Depth-7 trees of distinct thresholds: about 127 table rows and two
+        # words each, so the real budget holds about 16 of them in a block.
+        rng = np.random.default_rng(21)
+        trees = [[random_tree(rng, 3, 7, rng.normal(size=1000), split_p=1.0)] for _ in range(60)]
+        X = rng.normal(size=(300, 3))
+        X[rng.random(X.shape) < 0.1] = np.nan
+        matrix = make_matrix(X)
+        model = GbmModel(
+            kind="regressor", n_classes=1, hyperparams=GbmHyperParams(), base_score=np.zeros(1),
+            trees=trees, columns=matrix.columns, schema_hash=matrix.schema_hash, vocab=None,
+        )
+        blocks = model._flat.blocks
+        assert len(blocks) > 2
+        assert all(block.table.size <= gbm._TABLE_WORDS for block in blocks)
+        assert sum(block.trees.size for block in blocks) == 60
+        assert np.concatenate([block.trees for block in blocks]).tolist() == list(range(60))
+        assert gbm.raw_scores(model, matrix).tobytes() == reference_raw_scores(model, X).tobytes()
+
+    def test_a_tree_larger_than_the_budget_is_a_block_of_its_own(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        levels = np.round(rng.normal(size=20), 2)
+        trees = [
+            [random_tree(rng, 2, 3, levels, split_p=1.0)], [wide_tree(rng, 2, levels)],
+            [random_tree(rng, 2, 3, levels, split_p=1.0)],
+        ]
+        monkeypatch.setattr(gbm, "_TABLE_WORDS", 40)
+        X = rng.choice(levels, size=(50, 2))
+        matrix = make_matrix(X)
+        model = GbmModel(
+            kind="regressor", n_classes=1, hyperparams=GbmHyperParams(), base_score=np.zeros(1),
+            trees=trees, columns=matrix.columns, schema_hash=matrix.schema_hash, vocab=None,
+        )
+        sizes = [block.table.size for block in model._flat.blocks]
+        assert [block.trees.tolist() for block in model._flat.blocks] == [[0], [1], [2]]
+        assert sizes[0] <= 40 and sizes[1] > 40 and sizes[2] <= 40
+        assert gbm.raw_scores(model, matrix).tobytes() == reference_raw_scores(model, X).tobytes()
 
     def test_a_chain_deeper_than_the_recursion_limit_scores_like_the_reference(self):
         # Split k sends x <= k to a leaf of value k and the rest on down the

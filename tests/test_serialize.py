@@ -146,6 +146,16 @@ class TestFormatErrors:
         with pytest.raises(ModelFormatError, match="forward"):
             load_model(corrupt(trained[1], tmp_path, edit))
 
+    def test_node_shared_by_two_splits_rejected(self, trained, tmp_path):
+        # Children still point forward, but the root's right child is now
+        # also its left one and the old right subtree hangs from no split.
+        def edit(data):
+            tree = next(t for t in data["trees"][0] if t["feature"][0] >= 0)
+            tree["right"][0] = tree["left"][0]
+
+        with pytest.raises(ModelFormatError, match="exactly one split"):
+            load_model(corrupt(trained[1], tmp_path, edit))
+
     def test_leaf_with_children_rejected(self, trained, tmp_path):
         def edit(data):
             tree = data["trees"][0][0]
