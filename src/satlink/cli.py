@@ -71,6 +71,11 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    """A JSON integer: an int, but not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _object(what: str, value) -> dict:
     """``value`` when it is a JSON object; ``ValueError`` naming ``what``
     otherwise."""
@@ -101,14 +106,34 @@ class ExperimentSpec:
         if dataset == "all":
             top_k = None
         elif isinstance(dataset, dict) and "top_routes" in dataset:
-            top_k = int(dataset["top_routes"])
+            _reject_unknown("dataset", dataset, ("top_routes",))
+            top_k = dataset["top_routes"]
+            if not _is_integer(top_k) or top_k < 1:
+                raise ValueError(f"dataset top_routes must be an integer >= 1, got {top_k!r}")
         else:
             raise ValueError(f'dataset must be "all" or {{"top_routes": k}}, got {dataset!r}')
         weather = data.get("weather")
-        if weather is not None and not (
-            isinstance(weather, dict) and (("storm_density" in weather and "seed" in weather) or "csv" in weather)
-        ):
-            raise ValueError(f"weather must name a synthetic source or a csv: {weather!r}")
+        if weather is not None:
+            if not (
+                isinstance(weather, dict) and (("storm_density" in weather and "seed" in weather) or "csv" in weather)
+            ):
+                raise ValueError(f"weather must name a synthetic source or a csv: {weather!r}")
+            _reject_unknown("weather", weather, ("csv",) if "csv" in weather else ("storm_density", "seed"))
+            if "csv" in weather:
+                if not isinstance(weather["csv"], str):  # open() takes an int as a file descriptor
+                    raise ValueError(f"weather csv must be a path string, got {weather['csv']!r}")
+            else:
+                density, weather_seed = weather["storm_density"], weather["seed"]
+                if not _is_number(density) or not 0.0 <= density < float("inf"):  # NaN as well
+                    raise ValueError(f"weather storm_density must be a finite number >= 0, got {density!r}")
+                if not _is_integer(weather_seed) or weather_seed < 0:
+                    raise ValueError(f"weather seed must be an integer >= 0, got {weather_seed!r}")
+        test_fraction = data.get("test_fraction", 0.2)
+        if not _is_number(test_fraction) or not 0.0 < test_fraction < 1.0:
+            raise ValueError(f"test_fraction must be a number in (0, 1), got {test_fraction!r}")
+        seed = data.get("seed", 0)
+        if not _is_integer(seed):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         hyperparams = _object("hyperparams", data.get("hyperparams", {}))
         _reject_unknown("hyperparams", hyperparams, {f.name for f in dataclasses.fields(GbmHyperParams)})
         for key in ("min_altitude_m", "max_altitude_m"):
@@ -126,8 +151,8 @@ class ExperimentSpec:
             weather=weather,
             satellite=data.get("satellite"),
             hyperparams=GbmHyperParams(**hyperparams),
-            test_fraction=float(data.get("test_fraction", 0.2)),
-            seed=int(data.get("seed", 0)),
+            test_fraction=test_fraction,
+            seed=seed,
         )
 
     def to_dict(self) -> dict:
@@ -270,7 +295,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         bounds, hours = export.get("bounds"), export.get("hours")
         if not (isinstance(bounds, list) and len(bounds) == 4 and all(map(_is_number, bounds))):
             raise ValueError(f"weather_export bounds must be 4 numbers (lat, lat, lon, lon), got {bounds!r}")
-        if isinstance(hours, bool) or not isinstance(hours, int) or hours < 1:
+        if not _is_integer(hours) or hours < 1:
             raise ValueError(f"weather_export hours must be a positive integer, got {hours!r}")
         if config.weather is None:
             raise ValueError("weather_export requires a weather block in the config")

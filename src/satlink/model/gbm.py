@@ -3,9 +3,14 @@
 One boosting loop fits, each round, one regression tree per output to the
 gradients and hessians of the current scores: softmax over the four
 categories for the classifier, squared error (one output) for the
-regressor.  Split search is histogram-based: feature values are mapped
-once to bin codes, candidate splits are the bin upper edges, and the
-chosen split maximizes
+regressor.  One evaluation of the loss per round gives both the loss after
+the round and the gradients of the next, so the classifier takes one
+softmax per round.  The regressor's hessians are all 1 and are never
+stored: a node's hessian sum is its row count, and its hessian histogram
+counts rows, the same floats as summing ones.  Split search is
+histogram-based: feature values are mapped once to bin codes (NaN past
+every bin), candidate splits are the bin upper edges of each feature's
+non-NaN values, and the chosen split maximizes
 
     gain = 1/2 * (GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda))
 
@@ -24,8 +29,9 @@ hessian histograms are one ``bincount`` pair over all rows.  Below it,
 each level builds only the smaller child of every split node from its
 rows, all in one ``take`` and one ``bincount`` pair, and gets the sibling
 as parent − child (LightGBM's subtraction trick).  The gains of a level's
-nodes are one (nodes, features, width - 1) array whose row-major argmax
-per node keeps the tie rule (lowest feature, then lowest bin).
+nodes are one (nodes, candidates) array, computed only at the real
+(feature, bin) candidates, which ascend by feature and then bin, so each
+node's argmax keeps the tie rule (lowest feature, then lowest bin).
 Subtraction adds in another order than a direct histogram, so a near-tie
 split may differ from a per-node search, and a split must gain more than
 ``1e-10`` times the node's term G^2/(H+lambda), so a gain of rounding
@@ -385,24 +391,43 @@ class _FlatEnsemble:
 
 
 def _bin_edges(col: np.ndarray, n_bins: int) -> np.ndarray:
-    """Ascending split candidates; bin b holds values <= edges[b]."""
-    unique = np.unique(col)
+    """Ascending split candidates from the non-NaN values of ``col``; bin b
+    holds values <= edges[b], and NaN falls past every edge."""
+    values = col[~np.isnan(col)]
+    unique = np.unique(values)
     if unique.size <= 1:
         return np.empty(0)
     if unique.size <= n_bins:
         return (unique[:-1] + unique[1:]) / 2.0
-    quantiles = np.quantile(col, np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
+    quantiles = np.quantile(values, np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
     return np.unique(quantiles)
 
 
 @dataclass(frozen=True)
 class _Bins:
-    """Bin codes of one training matrix."""
+    """Bin codes of one training matrix.
+
+    Slot ``f * width + b`` of a flat histogram holds feature ``f``'s bin
+    ``b``; a split after bin ``b`` is real when ``b`` is below the
+    feature's edge count, and ``candidates`` lists those slots.
+    """
 
     edges: list[np.ndarray]  # split candidates per feature
     codes: np.ndarray  # (features, rows) uint8
     flat: np.ndarray  # (rows, features) intp: codes[f] + f * width, row-major
-    candidate: np.ndarray  # (features, width - 1) bool: a real split after bin b
+    width: int  # slots per feature: the largest edge count plus one
+    candidates: np.ndarray  # (candidates,) intp ascending slots of the real splits
+
+    @property
+    def size(self) -> int:
+        """Slots of one node's histogram: features * width."""
+        return self.flat.shape[1] * self.width
+
+    @functools.cached_property
+    def counts(self) -> np.ndarray:
+        """(size,) rows per slot over all rows: the root's hessian histogram
+        when every hessian is 1.  Built on first use, once per training."""
+        return np.bincount(self.flat.ravel(), minlength=self.size).astype(np.float64)
 
 
 def _bin_features(X: np.ndarray, n_bins: int) -> _Bins:
@@ -411,11 +436,11 @@ def _bin_features(X: np.ndarray, n_bins: int) -> _Bins:
     for f, feature_edges in enumerate(edges):
         codes[f] = np.searchsorted(feature_edges, X[:, f], side="left")
     n_edges = np.array([e.size for e in edges])
-    # At least one split slot, so all-constant columns still give gains (all -inf).
-    width = max(int(n_edges.max(initial=0)), 1) + 1
+    width = int(n_edges.max(initial=0)) + 1
     offsets = np.arange(X.shape[1], dtype=np.intp)[:, None] * width
     flat = np.ascontiguousarray((codes + offsets).T)
-    return _Bins(edges, codes, flat, np.arange(width - 1) < n_edges[:, None])
+    candidates = np.flatnonzero(np.arange(width) < n_edges[:, None])
+    return _Bins(edges, codes, flat, width, candidates)
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -425,15 +450,8 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=0)
 
 
-def _log_loss(scores: np.ndarray, y: np.ndarray) -> float:
-    """Mean softmax cross-entropy of class-major (classes, rows) scores."""
-    shifted = scores - scores.max(axis=0)
-    lse = np.log(np.exp(shifted).sum(axis=0))
-    return float(np.mean(lse - shifted[y, np.arange(len(y))]))
-
-
 def _histograms(
-    bins: _Bins, g: np.ndarray, h: np.ndarray, row_sets: Optional[list[np.ndarray]] = None
+    bins: _Bins, g: np.ndarray, h: Optional[np.ndarray], row_sets: Optional[list[np.ndarray]] = None
 ) -> np.ndarray:
     """(nodes, 2, features * width) gradient and hessian histograms built
     directly from rows, with one ``take`` and one ``bincount`` pair.
@@ -442,10 +460,11 @@ def _histograms(
     ``None`` is the root, whose slots are ``bins.flat`` itself.  Slots are
     read row by row, so consecutive adds go to different features' slots,
     and each slot adds its rows in the order given, ascending for every
-    node.
+    node.  ``h=None`` means unit hessians: the hessian histogram counts
+    rows, the same floats as summing ones, and the root's is
+    :attr:`_Bins.counts`.
     """
-    n_features, n_slots = bins.candidate.shape
-    size = n_features * (n_slots + 1)
+    n_features, size = bins.flat.shape[1], bins.size
     if row_sets is None:
         rows, slots, n_nodes = slice(None), bins.flat.ravel(), 1
     else:
@@ -453,15 +472,23 @@ def _histograms(
         slots = np.take(bins.flat, rows, axis=0)
         slots += np.repeat(np.arange(n_nodes) * size, [r.size for r in row_sets])[:, None]
         slots = slots.ravel()
-    hists = [
-        np.bincount(slots, weights=np.repeat(v[rows], n_features), minlength=n_nodes * size).reshape(n_nodes, size)
-        for v in (g, h)
-    ]
-    return np.stack(hists, axis=1)
+    hist = np.empty((n_nodes, 2, size))
+    hist[:, 0] = np.bincount(slots, np.repeat(g[rows], n_features), n_nodes * size).reshape(n_nodes, size)
+    if h is not None:
+        hist[:, 1] = np.bincount(slots, np.repeat(h[rows], n_features), n_nodes * size).reshape(n_nodes, size)
+    elif row_sets is None:
+        hist[0, 1] = bins.counts
+    else:
+        hist[:, 1] = np.bincount(slots, minlength=n_nodes * size).reshape(n_nodes, size)
+    return hist
 
 
 def _child_histograms(
-    bins: _Bins, g: np.ndarray, h: np.ndarray, parents: np.ndarray, children: list[tuple[np.ndarray, np.ndarray]]
+    bins: _Bins,
+    g: np.ndarray,
+    h: Optional[np.ndarray],
+    parents: np.ndarray,
+    children: list[tuple[np.ndarray, np.ndarray]],
 ) -> np.ndarray:
     """Histograms of both children of each split node, left then right,
     node after node, from the ``parents``' histograms.
@@ -505,16 +532,20 @@ def _best_splits(
     times the node's own term ``G^2 / (H + lambda)``.  Each child's hessian
     sum must reach :func:`_least_child_weight` of the node's.
 
-    All nodes share one (nodes, features, width - 1) gain array.  Each
-    node's row-major argmax resolves ties to the lowest feature id, then
-    the lowest bin, so the search is order-deterministic.
+    Gains are computed at the real candidates only, one (nodes,
+    candidates) array gathered from the histograms' cumulative sums.
+    Candidates ascend by feature, then bin, so each node's argmax resolves
+    ties to the lowest feature id, then the lowest bin.  A matrix without
+    candidates splits no node.
     """
     n_nodes = hist.shape[0]
-    n_features, n_slots = bins.candidate.shape
-    gl, hl = np.cumsum(hist.reshape(n_nodes, 2, n_features, -1), axis=3)[:, :, :, :-1].transpose(1, 0, 2, 3)
+    if bins.candidates.size == 0:
+        return np.full(n_nodes, -1), np.zeros(n_nodes, dtype=np.intp)
+    cumulative = np.cumsum(hist.reshape(n_nodes, 2, -1, bins.width), axis=3).reshape(n_nodes, 2, -1)
+    gl, hl = np.take(cumulative, bins.candidates, axis=2).transpose(1, 0, 2)
     lam = hp.l2_lambda
-    g_sum = g_sum[:, None, None]
-    h_sum = h_sum[:, None, None]
+    g_sum = g_sum[:, None]
+    h_sum = h_sum[:, None]
     parent = np.divide(g_sum * g_sum, h_sum + lam, out=np.zeros_like(g_sum), where=(h_sum + lam) > 0)
     gr = g_sum - gl
     hr = h_sum - hl
@@ -522,21 +553,36 @@ def _best_splits(
     right_term = np.divide(gr * gr, hr + lam, out=np.zeros_like(gr), where=(hr + lam) > 0)
     gains = 0.5 * (left_term + right_term - parent)
     least = _least_child_weight(h_sum, hp.min_child_weight)
-    gains[~bins.candidate | (hl < least) | (hr < least)] = -np.inf
-    # A NaN gain rules out its whole feature, as in a per-feature search
-    # whose argmax lands on the NaN and then fails the `> 0` test.
-    gains[np.isnan(gains).any(axis=2)] = -np.inf
-    gains = gains.reshape(n_nodes, -1)
+    gains[(hl < least) | (hr < least)] = -np.inf
+    nan = np.isnan(gains)
+    if nan.any():
+        # A NaN gain rules out its whole feature, as in a per-feature search
+        # whose argmax lands on the NaN and then fails the `> 0` test.
+        feature = bins.candidates // bins.width
+        ruled_out = np.zeros((n_nodes, bins.flat.shape[1]), dtype=bool)
+        node, candidate = np.nonzero(nan)
+        ruled_out[node, feature[candidate]] = True
+        gains[ruled_out[:, feature]] = -np.inf
     best = np.argmax(gains, axis=1)
-    feature, bin_ = np.divmod(best, n_slots)
+    feature, bin_ = np.divmod(bins.candidates[best], bins.width)
     return np.where(gains[np.arange(n_nodes), best] > _MIN_GAIN * parent.ravel(), feature, -1), bin_
 
 
+def _node_sums(values: Optional[np.ndarray], level: list[np.ndarray]) -> np.ndarray:
+    """Sum of ``values`` over each node's rows; its row count for unit
+    values (``None``).  ``np.add.reduce`` is the pairwise sum ``.sum()``
+    runs, without the method's wrapper."""
+    if values is None:
+        return np.array([rows.size for rows in level], dtype=np.float64)
+    return np.array([np.add.reduce(values[rows]) for rows in level])
+
+
 def _build_tree(
-    bins: _Bins, g: np.ndarray, h: np.ndarray, hp: GbmHyperParams
+    bins: _Bins, g: np.ndarray, h: Optional[np.ndarray], hp: GbmHyperParams
 ) -> tuple[Tree, np.ndarray]:
     """Grow one tree on (g, h) one depth level at a time; returns it plus
-    the score update per row.
+    the score update per row.  ``h=None`` means every hessian is 1, so a
+    node's hessian sum is its row count.
 
     A node is searched only if it is above ``max_depth``, has two rows or
     more, and its hessian sum H reaches its own :func:`_least_child_weight`
@@ -555,8 +601,8 @@ def _build_tree(
     update = np.zeros(g.size)
     level = [np.arange(g.size)]  # rows of each node of the level, ascending
     for depth in range(hp.max_depth + 1):
-        g_sum = np.array([float(g[rows].sum()) for rows in level])
-        h_sum = np.array([float(h[rows].sum()) for rows in level])
+        g_sum = _node_sums(g, level)
+        h_sum = _node_sums(h, level)
         split_f = np.full(len(level), -1)
         split_b = np.zeros(len(level), dtype=np.intp)
         searched = np.array([rows.size >= 2 for rows in level])
@@ -576,7 +622,7 @@ def _build_tree(
                 # With min_child_weight 0 the best split can leave a side
                 # without rows; its gain is rounding noise, and since it
                 # was the argmax no candidate has a real gain.
-                if mask.all() or not mask.any():
+                if np.count_nonzero(mask) in (0, rows.size):
                     f = split_f[i] = -1
             if f < 0:
                 leaf = -hp.learning_rate * float(g_sum[i]) / (float(h_sum[i]) + hp.l2_lambda)
@@ -620,29 +666,36 @@ def _clipped_log_priors(counts: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _Loss:
     """What the boosting loop needs from a loss; scores are class-major,
-    (outputs, rows), as are the gradients and hessians."""
+    (outputs, rows), as are the gradients and hessians.
+
+    ``evaluate(scores)`` returns the mean loss of the scores and the
+    gradients and hessians at them, so one pass over the scores serves the
+    loss after a round and the gradients of the next.  A ``None`` hessian
+    means every hessian is 1.
+    """
 
     kind: str
     base: np.ndarray  # base score per output; one tree per output per round
-    grad_hess: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]  # each (outputs, rows)
-    value: Callable[[np.ndarray], float]
+    evaluate: Callable[[np.ndarray], tuple[float, np.ndarray, Optional[np.ndarray]]]
 
 
 def _boost(train: FeatureMatrix, hp: GbmHyperParams, loss: _Loss) -> GbmModel:
     """The boosting loop shared by the classifier and the regressor."""
     bins = _bin_features(train.X, hp.n_bins)
     scores = np.repeat(loss.base[:, None], train.n_rows, axis=1)
-    losses = [loss.value(scores)]
+    value, grad, hess = loss.evaluate(scores)
+    losses = [value]
     all_trees: list[list[Tree]] = []
     for _ in range(hp.n_rounds):
-        grad, hess = loss.grad_hess(scores)
         round_trees = []
         for k in range(loss.base.size):
-            tree, update = _build_tree(bins, grad[k], hess[k], hp)
+            tree, update = _build_tree(bins, grad[k], None if hess is None else hess[k], hp)
             scores[k] += update
             round_trees.append(tree)
         all_trees.append(round_trees)
-        losses.append(loss.value(scores))
+        grad = hess = None  # freed before the next evaluation allocates its own
+        value, grad, hess = loss.evaluate(scores)
+        losses.append(value)
     return GbmModel(
         kind=loss.kind, n_classes=loss.base.size, hyperparams=hp, base_score=loss.base,
         trees=all_trees, columns=train.columns, schema_hash=train.schema_hash,
@@ -665,32 +718,40 @@ def train_gbm(train: FeatureMatrix, hp: GbmHyperParams = GbmHyperParams()) -> Gb
     counts = np.bincount(y, minlength=N_CATEGORIES).astype(float)
     if (counts > 0).sum() < 2:
         raise ValueError("training labels contain a single class")
-    one_hot = np.zeros((N_CATEGORIES, train.n_rows))
-    one_hot[y, np.arange(train.n_rows)] = 1.0
+    cols = np.arange(train.n_rows)
 
-    def grad_hess(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        proba = _softmax(scores)
-        return proba - one_hot, proba * (1.0 - proba)
+    def evaluate(scores: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        # The shift, exponent and column sums of :func:`_softmax`, shared
+        # by the mean cross-entropy and the gradients.
+        shifted = scores - scores.max(axis=0)
+        proba = np.exp(shifted)
+        total = proba.sum(axis=0)
+        value = float(np.mean(np.log(total) - shifted[y, cols]))
+        del shifted
+        proba /= total
+        grad = proba.copy()
+        grad[y, cols] -= 1.0
+        hess = 1.0 - proba
+        hess *= proba
+        return value, grad, hess
 
-    loss = _Loss("classifier", _clipped_log_priors(counts), grad_hess, lambda s: _log_loss(s, y))
-    return _boost(train, hp, loss)
+    return _boost(train, hp, _Loss("classifier", _clipped_log_priors(counts), evaluate))
 
 
 def train_regressor(train: FeatureMatrix, hp: GbmHyperParams = GbmHyperParams()) -> GbmModel:
-    """Fit a squared-error regressor on the raw dB target."""
+    """Fit a squared-error regressor on the raw dB target; every hessian is
+    1, so trees read row counts for hessian sums."""
     if train.n_rows == 0:
         raise ValueError("training matrix is empty")
     if train.y_cnr_db is None:
         raise ValueError("training matrix carries no regression target")
     y = train.y_cnr_db.astype(np.float64)
-    hess = np.ones((1, train.n_rows))
-    loss = _Loss(
-        "regressor",
-        np.array([float(y.mean())]),
-        lambda s: (s - y, hess),
-        lambda s: float(np.mean((s[0] - y) ** 2)),
-    )
-    return _boost(train, hp, loss)
+
+    def evaluate(scores: np.ndarray) -> tuple[float, np.ndarray, None]:
+        residual = scores - y
+        return float(np.mean(residual[0] ** 2)), residual, None
+
+    return _boost(train, hp, _Loss("regressor", np.array([float(y.mean())]), evaluate))
 
 
 def baseline_majority(train: FeatureMatrix) -> GbmModel:

@@ -430,6 +430,23 @@ class TestConfigShapes:
         ("max_altitude_m", [1], "max_altitude_m must be a number or null, got [1]"),
         ("name", 5, "name must be a string, got 5"),
         ("satellite", 1, "satellite must be a string or null, got 1"),
+        ("seed", 2.9, "seed must be an integer, got 2.9"),
+        ("seed", True, "seed must be an integer, got True"),
+        ("test_fraction", "0.3", "test_fraction must be a number in (0, 1), got '0.3'"),
+        ("test_fraction", 1.5, "test_fraction must be a number in (0, 1), got 1.5"),
+        ("test_fraction", 0, "test_fraction must be a number in (0, 1), got 0"),
+        ("dataset", {"top_routes": True}, "dataset top_routes must be an integer >= 1, got True"),
+        ("dataset", {"top_routes": 2.0}, "dataset top_routes must be an integer >= 1, got 2.0"),
+        ("dataset", {"top_routes": 0}, "dataset top_routes must be an integer >= 1, got 0"),
+        ("weather", {"storm_density": "x", "seed": 1}, "weather storm_density must be a finite number >= 0, got 'x'"),
+        ("weather", {"storm_density": -1.0, "seed": 1}, "weather storm_density must be a finite number >= 0, got -1.0"),
+        ("weather", {"storm_density": 2.0, "seed": 1.5}, "weather seed must be an integer >= 0, got 1.5"),
+        ("weather", {"storm_density": 2.0, "seed": -1}, "weather seed must be an integer >= 0, got -1"),
+        ("weather", {"storm_density": float("inf"), "seed": 1}, "weather storm_density must be a finite number >= 0, got inf"),
+        ("weather", {"csv": 0}, "weather csv must be a path string, got 0"),
+        ("weather", {"storm_density": 1.0, "seed": 1, "sed": 2}, "unknown weather key(s): sed"),
+        ("weather", {"csv": "w.csv", "seed": 1}, "unknown weather key(s): seed"),
+        ("dataset", {"top_routes": 2, "top": 3}, "unknown dataset key(s): top"),
     ])
     def test_train_reports_a_spec_value_of_the_wrong_type(self, key, value, named, small_corpus, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -103,8 +103,11 @@ def reference_build_tree(bins, g, h, hp):
     :func:`reference_find_split` on row-major codes, every node's
     histograms built directly from its rows.  It searches every node above
     ``max_depth`` with two rows or more, with no early leaf for a light
-    node, so the child-weight rule of the search alone decides."""
+    node, so the child-weight rule of the search alone decides.  ``h=None``
+    reads as unit hessians."""
     codes = bins.codes.T
+    if h is None:
+        h = np.ones(g.size)
     feature, threshold, left, right, value = [], [], [], [], []
     update = np.zeros(codes.shape[0])
 
@@ -196,6 +199,72 @@ def level_and_reference_splits(X, g, h, nodes, hp):
     return got, [None if w is None else w[:2] for w in want]
 
 
+def reference_best_splits(bins, hist, g_sum, h_sum, hp):
+    """The full-width search for ``gbm._best_splits``: gains at every
+    (feature, bin) slot in one (nodes, features, width - 1) array, -inf
+    where a feature has no split after that bin, and a row-major argmax
+    per node.  A matrix without candidates gets one empty split slot per
+    feature, so every node still has a gain to take the argmax of."""
+    n_nodes = hist.shape[0]
+    hist = hist.reshape(n_nodes, 2, len(bins.edges), bins.width)
+    if bins.width == 1:
+        hist = np.concatenate([hist, np.zeros_like(hist)], axis=3)
+    n_slots = hist.shape[3] - 1
+    candidate = np.arange(n_slots) < np.array([e.size for e in bins.edges])[:, None]
+    gl, hl = np.cumsum(hist, axis=3)[:, :, :, :-1].transpose(1, 0, 2, 3)
+    lam = hp.l2_lambda
+    g_sum = g_sum[:, None, None]
+    h_sum = h_sum[:, None, None]
+    parent = np.divide(g_sum * g_sum, h_sum + lam, out=np.zeros_like(g_sum), where=(h_sum + lam) > 0)
+    gr = g_sum - gl
+    hr = h_sum - hl
+    left_term = np.divide(gl * gl, hl + lam, out=np.zeros_like(gl), where=(hl + lam) > 0)
+    right_term = np.divide(gr * gr, hr + lam, out=np.zeros_like(gr), where=(hr + lam) > 0)
+    gains = 0.5 * (left_term + right_term - parent)
+    least = hp.min_child_weight - 1e-10 * h_sum
+    gains[~candidate | (hl < least) | (hr < least)] = -np.inf
+    # A NaN gain rules out its whole feature.
+    gains[np.isnan(gains).any(axis=2)] = -np.inf
+    gains = gains.reshape(n_nodes, -1)
+    best = np.argmax(gains, axis=1)
+    feature, bin_ = np.divmod(best, n_slots)
+    return np.where(gains[np.arange(n_nodes), best] > 1e-10 * parent.ravel(), feature, -1), bin_
+
+
+@st.composite
+def histogram_cases(draw):
+    """Bins of features with 0 to 5 split candidates (none at all in some
+    cases) and a few nodes' histograms of rows whose gradients and
+    hessians come from small sets (heavy ties), with gradients whose
+    squares overflow and zero, subnormal or infinite hessians.  A NaN gain
+    needs an infinite term on each side of its sum; with finite hessians
+    the node's own term is then infinite too and nothing splits, so only
+    infinite hessians give a node a NaN gain in one feature and a real
+    split in another."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_features = draw(st.integers(1, 5))
+    most = draw(st.sampled_from([0, 1, 5, 5]))
+    n_edges = rng.integers(0, most + 1, size=n_features)
+    # Column f takes the values 0..n_edges[f], so it has n_edges[f] edges.
+    X = np.stack([np.arange(most + 1) % (n + 1) for n in n_edges], axis=1).astype(float)
+    bins = gbm._bin_features(X, 256)
+    assert [e.size for e in bins.edges] == n_edges.tolist()
+    g_set = [-1.0, -0.5, 0.0, 0.5, 1.0] + [-1e200, 1e200] * draw(st.integers(0, 1))
+    h_set = [0.0, 0.25, 1.0] + [5e-324] * draw(st.integers(0, 1)) + [np.inf] * draw(st.integers(0, 1))
+    n_nodes = draw(st.integers(1, 4))
+    hist = np.zeros((n_nodes, 2, bins.size))
+    g_sum, h_sum = np.empty(n_nodes), np.empty(n_nodes)
+    for k in range(n_nodes):
+        n = draw(st.integers(2, 30))
+        g, h = rng.choice(g_set, size=n), rng.choice(h_set, size=n)
+        slots = rng.integers(0, n_edges + 1, size=(n, n_features)) + np.arange(n_features) * bins.width
+        np.add.at(hist[k, 0], slots, g[:, None])
+        np.add.at(hist[k, 1], slots, h[:, None])
+        g_sum[k], h_sum[k] = np.add.reduce(g), np.add.reduce(h)
+    hp = GbmHyperParams(min_child_weight=draw(st.sampled_from([0.0, 1.0])), l2_lambda=draw(st.sampled_from([0.0, 1.0])))
+    return bins, hist, g_sum, h_sum, hp
+
+
 class TestSplitSearch:
     @settings(max_examples=300, deadline=None)
     @given(split_cases())
@@ -212,6 +281,16 @@ class TestSplitSearch:
         hp = GbmHyperParams(min_child_weight=0.0)
         assert level_and_reference_splits(X, g, h, [np.arange(3)], hp) == ([(1, 0)], [(1, 0)])
 
+    @settings(max_examples=300, deadline=None)
+    @given(histogram_cases())
+    def test_candidate_search_matches_full_width_search(self, case):
+        with np.errstate(invalid="ignore", over="ignore"):
+            features, bins_ = gbm._best_splits(*case)
+            want_features, want_bins = reference_best_splits(*case)
+        assert features.tolist() == want_features.tolist()
+        split = features >= 0
+        assert bins_[split].tolist() == want_bins[split].tolist()
+
     def test_all_constant_columns_never_split(self):
         X = np.full((10, 3), 4.0)
         bins = gbm._bin_features(X, 64)
@@ -224,7 +303,7 @@ class TestSplitSearch:
 def direct_histogram(bins, values, rows):
     """(features, width) sums of ``values`` over ``rows``, one ``bincount``
     per feature; independent of the flat slot layout."""
-    width = bins.candidate.shape[1] + 1
+    width = bins.width
     return np.stack([np.bincount(codes[rows], weights=values[rows], minlength=width) for codes in bins.codes])
 
 
@@ -280,6 +359,19 @@ class TestHistogramSubtraction:
             for rows, (got_g, got_h) in zip(nodes, hist, strict=True):
                 assert np.abs(got_g.reshape(X.shape[1], -1) - direct_histogram(bins, g, rows)).max() <= tol_g
                 assert np.abs(got_h.reshape(X.shape[1], -1) - direct_histogram(bins, h, rows)).max() <= tol_h
+
+    def test_unit_hessians_are_row_counts_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        bins = gbm._bin_features(rng.integers(0, 9, size=(300, 3)).astype(float), 64)
+        g, ones = rng.normal(size=300), np.ones(300)
+        nodes = [np.sort(rng.choice(300, size=k, replace=False)) for k in (5, 120, 299)]
+        for row_sets in (None, nodes):
+            got, want = gbm._histograms(bins, g, None, row_sets), gbm._histograms(bins, g, ones, row_sets)
+            assert got.tobytes() == want.tobytes()
+        tree, update = gbm._build_tree(bins, g, None, GbmHyperParams(max_depth=4))
+        want, want_update = gbm._build_tree(bins, g, ones, GbmHyperParams(max_depth=4))
+        assert gbm._tree_to_jsonable(tree) == gbm._tree_to_jsonable(want)
+        assert update.tobytes() == want_update.tobytes()
 
     def test_the_smaller_child_is_built_directly(self):
         bins = gbm._bin_features(np.arange(8.0)[:, None], 64)
@@ -883,20 +975,63 @@ class TestModelBytes:
             assert sum(t.feature.size for trees in fast.trees for t in trees) > 10 * len(fast.trees)
 
 
-def assert_same_trees_as_reference(train_fn, matrix, hp):
+def assert_same_trees_as_reference(train_fn, matrix, hp, ties=False):
     """Train with the fast builder and with :func:`reference_build_tree`;
     assert the same tree shapes and splits, and leaf values within 1e-12.
+    With ``ties``, the first tree that differs may differ only at a node
+    where both splits gain the same up to rounding (:func:`assert_tied`);
+    the comparison ends there, since later trees grow on other scores.
     Returns the fast model."""
-    fast = train_fn(matrix, hp)
+    calls = []
+    build_tree = gbm._build_tree
+
+    def spy(bins, g, h, hp_):
+        calls.append((bins, g, h))
+        return build_tree(bins, g, h, hp_)
+
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gbm, "_build_tree", spy)
+        fast = train_fn(matrix, hp)
         patch.setattr(gbm, "_build_tree", reference_build_tree)
         reference = train_fn(matrix, hp)
-    for fast_trees, reference_trees in zip(fast.trees, reference.trees, strict=True):
-        for tree, want in zip(fast_trees, reference_trees, strict=True):
-            for key in ("feature", "threshold", "left", "right"):
-                assert np.array_equal(getattr(tree, key), getattr(want, key)), key
-            assert np.abs(tree.value - want.value).max() <= 1e-12
+    fast_trees = [tree for trees in fast.trees for tree in trees]
+    reference_trees = [tree for trees in reference.trees for tree in trees]
+    for tree, want, call in zip(fast_trees, reference_trees, calls, strict=True):
+        splits_differ = any(not np.array_equal(getattr(tree, k), getattr(want, k)) for k in ("feature", "threshold"))
+        if ties and splits_differ:
+            assert_tied(tree, want, *call, hp)
+            break
+        for key in ("feature", "threshold", "left", "right"):
+            assert np.array_equal(getattr(tree, key), getattr(want, key)), key
+        assert np.abs(tree.value - want.value).max() <= 1e-12
     return fast
+
+
+def assert_tied(tree, want, bins, g, h, hp):
+    """At the first preorder node where ``tree`` and ``want`` differ, both
+    split, and their gains on the node's rows (summed directly) differ by
+    at most 1e-10 times the node's term G^2 / (H + lambda): two candidates
+    that split the node's rows into sums equal in exact arithmetic."""
+    h = np.ones(g.size) if h is None else h
+    rows = {0: np.arange(g.size)}
+    node = 0
+    while (tree.feature[node], tree.threshold[node]) == (want.feature[node], want.threshold[node]):
+        f, r = tree.feature[node], rows[node]
+        if f >= 0:
+            left = bins.codes[f][r] <= np.searchsorted(bins.edges[f], tree.threshold[node])
+            rows[tree.left[node]], rows[tree.right[node]] = r[left], r[~left]
+        node += 1
+    r, lam = rows[node], hp.l2_lambda
+    G, H = g[r].sum(), h[r].sum()
+
+    def gain(f, threshold):
+        left = bins.codes[f][r] <= np.searchsorted(bins.edges[f], threshold)
+        gl, hl = g[r][left].sum(), h[r][left].sum()
+        return 0.5 * (gl * gl / (hl + lam) + (G - gl) ** 2 / (H - hl + lam) - G * G / (H + lam))
+
+    assert tree.feature[node] >= 0 and want.feature[node] >= 0, node
+    got, expected = gain(tree.feature[node], tree.threshold[node]), gain(want.feature[node], want.threshold[node])
+    assert abs(got - expected) <= 1e-10 * G * G / (H + lam), (node, got, expected)
 
 
 def tie_free_case(n_classes=4):
@@ -912,34 +1047,57 @@ def tie_free_case(n_classes=4):
     return matrix, GbmHyperParams(n_rounds=6, max_depth=4, n_bins=16)
 
 
+def drawn_tie_free_matrix(seed, n, n_features, n_classes):
+    """The data of :func:`tie_free_case` with another seed, row count,
+    feature weights and class count."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, n_features))
+    score = X @ rng.uniform(0.2, 1.0, n_features) + 0.3 * rng.normal(size=n)
+    y = np.searchsorted(np.quantile(score, np.arange(1, n_classes) / n_classes), score)
+    return make_matrix(X, y=y)
+
+
 @st.composite
 def tie_free_cases(draw):
     """:func:`tie_free_case` with drawn data, weights, class count and
     tree size, keeping its many rows per node and few bins."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1500, 3000))
-    n_features = draw(st.integers(2, 4))
-    n_classes = draw(st.integers(2, 4))
-    X = rng.normal(size=(n, n_features))
-    score = X @ rng.uniform(0.2, 1.0, n_features) + 0.3 * rng.normal(size=n)
-    y = np.searchsorted(np.quantile(score, np.arange(1, n_classes) / n_classes), score)
+    matrix = drawn_tie_free_matrix(
+        draw(st.integers(0, 2**32 - 1)), draw(st.integers(1500, 3000)), draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    )
     hp = GbmHyperParams(
         n_rounds=draw(st.integers(1, 3)), max_depth=draw(st.integers(1, 4)), n_bins=draw(st.sampled_from([8, 16]))
     )
-    return make_matrix(X, y=y), hp
+    return matrix, hp
+
+
+def exact_tie_case():
+    """A drawn case where, in the first tree, a depth-3 node of 90 rows has
+    two splits, one per feature, that both put 11 rows of class 0 and 34
+    of class 1 on the left.  The first round's gradients take one value per
+    class, so the two gains are equal in exact arithmetic, and the fast
+    builder (subtracted histograms) and the reference (direct sums) round
+    them to different winners."""
+    return drawn_tie_free_matrix(1715, 1500, 2, 2), GbmHyperParams(n_rounds=1, max_depth=4, n_bins=8)
 
 
 class TestSplitNoise:
     """A split must gain more than 1e-10 times its node's term: with
     ``min_child_weight`` 0, some nodes' best gain is rounding noise (about
     1e-13 against a node term of about 300 on :func:`tie_free_case`), and
-    a direct and a subtracted histogram give it opposite signs."""
+    a direct and a subtracted histogram give it opposite signs.
+
+    Drawn data can still hold exact ties: the first round's gradients take
+    one value per class, so two features that split a node's classes
+    alike gain the same, and rounding picks the winner.  The trees may
+    differ at such a node, and only there."""
 
     @settings(max_examples=12, deadline=None)
     @given(tie_free_cases(), st.sampled_from([0.0, 1.0]))
+    @example(exact_tie_case(), 0.0)
     def test_same_trees_as_reference_builder_at_any_min_child_weight(self, case, min_child_weight):
         matrix, hp = case
-        assert_same_trees_as_reference(train_gbm, matrix, dataclasses.replace(hp, min_child_weight=min_child_weight))
+        hp = dataclasses.replace(hp, min_child_weight=min_child_weight)
+        assert_same_trees_as_reference(train_gbm, matrix, hp, ties=True)
 
 
 class TestHyperParams:
@@ -1036,6 +1194,38 @@ class TestTraining:
         assert np.array_equal(predict_proba(base, matrix), predict_proba(other, transformed))
 
 
+class TestNanFeatures:
+    """Bin edges come from a column's non-NaN values; NaN rows fall past
+    every edge, so they go right in training as in prediction."""
+
+    @pytest.mark.parametrize("train_fn", [train_gbm, train_regressor])
+    def test_a_feature_with_nans_still_splits(self, train_fn):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(2000, 1))
+        y = (X[:, 0] > 0.3).astype(int)
+        X[rng.choice(2000, 20, replace=False), 0] = np.nan
+        matrix = make_matrix(X, y=y, y_cnr=4.0 * y)
+        seen = []
+        boost = gbm._boost
+
+        def spy(train, hp, loss):
+            def evaluate(scores):
+                seen.append(scores.copy())
+                return loss.evaluate(scores)
+
+            return boost(train, hp, dataclasses.replace(loss, evaluate=evaluate))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gbm, "_boost", spy)
+            model = train_fn(matrix, GbmHyperParams(n_rounds=10, max_depth=2))
+        # The first output (class 0, or the regressor's) splits every round,
+        # and every threshold is finite, as loading requires.
+        assert all(trees[0].feature[0] == 0 for trees in model.trees)
+        gbm.model_from_jsonable(model_to_jsonable(model))
+        assert model.train_loss[-1] < 0.5 * model.train_loss[0]
+        assert seen[-1].tobytes() == gbm.raw_scores(model, matrix).tobytes()
+
+
 class TestPrediction:
     def test_proba_is_a_distribution(self):
         matrix = separable_toy()
@@ -1109,19 +1299,16 @@ class TestClassMajorScores:
 
     @settings(max_examples=200, deadline=None)
     @given(row_major_scores())
-    def test_softmax_and_log_loss_match_row_major(self, case):
-        scores, y = case
+    def test_softmax_matches_row_major(self, case):
+        scores, _ = case
         class_major = np.ascontiguousarray(scores.T)
-        # Huge scores overflow in the shift, and no rows leave an empty mean.
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        # Huge scores overflow in the shift.
+        with np.errstate(all="ignore"):
             assert gbm._softmax(class_major).T.tobytes() == reference_softmax(scores).tobytes()
-            got, want = gbm._log_loss(class_major, y), reference_log_loss(scores, y)
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(row_major_scores(min_rows=2))
-    def test_gradients_and_hessians_match_row_major(self, case):
+    def test_loss_gradients_and_hessians_match_row_major(self, case):
         scores, y = case
         y[:2] = [0, 1]  # a single class is rejected
         losses = []
@@ -1129,12 +1316,25 @@ class TestClassMajorScores:
             patch.setattr(gbm, "_boost", lambda train, hp, loss: losses.append(loss))
             train_gbm(make_matrix(np.zeros((y.size, 1)), y=y))
         with np.errstate(all="ignore"):
-            grad, hess = losses[0].grad_hess(np.ascontiguousarray(scores.T))
+            value, grad, hess = losses[0].evaluate(np.ascontiguousarray(scores.T))
+            want = reference_log_loss(scores, y)
             proba = reference_softmax(scores)
         one_hot = np.eye(N_CATEGORIES)[y]
+        assert np.float64(value).tobytes() == np.float64(want).tobytes()
         assert grad.shape == hess.shape == (N_CATEGORIES, y.size)
         assert grad.T.tobytes() == (proba - one_hot).tobytes()
         assert hess.T.tobytes() == (proba * (1.0 - proba)).tobytes()
+
+    def test_regressor_loss_is_the_mean_squared_residual_with_unit_hessians(self):
+        rng = np.random.default_rng(3)
+        y, scores = rng.normal(size=50), rng.normal(size=(1, 50))
+        losses = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gbm, "_boost", lambda train, hp, loss: losses.append(loss))
+            train_regressor(make_matrix(np.zeros((50, 1)), y_cnr=y))
+        value, grad, hess = losses[0].evaluate(scores)
+        assert value == float(np.mean((scores[0] - y) ** 2))
+        assert grad.tobytes() == (scores - y).tobytes() and hess is None
 
     @settings(max_examples=100, deadline=None)
     @given(
