@@ -9,7 +9,13 @@ the smallest policy family that acts before an outage without ping-ponging
 between beams.
 
 Predictions are an ``int8`` grid of (minutes, satellites), satellites
-sorted and -1 for no prediction.  The forecast labels each distinct input
+sorted and -1 for no prediction.  Per-minute category maps given to
+:func:`simulate_handover` are converted to it through one table keyed by
+identity, so a value that is not a :class:`CnrCategory` member (an equal
+int, a bool, a float, ``None``) raises ``ValueError`` naming its minute and
+satellite.  :func:`forecast_route` returns the grid as one category map
+per distinct row, copied for each minute.  A record list is converted to
+columns once, on entry.  The forecast labels each distinct input
 once: satellites share a model's labels unless some tree of it reads
 ``satellite_id``.  The policy is a scan that jumps from switch to switch
 over whole-flight columns (degraded runs, the next minute a switch is
@@ -154,7 +160,10 @@ def forecast_route(
     """
     sats, codes = _forecast_codes(model_by_sat, waypoints, weather, weather_model_by_sat)
     categories = list(CnrCategory)
-    return [{sat: categories[c] for sat, c in zip(sats, row) if c >= 0} for row in codes.tolist()]
+    rows = list(map(tuple, codes.tolist()))
+    # One map per distinct code row; each waypoint gets its own copy.
+    maps = {row: {sat: categories[c] for sat, c in zip(sats, row) if c >= 0} for row in set(rows)}
+    return [maps[row].copy() for row in rows]
 
 
 @dataclass
@@ -227,6 +236,29 @@ def _scan(
         first = minute + 1
 
 
+#: The grid code of each prediction value, keyed by identity, so only the
+#: members of CnrCategory have one (an int, bool or float equal to a member
+#: has none); ``_NO_PREDICTION`` stands in for a satellite a row lacks.
+_NO_PREDICTION = object()
+_CODE_OF = {id(c): c.value for c in CnrCategory} | {id(_NO_PREDICTION): -1}
+
+
+def _prediction_codes(predictions: Sequence[Mapping[str, CnrCategory]]) -> tuple[list[str], np.ndarray]:
+    """Injected predictions as the sorted satellites and an ``int8`` grid.
+    Raises ``ValueError`` naming the first minute (and its satellite) with a
+    value that is not a :class:`CnrCategory`."""
+    sats, n = sorted(set().union(*predictions)), len(predictions)
+    code, missing = _CODE_OF.get, _NO_PREDICTION  # locals: the loop runs once per cell
+    flat = [code(id(row.get(sat, missing))) for sat in sats for row in predictions]
+    try:
+        codes = np.fromiter(flat, dtype=np.int8, count=len(flat))
+    except TypeError:  # a None: some value has no code
+        minute, j = min((i % n, i // n) for i, c in enumerate(flat) if c is None)
+        value = predictions[minute][sats[j]]
+        raise ValueError(f"prediction for {sats[j]!r} at minute {minute} is not a CnrCategory: {value!r}") from None
+    return sats, codes.reshape(len(sats), n).T
+
+
 def simulate_handover(
     records: LogColumns | Sequence[FlightLogRecord],
     model_by_sat: Optional[Mapping[str, GbmModel]] = None,
@@ -241,8 +273,8 @@ def simulate_handover(
 
     Predictions come either from per-satellite models (via
     :func:`forecast_route`) or are injected directly through
-    ``predictions`` (e.g. ground truth, for policy-ceiling studies).  When
-    ``truth`` maps satellite id to the per-minute true CNR, the report
+    ``predictions`` (e.g. ground truth, for policy-ceiling studies), whose
+    values must be :class:`CnrCategory` members.  When ``truth`` maps satellite id to the per-minute true CNR, the report
     counts the minutes the chosen serving satellite was truly Bad or
     unmeasurable, alongside the same count for a never-switching baseline;
     it must then cover the initial satellite and every satellite served.
@@ -250,13 +282,13 @@ def simulate_handover(
     if (model_by_sat is None) == (predictions is None):
         raise ValueError("provide exactly one of model_by_sat or predictions")
     if predictions is None:
+        if not isinstance(records, LogColumns):
+            records = LogColumns.from_records(records)
         sats, codes = _forecast_codes(model_by_sat, records, weather, weather_model_by_sat)
     elif len(predictions) != len(records):
         raise ValueError(f"{len(predictions)} prediction rows for {len(records)} records")
     else:
-        sats = sorted(set().union(*predictions))
-        codes = np.array([row.get(sat, -1) for row in predictions for sat in sats], dtype=np.int8)
-        codes = codes.reshape(len(predictions), len(sats))
+        sats, codes = _prediction_codes(predictions)
 
     if not len(records):
         return HoReport(switches=[], steps=0, outage_minutes=None, baseline_outage_minutes=None)

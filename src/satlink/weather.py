@@ -502,13 +502,17 @@ _SECOND = timedelta(seconds=1)
 
 def _utc_seconds(times: Iterable[datetime]) -> np.ndarray:
     """Timezone-aware datetimes as whole UTC epoch seconds, each distinct
-    time converted once; fractions of a second are dropped."""
+    time converted once; fractions of a second are dropped.
+
+    A timedelta keeps ``seconds`` in [0, 86400) and ``microseconds`` in
+    [0, 10**6), so ``days * 86400 + seconds`` is ``(t - _EPOCH) // _SECOND``
+    exactly, without the slow floor division of two timedeltas."""
     times = list(times)
     try:
-        seconds = {t: (t - _EPOCH) // _SECOND for t in set(times)}
+        seconds = {t: (d := t - _EPOCH).days * 86400 + d.seconds for t in set(times)}
     except TypeError:  # a naive datetime does not subtract from an aware one
         raise ValueError("times must be timezone-aware") from None
-    return np.array(list(map(seconds.__getitem__, times)), dtype=np.int64)
+    return np.fromiter(map(seconds.__getitem__, times), dtype=np.int64, count=len(times))
 
 
 def save_weather_csv(field: WeatherField, path: str) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -9,6 +10,13 @@ from satlink.flightsim import GenerationConfig
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SMALL_HP = {"n_rounds": 10, "max_depth": 3}
+
+#: What ``forecast`` and ``hosim`` write for the small corpus with the
+#: demo config; see ``test_demo_hosim_config_writes_pinned_bytes``.
+DEMO_HOSIM_SHA256 = {
+    "forecast": "bd2f28a05dc3e8d3ca911cb0ea4ea410b47eb0b98a0922c49009c688ae6029de",
+    "hosim": "b0b78eacbe9125356e946890d958582b712121ecee9e6b4553132a1d4a06f6a1",
+}
 
 
 @pytest.fixture()
@@ -299,6 +307,28 @@ class TestForecastHosim:
         assert code == 0
         report = json.loads(out.read_text())
         assert set(report) == {"switches", "outage_minutes", "baseline_outage_minutes"}
+
+    def test_demo_hosim_config_writes_pinned_bytes(self, trained_model, small_corpus, tmp_path, capsys):
+        """``forecast`` and ``hosim`` with ``configs/demo_hosim.json`` over
+        every flight of the small corpus: the bytes they write are pinned."""
+        from satlink.ingest import parse_logs
+
+        config = json.loads((CONFIGS / "demo_hosim.json").read_text())
+        config["models"] = {sat: str(trained_model["model"]) for sat in config["models"]}
+        config_path = tmp_path / "hosim.json"
+        config_path.write_text(json.dumps(config))
+        digests = {"forecast": hashlib.sha256(), "hosim": hashlib.sha256()}
+        for flight in sorted(Path(small_corpus["dir"], "flights").glob("*.csv")):
+            cnr = [None if v != v else v for v in parse_logs([str(flight)]).cnr_db.tolist()]
+            truth = tmp_path / "truth.json"
+            truth.write_text(json.dumps({"I5F1": cnr, "I5F2": cnr[::-1], "I5F3": [12.0] * len(cnr)}))
+            out = tmp_path / "out.json"
+            assert main(["forecast", "--config", str(config_path), "--plan", str(flight), "--out", str(out)]) == 0
+            digests["forecast"].update(out.read_bytes())
+            args = ["--config", str(config_path), "--data", str(flight), "--truth", str(truth), "--out", str(out)]
+            assert main(["hosim", *args]) == 0
+            digests["hosim"].update(out.read_bytes())
+        assert {name: d.hexdigest() for name, d in digests.items()} == DEMO_HOSIM_SHA256
 
     def test_satellites_naming_one_file_share_one_model(self, trained_model, tmp_path):
         config = json.loads(self.models_config(trained_model, tmp_path).read_text())

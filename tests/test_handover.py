@@ -1,3 +1,4 @@
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from datetime import datetime, timedelta, timezone
@@ -412,6 +413,47 @@ class TestSimulate:
         with pytest.raises(ValueError, match="no prediction for serving satellite 'X'"):
             simulate_handover(records, predictions=predictions, initial_satellite="X")
 
+    @pytest.mark.parametrize("value", [7, 2.5, True, "GOOD", None, 3, np.int8(2), float("nan")])
+    def test_prediction_values_must_be_categories(self, value):
+        records = [record(minute=i, flight_id="S1", sat="A", duration_min=5) for i in range(5)]
+        predictions = [{"A": GOOD, "B": WEAK} for _ in range(5)]
+        predictions[3]["B"] = value
+        message = f"prediction for 'B' at minute 3 is not a CnrCategory: {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate_handover(records, predictions=predictions, policy=HoPolicy(consecutive_k=1))
+
+    def test_first_minute_with_a_bad_value_is_named(self):
+        records = [record(minute=i, flight_id="S1", sat="A", duration_min=5) for i in range(5)]
+        predictions = [{"A": GOOD, "B": WEAK} for _ in range(5)]
+        predictions[4]["A"], predictions[2]["B"], predictions[2]["C"] = 1, 1.0, None
+        with pytest.raises(ValueError, match=re.escape("prediction for 'B' at minute 2 is not a CnrCategory: 1.0")):
+            simulate_handover(records, predictions=predictions)
+
+    def test_records_are_converted_once(self, monkeypatch, sat_models):
+        """A record list with models becomes columns on entry; the forecast
+        and the policy both read those columns."""
+        conversions = []
+        from_records, utc_seconds_of = LogColumns.from_records.__func__, handover._utc_seconds
+
+        def counting(cls, records):
+            conversions.append("from_records")
+            return from_records(cls, records)
+
+        def utc_seconds(times):
+            conversions.append("_utc_seconds")
+            return utc_seconds_of(times)
+
+        records = [record(minute=i, flight_id="S1", sat="A", lat=float(i), cnr=None) for i in range(30)]
+        columns = as_log(records)
+        expected = simulate_handover(records, model_by_sat=sat_models)
+        monkeypatch.setattr(LogColumns, "from_records", classmethod(counting))
+        monkeypatch.setattr(handover, "_utc_seconds", utc_seconds)
+        assert simulate_handover(records, model_by_sat=sat_models) == expected
+        assert conversions == ["from_records"]
+        conversions.clear()
+        assert simulate_handover(columns, model_by_sat=sat_models) == expected
+        assert conversions == []
+
 
 @st.composite
 def flight_cases(draw):
@@ -676,6 +718,52 @@ class TestForecastRoute:
         grid = forecast_route(models, waypoints, weather, wx_models)
         assert grid == reference_forecast_route(models, waypoints, weather, wx_models)
         assert grid != forecast_route(models, waypoints)
+
+
+def reference_rows(sats, codes):
+    """A forecast grid as one dictcomp per row: the rows ``forecast_route`` returns."""
+    return [{sat: CnrCategory(c) for sat, c in zip(sats, row) if c >= 0} for row in codes.tolist()]
+
+
+@st.composite
+def code_grids(draw):
+    """Sorted satellites and an ``int8`` grid of codes with -1 holes, few
+    distinct rows among many, and no rows at all now and then."""
+    sats = ["A", "B", "C", "D"][: draw(st.integers(0, 4))]
+    codes = st.lists(st.integers(-1, 3), min_size=len(sats), max_size=len(sats))
+    distinct = draw(st.lists(codes, min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(distinct), max_size=40))
+    return sats, np.array(rows, dtype=np.int8).reshape(len(rows), len(sats))
+
+
+class TestForecastRows:
+    @settings(max_examples=200, deadline=None)
+    @given(code_grids())
+    def test_rows_equal_per_row_oracle_and_are_independent(self, case):
+        sats, codes = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(handover, "_forecast_codes", lambda *args: (sats, codes))
+            grid = forecast_route(dict.fromkeys(sats), [])
+        expected = reference_rows(sats, codes)
+        assert grid == expected
+        assert all(type(c) is CnrCategory for row in grid for c in row.values())
+        for i, row in enumerate(grid):
+            row.clear()
+            assert grid[i + 1 :] == expected[i + 1 :]
+
+    def test_weather_split_rows_equal_per_row_oracle(self, demo_forecast_setup):
+        models, wx_models, weather, waypoints = demo_forecast_setup
+        sats, codes = _forecast_codes(models, waypoints, weather, wx_models)
+        assert len(np.unique(codes, axis=0)) > 1
+        assert forecast_route(models, waypoints, weather, wx_models) == reference_rows(sats, codes)
+
+    def test_changing_one_row_leaves_the_others(self, sat_models):
+        grid = forecast_route(sat_models, plan_waypoints())
+        before = [dict(row) for row in grid]
+        assert before.count(before[0]) > 1
+        grid[0]["A"] = grid[0]["B"] = BAD
+        grid[0]["Z"] = GOOD
+        assert grid[1:] == before[1:]
 
 
 def reads_satellite(model):

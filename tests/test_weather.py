@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satlink import weather
@@ -633,3 +633,40 @@ class TestWeatherCsv:
         path.write_text("a,b,c\n")
         with pytest.raises(WeatherCsvError, match="header"):
             load_weather_csv(path)
+
+
+def reference_utc_seconds(times):
+    """The timedelta floor division ``_utc_seconds`` is checked against."""
+    return [(t - weather._EPOCH) // timedelta(seconds=1) for t in times]
+
+
+#: Every fixed UTC offset a ``timezone`` takes, to the microsecond.
+FIXED_OFFSETS = st.builds(
+    timezone, st.timedeltas(min_value=-timedelta(hours=23, minutes=59), max_value=timedelta(hours=23, minutes=59))
+)
+AWARE_TIMES = st.datetimes(
+    min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59, 999999), timezones=FIXED_OFFSETS
+)
+EAST, WEST = timezone(timedelta(hours=23, minutes=59)), timezone(-timedelta(hours=23, minutes=59))
+
+
+class TestUtcSeconds:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(AWARE_TIMES, max_size=8).flatmap(lambda ts: st.permutations(ts + ts[: len(ts) // 2])))
+    @example([datetime(1, 1, 1, tzinfo=EAST), datetime(1, 1, 1, 0, 0, 0, 1, tzinfo=WEST)])
+    @example([datetime(9999, 12, 31, 23, 59, 59, 999999, tzinfo=WEST), datetime(9999, 12, 31, tzinfo=EAST)])
+    @example([datetime(1969, 12, 31, 23, 59, 59, 999999, tzinfo=timezone.utc), datetime(1901, 7, 1, 12, 30, 1, 5)
+              .replace(tzinfo=timezone(timedelta(hours=-5, seconds=7, microseconds=3)))])
+    @example([datetime(2023, 3, 5, 12, tzinfo=timezone.utc), datetime(2023, 3, 5, 13, tzinfo=timezone(timedelta(hours=1)))])
+    def test_matches_floor_division(self, times):
+        seconds = _utc_seconds(iter(times))
+        assert seconds.dtype == np.int64
+        assert seconds.tolist() == reference_utc_seconds(times)
+
+    def test_naive_time_rejected(self):
+        with pytest.raises(ValueError, match="timezone-aware"):
+            _utc_seconds([H0, H0.replace(tzinfo=None)])
+
+    def test_empty_input_gives_empty_int64(self):
+        seconds = _utc_seconds([])
+        assert seconds.shape == (0,) and seconds.dtype == np.int64
