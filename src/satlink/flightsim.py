@@ -528,7 +528,7 @@ def generate_dataset(config: GenerationConfig, out_dir: str) -> dict:
             files.append({"file": rel_path, "flight_id": flight_id, "rows": len(cnr_cells)})
             total_rows += len(cnr_cells)
             # Labels of the values as written, which is what a parse reads.
-            written = np.array([float(cell) for cell in cnr_cells if cell])
+            written = np.fromiter(map(float, filter(None, cnr_cells)), float)
             category_counts += np.bincount(
                 np.searchsorted(CATEGORY_EDGES_DB, written, side="right"), minlength=len(CnrCategory)
             )

@@ -13,8 +13,9 @@ sorted and -1 for no prediction.  Per-minute category maps given to
 :func:`simulate_handover` are converted to it through one table keyed by
 identity, so a value that is not a :class:`CnrCategory` member (an equal
 int, a bool, a float, ``None``) raises ``ValueError`` naming its minute and
-satellite.  :func:`forecast_route` returns the grid as one category map
-per distinct row, copied for each minute.  A record list is converted to
+satellite, and a row that is not a mapping with ``str`` satellite ids
+raises ``ValueError`` naming its minute.  :func:`forecast_route` returns
+the grid as one category map per distinct row, copied for each minute.  A record list is converted to
 columns once, on entry.  The forecast labels each distinct input
 once: satellites share a model's labels unless some tree of it reads
 ``satellite_id``.  The policy is a scan that jumps from switch to switch
@@ -25,9 +26,10 @@ earned), so a switch costs a few lookups, not a pass over the flight.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -243,13 +245,29 @@ _NO_PREDICTION = object()
 _CODE_OF = {id(c): c.value for c in CnrCategory} | {id(_NO_PREDICTION): -1}
 
 
+def _is_prediction_row(row: object) -> bool:
+    return isinstance(row, Mapping) and all(isinstance(sat, str) for sat in row)
+
+
 def _prediction_codes(predictions: Sequence[Mapping[str, CnrCategory]]) -> tuple[list[str], np.ndarray]:
     """Injected predictions as the sorted satellites and an ``int8`` grid.
-    Raises ``ValueError`` naming the first minute (and its satellite) with a
-    value that is not a :class:`CnrCategory`."""
-    sats, n = sorted(set().union(*predictions)), len(predictions)
+    Raises ``ValueError`` naming the first minute whose row is not a mapping
+    with ``str`` satellite ids, or else the first minute (and its satellite)
+    with a value that is not a :class:`CnrCategory`."""
+    n = len(predictions)
     code, missing = _CODE_OF.get, _NO_PREDICTION  # locals: the loop runs once per cell
-    flat = [code(id(row.get(sat, missing))) for sat in sats for row in predictions]
+    try:
+        sats = sorted(set().union(*predictions))
+        if not all(isinstance(sat, str) for sat in sats):
+            raise TypeError("satellite ids must be str")
+        flat = [code(id(row.get(sat, missing))) for sat in sats for row in predictions]
+    except (TypeError, AttributeError):
+        # Rows are checked only here, so well-formed ones cost no per-row check.
+        minute = next((m for m, row in enumerate(predictions) if not _is_prediction_row(row)), None)
+        if minute is None:
+            raise
+        row = predictions[minute]
+        raise ValueError(f"prediction row at minute {minute} is not a mapping with str satellite ids: {row!r}") from None
     try:
         codes = np.fromiter(flat, dtype=np.int8, count=len(flat))
     except TypeError:  # a None: some value has no code
@@ -273,8 +291,9 @@ def simulate_handover(
 
     Predictions come either from per-satellite models (via
     :func:`forecast_route`) or are injected directly through
-    ``predictions`` (e.g. ground truth, for policy-ceiling studies), whose
-    values must be :class:`CnrCategory` members.  When ``truth`` maps satellite id to the per-minute true CNR, the report
+    ``predictions`` (e.g. ground truth, for policy-ceiling studies): one
+    mapping per minute with ``str`` satellite ids and :class:`CnrCategory`
+    members as values.  When ``truth`` maps satellite id to the per-minute true CNR, the report
     counts the minutes the chosen serving satellite was truly Bad or
     unmeasurable, alongside the same count for a never-switching baseline;
     it must then cover the initial satellite and every satellite served.

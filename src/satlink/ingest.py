@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .geometry import GeoPosition, normalize_lon
-from .weather import _EPOCH, _SECOND, WeatherProvider, _format_utc, _parse_utc, _utc_seconds
+from .weather import _EPOCH, WeatherProvider, _epoch_seconds, _format_utc, _parse_utc, _utc_seconds
 
 
 class CnrCategory(IntEnum):
@@ -240,7 +240,8 @@ def _check_log(log: LogColumns) -> None:
 
 
 def _utc_cell(text: str) -> int:
-    return (_parse_utc(text) - _EPOCH) // _SECOND
+    t = _parse_utc(text)
+    return _epoch_seconds((t,))[t]
 
 
 def _cnr_cell(text: str) -> float:
@@ -254,7 +255,12 @@ def _cnr_cell(text: str) -> float:
 def _parse_column(texts: Sequence[str], parse, dtype, bad: dict[int, str], memo=None) -> np.ndarray:
     """``parse`` over a column's cells, once per distinct text; ``memo``
     (values, errors) carries what earlier calls parsed.  A text ``parse``
-    rejects is 0 and marks its rows in ``bad``."""
+    rejects is 0 and marks its rows in ``bad``.
+
+    Text and time columns always come here: a text column then holds one
+    string object per distinct token, and a time text is parsed once in
+    any file.  A number column comes here only when :func:`_parse_numbers`
+    met a bad cell, so that every bad row is named."""
     values, errors = ({}, {}) if memo is None else memo
     for text in set(texts).difference(values):
         try:
@@ -266,6 +272,15 @@ def _parse_column(texts: Sequence[str], parse, dtype, bad: dict[int, str], memo=
             if text in errors:
                 bad.setdefault(row, errors[text])
     return np.array(list(map(values.__getitem__, texts)), dtype=dtype)
+
+
+def _parse_numbers(texts: Sequence[str], parse, bad: dict[int, str]) -> np.ndarray:
+    """A number column, ``parse`` over every cell in one ``np.fromiter``;
+    a column with a bad cell goes through :func:`_parse_column` instead."""
+    try:
+        return np.fromiter(map(parse, texts), np.float64, count=len(texts))
+    except ValueError:
+        return _parse_column(texts, parse, np.float64, bad)
 
 
 def _wrap_lon(lon: np.ndarray) -> None:
@@ -283,7 +298,7 @@ def _parse_rows(rows: Sequence[Sequence[str]], times: tuple[dict, dict]) -> tupl
     cells = list(zip(*rows)) or [()] * len(LOG_CSV_COLUMNS)
     log = LogColumns(*(
         _parse_column(texts, _utc_cell, np.int64, bad, times) if i in _TIME_INDEX
-        else _parse_column(texts, _cnr_cell if i == 12 else float, np.float64, bad) if i in _NUMBER_INDEX
+        else _parse_numbers(texts, _cnr_cell if i == 12 else float, bad) if i in _NUMBER_INDEX
         else _parse_column(texts, str, object, bad)  # one string object per distinct text
         for i, texts in enumerate(cells)
     ))
@@ -313,13 +328,17 @@ def parse_logs(paths: Sequence[str]) -> LogColumns:
             if header != LOG_CSV_COLUMNS:
                 errors.append((index, 1, f"bad header {header!r}"))
                 continue
-            rows, lines = [], []
-            for line_no, row in enumerate(reader, start=2):
-                if len(row) != len(LOG_CSV_COLUMNS):
+            rows = list(reader)
+        lines = range(2, len(rows) + 2)
+        if not set(map(len, rows)) <= {len(LOG_CSV_COLUMNS)}:
+            # Only a file with a short or long row is walked row by row, to name its lines.
+            kept = []
+            for line_no, row in zip(lines, rows):
+                if len(row) == len(LOG_CSV_COLUMNS):
+                    kept.append(line_no)
+                else:
                     errors.append((index, line_no, f"expected {len(LOG_CSV_COLUMNS)} fields, got {len(row)}"))
-                    continue
-                rows.append(row)
-                lines.append(line_no)
+            lines, rows = kept, [rows[line_no - 2] for line_no in kept]
         # One file at a time, so only one file's cell texts are alive at once.
         log, bad = _parse_rows(rows, times)
         errors += [(index, lines[row], message) for row, message in bad.items()]
@@ -346,11 +365,20 @@ def _csv_fields(values: list) -> list[str]:
 
 def save_logs(log: LogColumns, path: str) -> list[str]:
     """Check the rows, then write them as a flight-log CSV in the canonical
-    formats.  Each row is joined as text, with the bytes ``csv.writer``
-    would write; no whole-file string is built.  Returns the ``cnr_db``
-    cells as written."""
+    formats, with the bytes ``csv.writer`` would write.
+
+    Each column is formatted on its own: text columns and times once per
+    distinct value, altitudes once per distinct bit pattern (``-0.0`` is
+    written as ``-0.0``), the other numbers by one ``map`` over the column,
+    and a NaN ``cnr_db`` as an empty cell.  The rows are joined with ``,``
+    and the file with CRLF, and written in one call; an empty log writes
+    only the header.  Returns the ``cnr_db`` cells as written."""
     _check_log(log)
-    cnr_cells = ["" if math.isnan(v) else f"{v:.3f}" for v in log.cnr_db.tolist()]
+    cnr_cells = list(map("{:.3f}".format, log.cnr_db.tolist()))
+    for row in np.flatnonzero(np.isnan(log.cnr_db)).tolist():
+        cnr_cells[row] = ""
+    bits, index = np.unique(np.asarray(log.altitude_m, dtype=np.float64).view(np.int64), return_inverse=True)
+    altitudes = list(map("{:.1f}".format, bits.view(np.float64).tolist()))
     rows = zip(
         _format_utc(log.epoch_s),
         _csv_fields(log.flight_id.tolist()),
@@ -360,15 +388,14 @@ def save_logs(log: LogColumns, path: str) -> list[str]:
         _csv_fields(log.arrival_airport.tolist()),
         _format_utc(log.flight_start_s),
         _format_utc(log.flight_end_s),
-        [f"{v:.6f}" for v in log.latitude_deg.tolist()],
-        [f"{v:.6f}" for v in log.longitude_deg.tolist()],
-        [f"{v:.1f}" for v in log.altitude_m.tolist()],
+        map("{:.6f}".format, log.latitude_deg.tolist()),
+        map("{:.6f}".format, log.longitude_deg.tolist()),
+        map(altitudes.__getitem__, index.tolist()),
         _csv_fields(log.satellite_id.tolist()),
         cnr_cells,
     )
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(LOG_CSV_COLUMNS) + "\r\n")
-        fh.writelines(map("{}\r\n".format, map(",".join, rows)))
+        fh.write("\r\n".join([",".join(LOG_CSV_COLUMNS), *map(",".join, rows)]) + "\r\n")
     return cnr_cells
 
 
@@ -405,7 +432,8 @@ def top_routes(log: LogColumns, k: int) -> tuple[list[tuple[str, str]], LogColum
     dep_id = {token: i for i, token in enumerate(deps)}
     arr_id = {token: i for i, token in enumerate(arrs)}
     # Both id sets are sorted, so route codes sort as the route keys do.
-    code = np.array([dep_id[d] * len(arrs) + arr_id[a] for d, a in zip(dep, arr)], dtype=np.int64)
+    code = np.fromiter(map(dep_id.__getitem__, dep), np.int64, count=len(dep)) * len(arrs)
+    code += np.fromiter(map(arr_id.__getitem__, arr), np.int64, count=len(arr))
     routes, counts = np.unique(code, return_counts=True)
     ranked = routes[np.argsort(-counts, kind="stable")[:k]]
     keep = [(deps[c // len(arrs)], arrs[c % len(arrs)]) for c in ranked.tolist()]
@@ -622,5 +650,6 @@ def split_by_flight(
     ordered = sorted(flights, key=lambda fid: (rank(fid), fid))
     n_test = min(max(1, round(len(flights) * test_fraction)), len(flights) - 1)
     test_set = set(ordered[:n_test])
-    is_test = np.array([fid in test_set for fid in matrix.flight_ids], dtype=bool)
+    flight_ids = matrix.flight_ids.tolist()
+    is_test = np.fromiter(map(test_set.__contains__, flight_ids), bool, count=len(flight_ids))
     return matrix.take(~is_test), matrix.take(is_test)

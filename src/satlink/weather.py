@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, fields
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from typing import Iterable, Protocol
 
 import numpy as np
@@ -287,6 +287,16 @@ def _view_tables(hour_idx: int, tile_lat: int, tile_lon: int) -> list[tuple[int,
     return [(ty, tx, d) for d in days for ty, tx in tiles]
 
 
+def _seed_words(seed: int) -> list[int]:
+    """A non-negative int as ``SeedSequence`` splits it: 32-bit words, least
+    significant first, and one word for 0."""
+    seed = int(seed)
+    words = [seed & 0xFFFFFFFF]
+    while seed := seed >> 32:
+        words.append(seed & 0xFFFFFFFF)
+    return words
+
+
 class SyntheticWeather:
     """Deterministic analytic weather: smooth background plus moving storms.
 
@@ -313,15 +323,21 @@ class SyntheticWeather:
         built in one batch.  Each key draws from its own generator, seeded
         by (seed, tile, day), in the order a one-key build would: the storm
         count, then eight uniforms per storm in storm order.  The columns
-        are then filled for every storm at once."""
+        are then filled for every storm at once.
+
+        A key's ``SeedSequence`` takes a uint32 row: the words of the seed
+        (:func:`_seed_words`), then ``0x57``, tile lat + 90, tile lon + 180
+        and the day.  ``SeedSequence`` turns the tuple ``(seed, 0x57, tile
+        lat + 90, tile lon + 180, day)`` into exactly these words, so the
+        pool and every draw are the same, without its per-int coercion."""
+        head = _seed_words(self.seed) + [0x57]
         draws = []
         for tile_lat, tile_lon, day in keys:
             if day < 0:
                 draws.append(np.empty((0, 8)))
                 continue
-            rng = np.random.default_rng(
-                np.random.SeedSequence((self.seed, 0x57, tile_lat + 90, tile_lon + 180, day))
-            )
+            entropy = np.array([*head, tile_lat + 90, tile_lon + 180, day], dtype=np.uint32)
+            rng = np.random.default_rng(np.random.SeedSequence(entropy))
             draws.append(rng.random((int(rng.poisson(self.storm_density)), 8)))
         counts = [len(u) for u in draws]
         storms = _storm_table(np.repeat(np.array(keys, dtype=float), counts, axis=0), np.concatenate(draws))
@@ -476,11 +492,15 @@ WEATHER_CSV_COLUMNS = [
 def _parse_utc(text: str) -> datetime:
     """An ISO 8601 time as a UTC datetime.  The text must carry ``Z`` or an
     offset, since a time without one would be read as the host's local
-    time, and whole seconds, which is all a log's epoch seconds can hold."""
+    time, and whole seconds, which is all a log's epoch seconds can hold.
+    A time whose UTC date falls outside years 1-9999 is a ``ValueError``."""
     t = datetime.fromisoformat(text.replace("Z", "+00:00"))
     if t.tzinfo is None:
         raise ValueError(f"time without Z or an offset: {text!r}")
-    t = t.astimezone(timezone.utc)
+    try:
+        t = t.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"time outside years 1-9999 in UTC: {text!r}") from None
     if t.microsecond:
         raise ValueError(f"time not in whole seconds: {text!r}")
     return t
@@ -492,24 +512,30 @@ def _format_utc(epoch_s) -> list[str]:
     :func:`_parse_utc` reads back every year, 1-999 included.  Each
     distinct time is formatted once."""
     distinct, index = np.unique(np.asarray(epoch_s, dtype=np.int64), return_inverse=True)
-    texts = [text + "Z" for text in np.datetime_as_string(distinct.astype("datetime64[s]")).tolist()]
-    return [texts[i] for i in index.tolist()]
+    texts = np.datetime_as_string(distinct.astype("datetime64[s]"), timezone="UTC").tolist()
+    return list(map(texts.__getitem__, index.tolist()))
 
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_SECOND = timedelta(seconds=1)
+
+
+def _epoch_seconds(times: Iterable[datetime]) -> dict[datetime, int]:
+    """Each timezone-aware datetime's whole UTC epoch seconds, the fraction
+    of a second dropped, the one conversion of every time.
+
+    A timedelta keeps ``seconds`` in [0, 86400) and ``microseconds`` in
+    [0, 10**6), so ``days * 86400 + seconds`` is ``(t - _EPOCH) //
+    timedelta(seconds=1)`` exactly, without the slow floor division of two
+    timedeltas.  It takes many times, so a batch pays one call."""
+    return {t: (d := t - _EPOCH).days * 86400 + d.seconds for t in times}
 
 
 def _utc_seconds(times: Iterable[datetime]) -> np.ndarray:
-    """Timezone-aware datetimes as whole UTC epoch seconds, each distinct
-    time converted once; fractions of a second are dropped.
-
-    A timedelta keeps ``seconds`` in [0, 86400) and ``microseconds`` in
-    [0, 10**6), so ``days * 86400 + seconds`` is ``(t - _EPOCH) // _SECOND``
-    exactly, without the slow floor division of two timedeltas."""
+    """Timezone-aware datetimes as whole UTC epoch seconds
+    (:func:`_epoch_seconds`), each distinct time converted once."""
     times = list(times)
     try:
-        seconds = {t: (d := t - _EPOCH).days * 86400 + d.seconds for t in set(times)}
+        seconds = _epoch_seconds(set(times))
     except TypeError:  # a naive datetime does not subtract from an aware one
         raise ValueError("times must be timezone-aware") from None
     return np.fromiter(map(seconds.__getitem__, times), dtype=np.int64, count=len(times))

@@ -422,6 +422,15 @@ class TestSimulate:
         with pytest.raises(ValueError, match=re.escape(message)):
             simulate_handover(records, predictions=predictions, policy=HoPolicy(consecutive_k=1))
 
+    @pytest.mark.parametrize("row", [{"A": GOOD, 1: GOOD}, None, [("A", GOOD)]])
+    def test_prediction_rows_must_map_str_satellite_ids(self, row):
+        records = [record(minute=i, flight_id="S1", sat="A", duration_min=5) for i in range(5)]
+        predictions = [{"A": GOOD, "B": WEAK} for _ in range(5)]
+        predictions[2]["B"], predictions[3] = 7, row  # a later bad row is named before an earlier bad value
+        message = f"prediction row at minute 3 is not a mapping with str satellite ids: {row!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate_handover(records, predictions=predictions)
+
     def test_first_minute_with_a_bad_value_is_named(self):
         records = [record(minute=i, flight_id="S1", sat="A", duration_min=5) for i in range(5)]
         predictions = [{"A": GOOD, "B": WEAK} for _ in range(5)]

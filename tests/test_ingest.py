@@ -319,6 +319,57 @@ class TestLogWriter:
             assert got.read_bytes() == want.read_bytes()
             assert parse_logs([str(got)]) == log
 
+    def test_empty_log_writes_only_the_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        assert save_logs(text_log({name: [] for name in TEXT_COLUMNS}), path) == []
+        assert path.read_bytes() == (",".join(LOG_CSV_COLUMNS) + "\r\n").encode()
+
+    def test_signed_zero_altitudes_keep_their_sign(self, tmp_path):
+        log = as_log([record(minute=i, alt=alt) for i, alt in enumerate([0.0, -0.0, 0.0, -0.0, 5.25])])
+        path = tmp_path / "zeros.csv"
+        save_logs(log, path)
+        rows = list(csv.reader(path.open(newline="")))[1:]
+        assert [row[10] for row in rows] == ["0.0", "-0.0", "0.0", "-0.0", "5.2"]
+        assert np.signbit(parse_logs([str(path)]).altitude_m).tolist() == [False, True, False, True, False]
+
+    def test_nan_cnr_rows_are_written_as_empty_cells(self, tmp_path):
+        log = as_log([record(minute=i, cnr=cnr) for i, cnr in enumerate([None, 8.5, None, 19.9996, 0.0])])
+        path = tmp_path / "gaps.csv"
+        cells = save_logs(log, path)
+        assert cells == ["", "8.500", "", "20.000", "0.000"]
+        assert [row[12] for row in csv.reader(path.open(newline=""))][1:] == cells
+
+    def test_quoted_ids_round_trip_byte_for_byte(self, tmp_path):
+        log = as_log([record(minute=i, flight_id='F,1 "x"', tail='Z-"1",b') for i in range(3)])
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        save_logs(log, first)
+        assert '"F,1 ""x""","Z-""1"",b"' in first.read_text()
+        save_logs(parse_logs([str(first)]), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_bad_number_cells_on_several_lines_are_all_reported(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        save_logs(as_log([record(minute=i) for i in range(6)]), path)
+        rows = list(csv.reader(path.open(newline="")))
+        rows[1][8] = "north"  # latitude
+        rows[2] = rows[2][:5]  # short row: the file is walked row by row
+        rows[3][12] = "nan"  # cnr_db
+        rows[4][8], rows[4][12] = "north", "x"  # a row reports its first bad column
+        rows[5][10] = "high"  # altitude
+        rows[6][9] = "east"  # longitude
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(LogParseError) as err:
+            parse_logs([str(path)])
+        assert [(line, message) for _, line, message in err.value.errors] == [
+            (2, "could not convert string to float: 'north'"),
+            (3, "expected 13 fields, got 5"),
+            (4, "cnr_db out of [0, 20]: nan"),
+            (5, "could not convert string to float: 'north'"),
+            (6, "could not convert string to float: 'high'"),
+            (7, "could not convert string to float: 'east'"),
+        ]
+
 
 class TestTimeRules:
     """Times carry a zone and whole seconds in every reader and in records."""
@@ -369,6 +420,14 @@ class TestTimeRules:
         with pytest.raises(LogParseError) as err:
             parse_logs([str(p) for p in paths])
         assert [(path, line) for path, line, _ in err.value.errors] == [(str(paths[0]), 3), (str(paths[1]), 3)]
+
+    def test_time_outside_utc_years_is_a_bad_line(self, tmp_path):
+        path = tmp_path / "f.csv"
+        save_logs(as_log([record(minute=0), record(minute=1)]), path)
+        path.write_text(path.read_text().replace("2023-03-05T08:01:00Z", "9999-12-31T23:59:00-00:01"))
+        with pytest.raises(LogParseError) as err:
+            parse_logs([str(path)])
+        assert [(line, "outside years 1-9999" in message) for _, line, message in err.value.errors] == [(3, True)]
 
     @pytest.mark.parametrize("column", [0, 6, 7])
     def test_sub_second_log_time_is_a_bad_line(self, tmp_path, column):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from satlink import weather
 from satlink.geometry import GeoPosition, haversine_m, normalize_lon
+from satlink.ingest import _utc_cell
 from satlink.weather import (
     CoverageGapError,
     SyntheticWeather,
@@ -332,6 +333,23 @@ class TestStormTables:
                 assert table[:, :8].tobytes() == np.array(want, dtype=float).reshape(-1, 8).tobytes()
                 assert table[:, 8].tolist() == [(3.0 * radius) ** 2 for *_, radius, _ in want]
 
+    @pytest.mark.parametrize("seed", [0, 77, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_uint32_seed_rows_give_the_tuple_pool_and_tables(self, seed):
+        """Seeds of one, two and three words, and 0; the edge tiles; day 0."""
+        keys = [(-9, -18, 0), (8, 17, 0), (-9, 17, 19421), (8, -18, 1), (0, 0, 0)]
+        words = weather._seed_words(seed)
+        assert words == {0: [0], 77: [77], 2**32 - 1: [2**32 - 1], 2**32: [0, 1], 2**64 + 5: [5, 0, 1]}[seed]
+        for tile_lat, tile_lon, day in keys:
+            row = np.array([*words, 0x57, tile_lat + 90, tile_lon + 180, day], dtype=np.uint32)
+            want = np.random.SeedSequence((seed, 0x57, tile_lat + 90, tile_lon + 180, day))
+            assert np.array_equal(np.random.SeedSequence(row).pool, want.pool)
+        provider = SyntheticWeather(40.0, seed)
+        provider._build_storms(keys)
+        for key in keys:
+            want = reference_storms(40.0, seed, *key)
+            assert len(want) > 0
+            assert provider._storm_cache[key][:, :8].tobytes() == np.array(want, dtype=float).tobytes()
+
     def test_no_storm_lives_past_10_00_of_the_next_day(self):
         day = 19421
         last = np.full((1, 8), np.nextafter(1.0, 0.0))
@@ -650,6 +668,14 @@ AWARE_TIMES = st.datetimes(
 EAST, WEST = timezone(timedelta(hours=23, minutes=59)), timezone(-timedelta(hours=23, minutes=59))
 
 
+#: Whole-second times at whole-second offsets whose UTC date is in years 1-9999.
+WHOLE_SECOND_TIMES = st.datetimes(
+    min_value=datetime(1, 1, 2),
+    max_value=datetime(9999, 12, 30, 23, 59, 59),
+    timezones=st.integers(-86340, 86340).map(lambda s: timezone(timedelta(seconds=s))),
+).map(lambda t: t.replace(microsecond=0))
+
+
 class TestUtcSeconds:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(AWARE_TIMES, max_size=8).flatmap(lambda ts: st.permutations(ts + ts[: len(ts) // 2])))
@@ -662,6 +688,25 @@ class TestUtcSeconds:
         seconds = _utc_seconds(iter(times))
         assert seconds.dtype == np.int64
         assert seconds.tolist() == reference_utc_seconds(times)
+
+    @settings(max_examples=300, deadline=None)
+    @given(WHOLE_SECOND_TIMES)
+    @example(datetime(1, 1, 2, 0, 0, 1, tzinfo=timezone(timedelta(hours=23, minutes=59))))
+    @example(datetime(9999, 12, 30, 23, 59, 59, tzinfo=timezone(-timedelta(hours=23, minutes=59))))
+    @example(datetime(1969, 12, 31, 23, 59, 59, tzinfo=timezone.utc))
+    @example(datetime(1901, 7, 1, 12, 30, 1, tzinfo=timezone(timedelta(hours=-5, seconds=7))))
+    def test_log_time_cells_match_floor_division(self, t):
+        """A log's time text, with its offset or as UTC with ``Z``, reads as
+        the floor division gives."""
+        (want,) = reference_utc_seconds([t])
+        utc_text = t.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+        assert _utc_cell(t.isoformat()) == _utc_cell(utc_text) == want
+        assert type(_utc_cell(utc_text)) is int
+
+    @pytest.mark.parametrize("text", ["0001-01-01T00:00:00+00:01", "9999-12-31T23:59:59-00:01"])
+    def test_time_outside_utc_years_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="outside years 1-9999"):
+            _parse_utc(text)
 
     def test_naive_time_rejected(self):
         with pytest.raises(ValueError, match="timezone-aware"):
